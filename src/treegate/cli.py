@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gate, sim
-from .errorload import PowerModel, adaptive_schedule
-from .gate import NodeOutcome, ResultTree
-from .permtest import Block, DegenerateBlockError, TestSpec, permutation_pvalue
-from .tree import HypothesisTree, TreeError, TreeNode, build_from_paths
+from .errorload import PowerModel, ScheduleError, adaptive_schedule
+from .gate import GateError, NodeOutcome, ResultTree
+from .permtest import Block, PermTestError, TestSpec
+from .tree import HypothesisTree, TreeError, build_from_paths, from_parents
 
 SCHEMA_VERSION = 1
 REQUIRED_COLUMNS = ("unit_id", "block_id", "treatment", "outcome")
@@ -72,6 +73,7 @@ def read_dataset(path: str) -> Dataset:
             (i, name) for i, name in enumerate(header) if name not in REQUIRED_COLUMNS
         ]
 
+        unit_ids: set[str] = set()
         order: list[str] = []
         treatment: dict[str, list[int]] = {}
         outcome: dict[str, list[float]] = {}
@@ -81,6 +83,10 @@ def read_dataset(path: str) -> Dataset:
                 continue
             if len(row) != len(header):
                 raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
+            uid = row[col["unit_id"]].strip()
+            if uid in unit_ids:
+                raise CliError(f"{path}:{lineno}: duplicate unit_id {uid!r}")
+            unit_ids.add(uid)
             bid = row[col["block_id"]].strip()
             if not bid:
                 raise CliError(f"{path}:{lineno}: empty block_id")
@@ -133,7 +139,8 @@ def read_node_sizes(path: str) -> HypothesisTree:
     """Parse a node-size table (node_id, parent_id, n_units) into a tree.
 
     ``parent_id`` is empty for the root; internal ``n_units`` may be left
-    blank, in which case they are derived from the leaves.
+    blank, in which case they are derived from the leaves.  Rows may come
+    in any order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -144,87 +151,35 @@ def read_node_sizes(path: str) -> HypothesisTree:
         wanted = ["node_id", "parent_id", "n_units"]
         if [h for h in wanted if h not in header]:
             raise CliError(f"{path}: header must contain {wanted}")
-        idx = {name: header.index(name) for name in wanted}
-        entries: list[tuple[str, str, str]] = []
+        cols = [header.index(name) for name in wanted]
+        ids: list[str] = []
+        parent_ids: list[str] = []
+        n_units: list[int | None] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            entries.append(
-                (
-                    row[idx["node_id"]].strip(),
-                    row[idx["parent_id"]].strip(),
-                    row[idx["n_units"]].strip(),
-                )
-            )
-    if not entries:
+            if len(row) < len(header):
+                raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
+            nid, parent, units = (row[i].strip() for i in cols)
+            if not nid:
+                raise CliError(f"{path}:{lineno}: empty node_id")
+            try:
+                n_units.append(int(units) if units else None)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: n_units is not an integer: {units!r}")
+            ids.append(nid)
+            parent_ids.append(parent)
+    if not ids:
         raise CliError(f"{path}: no data rows")
 
-    children: dict[str, list[str]] = {nid: [] for nid, _, _ in entries}
-    given: dict[str, str] = {}
-    parent_of: dict[str, str | None] = {}
-    roots = []
-    for nid, parent, units in entries:
-        if nid in given:
-            raise CliError(f"{path}: duplicate node id {nid!r}")
-        given[nid] = units
-        parent_of[nid] = parent or None
-        if parent:
-            if parent not in children:
-                raise CliError(f"{path}: node {nid!r} references unknown parent {parent!r}")
-            children[parent].append(nid)
-        else:
-            roots.append(nid)
-    if len(roots) != 1:
-        raise CliError(f"{path}: expected exactly one root row, found {len(roots)}")
-
-    depth: dict[str, int] = {}
-
-    def resolve_depth(nid: str) -> int:
-        if nid not in depth:
-            parent = parent_of[nid]
-            depth[nid] = 1 if parent is None else resolve_depth(parent) + 1
-        return depth[nid]
-
-    units: dict[str, int] = {}
-    blocks: dict[str, frozenset[str]] = {}
-
-    def resolve(nid: str) -> None:
-        kids = children[nid]
-        for kid in kids:
-            resolve(kid)
-        if not kids:
-            if not given[nid]:
-                raise CliError(f"{path}: leaf {nid!r} needs an explicit n_units")
-            units[nid] = int(given[nid])
-            blocks[nid] = frozenset({nid})
-        else:
-            total = sum(units[k] for k in kids)
-            if given[nid] and int(given[nid]) != total:
-                raise CliError(
-                    f"{path}: node {nid!r} n_units {given[nid]} != children sum {total}"
-                )
-            units[nid] = total
-            blocks[nid] = frozenset().union(*(blocks[k] for k in kids))
-
-    resolve(roots[0])
-    if len(units) != len(entries):
-        orphans = sorted(set(given) - set(units))
-        raise CliError(f"{path}: nodes unreachable from the root: {orphans}")
-    nodes = {
-        nid: TreeNode(
-            id=nid,
-            parent=parent_of[nid],
-            children=tuple(children[nid]),
-            depth=resolve_depth(nid),
-            blocks=blocks[nid],
-            n_units=units[nid],
-        )
-        for nid, _, _ in entries
-    }
+    index = {nid: i for i, nid in enumerate(ids)}
+    for nid, parent in zip(ids, parent_ids):
+        if parent and parent not in index:
+            raise CliError(f"{path}: node {nid!r} references unknown parent {parent!r}")
     try:
-        return HypothesisTree(nodes, roots[0])
+        return from_parents(ids, [index[p] if p else -1 for p in parent_ids], n_units)
     except TreeError as exc:
-        raise CliError(f"{path}: malformed tree: {exc}")
+        raise CliError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +291,13 @@ def _count_descendants(tree: HypothesisTree, nid: str) -> int:
     return count
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text with "\n" line ends; fields are quoted only when needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def result_to_csv(result: ResultTree, tree: HypothesisTree) -> str:
     rows = [["id", "parent", "depth", "tested", "p", "p_adjusted", "alpha_applied", "rejected"]]
     for nid in tree.nodes:
@@ -353,7 +315,7 @@ def result_to_csv(result: ResultTree, tree: HypothesisTree) -> str:
                 int(out.rejected),
             ]
         )
-    return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+    return _csv_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +341,7 @@ def cmd_test(args) -> int:
     spec = TestSpec(
         statistic=args.statistic, n_perms=args.n_perms, seed=args.seed
     )
-    cache: dict[str, float] = {}
-
-    def p_source(nid: str) -> float:
-        if nid not in cache:
-            try:
-                cache[nid] = permutation_pvalue(
-                    dataset.blocks_under(nid), spec, stream_key=nid
-                )
-            except DegenerateBlockError as exc:
-                raise CliError(f"degenerate blocks under node {nid!r}: {exc.block_ids}")
-        return cache[nid]
-
+    p_source = sim.NodePValues(dataset.tree, dataset.blocks, spec)
     result = gate.run_topdown(
         dataset.tree, p_source, variant, alpha=args.alpha, schedule=schedule
     )
@@ -419,7 +370,7 @@ def cmd_alpha_schedule(args) -> int:
                 int(schedule.gating_sufficient),
             ]
         )
-    _write("\n".join(",".join(str(c) for c in r) for r in rows) + "\n", args.out)
+    _write(_csv_text(rows), args.out)
     return 0
 
 
@@ -504,21 +455,15 @@ def _fmt(x) -> str:
 
 
 def weak_summary_csv(summary: sim.WeakSummary) -> str:
-    header = "k,L,alpha,replicates,seed,fwer,fwer_se,mean_tests,mean_nodes_tested"
-    row = ",".join(
+    s = summary
+    return _csv_text(
         [
-            str(summary.k),
-            str(summary.L),
-            _fmt(summary.alpha),
-            str(summary.replicates),
-            str(summary.seed),
-            _fmt(summary.fwer),
-            _fmt(summary.fwer_se),
-            _fmt(summary.mean_tests),
-            _fmt(summary.mean_nodes_tested),
+            ["k", "L", "alpha", "replicates", "seed", "fwer", "fwer_se", "mean_tests",
+             "mean_nodes_tested"],
+            [s.k, s.L, _fmt(s.alpha), s.replicates, s.seed, _fmt(s.fwer), _fmt(s.fwer_se),
+             _fmt(s.mean_tests), _fmt(s.mean_nodes_tested)],
         ]
     )
-    return header + "\n" + row + "\n"
 
 
 def strong_summary_csv(summary: sim.SimSummary) -> str:
@@ -526,7 +471,7 @@ def strong_summary_csv(summary: sim.SimSummary) -> str:
     p = summary.params
     header = ["k", "d", "null_proportion", "sum_error_load"]
     values = [
-        str(p["k"]),
+        p["k"],
         _fmt(p["d"]) if p["d"] is not None else "",
         _fmt(p["null_proportion"]),
         _fmt(p["sum_error_load"]),
@@ -547,7 +492,7 @@ def strong_summary_csv(summary: sim.SimSummary) -> str:
         td = summary.methods["td_adapt_pruned"].true_rejections_node
         header.append("ratio_td_adapt_pruned_vs_bu_hommel")
         values.append(_fmt(td / bu) if bu > 0 else "inf")
-    return ",".join(header) + "\n" + ",".join(values) + "\n"
+    return _csv_text([header, values])
 
 
 def dpp_summary_csv(summary: sim.SimSummary) -> str:
@@ -568,7 +513,7 @@ def dpp_summary_csv(summary: sim.SimSummary) -> str:
     ]
     for label, attr in metric_fields:
         rows.append([label, *[_fmt(getattr(summary.methods[m], attr)) for m in methods]])
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    return _csv_text(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -645,7 +590,7 @@ def main(argv=None) -> int:
             parser.error(f"--d-hat is required for variant {args.variant!r}")
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, TreeError, ScheduleError, GateError, PermTestError, sim.SimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

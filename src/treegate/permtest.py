@@ -87,6 +87,8 @@ class TestSpec:
             raise PermTestError("n_perms must be at least 100")
         if self.exact_cap < 1:
             raise PermTestError("exact_cap must be positive")
+        if self.seed < 0:
+            raise PermTestError("seed must be non-negative")
 
 
 def energy_scores(outcomes) -> np.ndarray:
@@ -171,7 +173,7 @@ def block_statistic(
 
 
 def _seed_sequence(seed: int, stream_key) -> np.random.SeedSequence:
-    entropy = [seed & 0xFFFFFFFF]
+    entropy = [seed]
     if stream_key is not None:
         entropy.append(zlib.crc32(str(stream_key).encode("utf-8")))
     return np.random.SeedSequence(entropy)

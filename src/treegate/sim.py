@@ -29,7 +29,7 @@ import numpy as np
 from . import gate
 from .errorload import PowerModel, adaptive_schedule, power_normal_approx
 from .gate import GateVariant, run_bottom_up, run_topdown, score_rejections, score_result
-from .permtest import Block, TestSpec, permutation_pvalue
+from .permtest import Block, DegenerateBlockError, PermTestError, TestSpec, permutation_pvalue
 from .tree import HypothesisTree, build_from_paths, build_regular
 
 
@@ -278,53 +278,34 @@ def _beta_inverse_exponents(
     return exponents
 
 
-def _summarize(method: str, sums: dict, replicates: int) -> MethodSummary:
-    fw_n = sums["fwer_node"] / replicates
-    fw_l = sums["fwer_leaf"] / replicates
-    return MethodSummary(
-        method=method,
-        replicates=replicates,
-        fwer_node=fw_n,
-        fwer_node_se=_indicator_se(fw_n, replicates),
-        fwer_leaf=fw_l,
-        fwer_leaf_se=_indicator_se(fw_l, replicates),
-        power_node=sums["power_node"] / replicates,
-        power_leaf=sums["power_leaf"] / replicates,
-        true_rejections_node=sums["tr_node"] / replicates,
-        true_rejections_leaf=sums["tr_leaf"] / replicates,
-        false_rejection_prop_node=sums["frp_node"] / replicates,
-        false_rejection_prop_leaf=sums["frp_leaf"] / replicates,
-        mean_nodes_tested=sums["nodes_tested"] / replicates,
-        mean_leaves_tested=sums["leaves_tested"] / replicates,
-    )
-
-
-_SCORE_KEYS = (
-    "fwer_node",
-    "fwer_leaf",
-    "power_node",
-    "power_leaf",
-    "tr_node",
-    "tr_leaf",
-    "frp_node",
-    "frp_leaf",
-    "nodes_tested",
-    "leaves_tested",
-)
+# MethodSummary field -> the RunScore attribute whose per-replicate mean it is
+_SCORE_FIELDS = {
+    "fwer_node": "any_false_rejection_node",
+    "fwer_leaf": "any_false_rejection_leaf",
+    "power_node": "power_node",
+    "power_leaf": "power_leaf",
+    "true_rejections_node": "true_rejections_node",
+    "true_rejections_leaf": "true_rejections_leaf",
+    "false_rejection_prop_node": "false_rejection_prop_node",
+    "false_rejection_prop_leaf": "false_rejection_prop_leaf",
+    "mean_nodes_tested": "nodes_tested",
+    "mean_leaves_tested": "leaves_tested",
+}
+_SCORE_KEYS = tuple(_SCORE_FIELDS)
 
 
 def _score_to_tuple(score) -> tuple:
-    return (
-        float(score.any_false_rejection_node),
-        float(score.any_false_rejection_leaf),
-        score.power_node,
-        score.power_leaf,
-        float(score.true_rejections_node),
-        float(score.true_rejections_leaf),
-        score.false_rejection_prop_node,
-        score.false_rejection_prop_leaf,
-        float(score.nodes_tested),
-        float(score.leaves_tested),
+    return tuple(float(getattr(score, attr)) for attr in _SCORE_FIELDS.values())
+
+
+def _summarize(method: str, sums: dict, replicates: int) -> MethodSummary:
+    means = {key: sums[key] / replicates for key in _SCORE_KEYS}
+    return MethodSummary(
+        method=method,
+        replicates=replicates,
+        fwer_node_se=_indicator_se(means["fwer_node"], replicates),
+        fwer_leaf_se=_indicator_se(means["fwer_leaf"], replicates),
+        **means,
     )
 
 
@@ -492,6 +473,37 @@ class DppConfig:
             raise SimError(f"unknown methods: {unknown}")
 
 
+class NodePValues:
+    """Cached randomization p-value source for the nodes of one dataset.
+
+    A node is tested on its blocks in dataset order, with the RNG stream
+    keyed ``prefix + node_id``, and each node's p-value is computed once.
+    """
+
+    def __init__(
+        self, tree: HypothesisTree, blocks: Sequence[Block], spec: TestSpec, prefix: str = ""
+    ):
+        self.tree = tree
+        self.blocks = blocks
+        self.spec = spec
+        self.prefix = prefix
+        self._cache: dict[str, float] = {}
+
+    def __call__(self, nid: str) -> float:
+        if nid not in self._cache:
+            wanted = self.tree.nodes[nid].blocks
+            node_blocks = [b for b in self.blocks if b.block_id in wanted]
+            try:
+                self._cache[nid] = permutation_pvalue(
+                    node_blocks, self.spec, stream_key=self.prefix + nid
+                )
+            except DegenerateBlockError as exc:
+                raise PermTestError(
+                    f"degenerate blocks under node {nid!r}: {exc.block_ids}"
+                ) from None
+        return self._cache[nid]
+
+
 def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:
     layout = config.layout or dpp_default_layout()
     rows = _layout_rows(layout, config.students_per_block)
@@ -521,17 +533,7 @@ def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:
             students_per_block=config.students_per_block,
             rep=rep,
         )
-        by_id = {b.block_id: b for b in blocks}
-        cache: dict[str, float] = {}
-
-        def p_source(nid: str, _rep=rep) -> float:
-            if nid not in cache:
-                node_blocks = [by_id[b] for b in sorted(tree.nodes[nid].blocks)]
-                cache[nid] = permutation_pvalue(
-                    node_blocks, spec, stream_key=f"{_rep}/{nid}"
-                )
-            return cache[nid]
-
+        p_source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
         scores: dict[str, tuple] = {}
         for method in config.methods:
             if method in TD_METHODS:

@@ -187,6 +187,94 @@ class HypothesisTree:
         return count
 
 
+def from_parents(
+    ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]
+) -> HypothesisTree:
+    """Assemble a tree from parent links given as indices into ``ids``.
+
+    ``parent[i]`` is the index of node i's parent, or -1 for the root.
+    ``n_units[i]`` is required (at least 1) for leaves; for a group it may
+    be None, and otherwise must equal the sum over its children.  Each leaf
+    carries one block whose id is the leaf's id; a group holds the blocks
+    beneath it.  Nodes may come in any order, and ``tree.nodes`` keeps it.
+
+    Raises TreeError for a duplicate id, a parent index out of range, zero
+    or several roots, a node the root cannot reach (a cycle), a leaf
+    without ``n_units >= 1``, or a given group total that is not the sum
+    over its children.
+    """
+    return HypothesisTree(*_assemble(ids, parent, n_units))
+
+
+def _assemble(
+    ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]
+) -> tuple[dict[str, TreeNode], str]:
+    # Separate from from_parents so that the index lists below are freed
+    # before HypothesisTree copies the node dict (about 15 MB less peak
+    # memory on a 524k-node tree).
+    n = len(ids)
+    if n == 0:
+        raise TreeError("no nodes given")
+    if len(parent) != n or len(n_units) != n:
+        raise TreeError("ids, parent and n_units must have equal lengths")
+    if len(set(ids)) != n:
+        seen: set[str] = set()
+        dup = next(nid for nid in ids if nid in seen or seen.add(nid))
+        raise TreeError(f"duplicate node id: {dup!r}")
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for i, p in enumerate(parent):
+        if p == -1:
+            roots.append(i)
+        elif 0 <= p < n:
+            children[p].append(i)
+        else:
+            raise TreeError(f"node {ids[i]!r} references unknown parent index {p}")
+    if len(roots) != 1:
+        raise TreeError(f"expected exactly one root, found {len(roots)}")
+
+    order = [roots[0]]
+    depth = [0] * n
+    depth[order[0]] = 1
+    for i in order:  # breadth-first; the list grows while it is walked
+        for c in children[i]:
+            depth[c] = depth[i] + 1
+            order.append(c)
+    if len(order) != n:
+        lost = sorted(ids[i] for i in range(n) if not depth[i])
+        raise TreeError(f"nodes unreachable from the root: {lost}")
+
+    units = [0] * n
+    blocks: list[frozenset[str]] = [frozenset()] * n
+    for i in reversed(order):
+        kids = children[i]
+        given = n_units[i]
+        if not kids:
+            if given is None or given < 1:
+                raise TreeError(f"leaf {ids[i]!r} needs n_units of at least 1")
+            units[i] = given
+            blocks[i] = frozenset((ids[i],))
+        else:
+            total = sum(units[c] for c in kids)
+            if given is not None and given != total:
+                raise TreeError(f"node {ids[i]!r} n_units {given} != children sum {total}")
+            units[i] = total
+            blocks[i] = frozenset().union(*(blocks[c] for c in kids))
+
+    nodes = {
+        ids[i]: TreeNode(
+            id=ids[i],
+            parent=ids[p] if p != -1 else None,
+            children=tuple(ids[c] for c in children[i]),
+            depth=depth[i],
+            blocks=blocks[i],
+            n_units=units[i],
+        )
+        for i, p in enumerate(parent)
+    }
+    return nodes, ids[order[0]]
+
+
 def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     """Complete k-ary tree with L levels (root at depth 1).
 
@@ -200,45 +288,13 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
         raise TreeError("tree must have at least 2 levels")
     if units_per_leaf < 1:
         raise TreeError("units_per_leaf must be at least 1")
-
-    level_start = [1]
-    for depth in range(1, L):
-        level_start.append(level_start[-1] + k ** (depth - 1))
-    total = level_start[-1] + k ** (L - 1) - 1
-
-    blocks: list[frozenset[str]] = [frozenset()] * (total + 1)
-    units = [0] * (total + 1)
-    nodes: dict[str, TreeNode] = {}
-    for i in range(total, 0, -1):
-        first_child = k * (i - 1) + 2
-        is_leaf = first_child > total
-        if is_leaf:
-            blocks[i] = frozenset({str(i)})
-            units[i] = units_per_leaf
-        else:
-            kids = range(first_child, first_child + k)
-            blocks[i] = frozenset().union(*(blocks[c] for c in kids))
-            units[i] = sum(units[c] for c in kids)
-    for i in range(1, total + 1):
-        depth = 1
-        while depth < L and i >= level_start[depth]:
-            depth += 1
-        first_child = k * (i - 1) + 2
-        children = (
-            tuple(str(c) for c in range(first_child, first_child + k))
-            if first_child <= total
-            else ()
-        )
-        parent = str((i - 2) // k + 1) if i > 1 else None
-        nodes[str(i)] = TreeNode(
-            id=str(i),
-            parent=parent,
-            children=children,
-            depth=depth,
-            blocks=blocks[i],
-            n_units=units[i],
-        )
-    return HypothesisTree(nodes, "1")
+    n_groups = (k ** (L - 1) - 1) // (k - 1)
+    total = n_groups + k ** (L - 1)
+    return from_parents(
+        [str(i) for i in range(1, total + 1)],
+        [-1, *((i - 1) // k for i in range(1, total))],
+        [None] * n_groups + [units_per_leaf] * (total - n_groups),
+    )
 
 
 def build_from_paths(
@@ -248,80 +304,40 @@ def build_from_paths(
 
     A path lists the labels from just below the root down to the block's own
     slot (e.g. ``("CollegeA", "Cohort1", "B07")``); every strict prefix
-    becomes an internal group node and the block becomes a leaf, whose node
-    id is the block id.  An empty path attaches the block directly to the
-    root.  A block whose full path is a strict prefix of another block's
-    path would have to act as both a block and a group, which is rejected.
+    becomes an internal group node, with id ``"/".join(prefix)``, and the
+    block becomes a leaf, whose node id is the block id.  An empty path
+    attaches the block directly to the root.  A block whose full path is a
+    strict prefix of another block's path would have to act as both a block
+    and a group, which is rejected.  Nodes are listed level by level, each
+    level in the order the rows first reach it.
     """
     if not rows:
         raise TreeError("no blocks given")
-    seen_blocks: set[str] = set()
-    paths: list[tuple[str, tuple[str, ...], int]] = []
-    for block_id, path, n_units in rows:
-        if block_id in seen_blocks:
-            raise TreeError(f"duplicate block id: {block_id!r}")
-        seen_blocks.add(block_id)
-        if n_units < 1:
-            raise TreeError(f"block {block_id!r}: n_units must be at least 1")
-        paths.append((block_id, tuple(path), n_units))
-
-    group_prefixes: set[tuple[str, ...]] = set()
-    for _, path, _ in paths:
-        for cut in range(1, len(path)):
-            group_prefixes.add(path[:cut])
+    paths = [(block_id, tuple(path), n) for block_id, path, n in rows]
+    group_prefixes = {path[:cut] for _, path, _ in paths for cut in range(1, len(path))}
     bad = sorted(
         block_id for block_id, path, _ in paths if path and path in group_prefixes
     )
     if bad:
         raise TreeError(f"block(s) whose path is also a group: {bad}")
 
-    def group_id(prefix: tuple[str, ...]) -> str:
-        return "/".join(prefix)
-
-    root_id = "root"
-    children: dict[str, list[str]] = {root_id: []}
-    blocks: dict[str, set[str]] = {root_id: set()}
-    units: dict[str, int] = {root_id: 0}
-    depth: dict[str, int] = {root_id: 1}
-    parent: dict[str, str | None] = {root_id: None}
-
-    for block_id, path, n_units in paths:
-        cur = root_id
-        for cut in range(1, len(path)):
-            gid = group_id(path[:cut])
-            if gid in seen_blocks or gid == root_id:
-                raise TreeError(f"group id collides with another node id: {gid!r}")
-            if gid not in children:
-                children[gid] = []
-                blocks[gid] = set()
-                units[gid] = 0
-                depth[gid] = depth[cur] + 1
-                parent[gid] = cur
-                children[cur].append(gid)
-            cur = gid
-        children[cur].append(block_id)
-        children[block_id] = []
-        blocks[block_id] = {block_id}
-        units[block_id] = n_units
-        depth[block_id] = depth[cur] + 1
-        parent[block_id] = cur
-        for anc in (root_id, *(group_id(path[:c]) for c in range(1, len(path)))):
-            blocks[anc].add(block_id)
-            units[anc] += n_units
-
-    order = sorted(children, key=lambda nid: depth[nid])
-    nodes = {
-        nid: TreeNode(
-            id=nid,
-            parent=parent[nid],
-            children=tuple(children[nid]),
-            depth=depth[nid],
-            blocks=frozenset(blocks[nid]),
-            n_units=units[nid],
-        )
-        for nid in order
-    }
-    return HypothesisTree(nodes, root_id)
+    ids: list[str] = ["root"]
+    parent = [-1]
+    n_units: list[int | None] = [None]
+    index = {(): 0}  # group prefix -> position in ids
+    levels = max(1, *(len(path) for _, path, _ in paths))
+    for cut in range(1, levels + 1):
+        for block_id, path, n in paths:
+            if cut == max(len(path), 1):
+                ids.append(block_id)
+                parent.append(index[path[: cut - 1]])
+                n_units.append(n)
+            elif cut < len(path) and path[:cut] not in index:
+                index[path[:cut]] = len(ids)
+                ids.append("/".join(path[:cut]))
+                parent.append(index[path[: cut - 1]])
+                n_units.append(None)
+    return from_parents(ids, parent, n_units)
 
 
 def label_truth(tree: HypothesisTree, non_null_leaves: Iterable[str]) -> HypothesisTree:

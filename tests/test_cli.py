@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestReadDataset:
         rows = [("u1", "b1", 1, 1.0, "A", "A1"), ("u2", "b1", 0, 1.0, "B", "A1")]
         path = write_dataset(tmp_path / "mix.csv", rows)
         with pytest.raises(CliError, match="hierarchy"):
+            read_dataset(path)
+
+    def test_duplicate_unit_id_reports_line(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "A", "A1"), ("u2", "b1", 0, 2.0, "A", "A1"),
+                ("u1", "b2", 1, 1.0, "A", "A1"), ("u4", "b2", 0, 2.0, "A", "A1")]
+        path = write_dataset(tmp_path / "dup.csv", rows)
+        with pytest.raises(CliError, match=r"dup\.csv:4: duplicate unit_id 'u1'"):
             read_dataset(path)
 
     def test_missing_columns(self, tmp_path):
@@ -170,8 +178,83 @@ class TestCmdTest:
         assert len(lines) == 1 + len(dataset.tree)
         assert lines[0].split(",")[:3] == ["id", "parent", "depth"]
 
+    def test_csv_quotes_label_with_comma(self, tmp_path):
+        rows = [
+            (f"u{i}", f"b{i // 4}", i % 2, float(i), "Site A, North" if i < 8 else "B", "C")
+            for i in range(16)
+        ]
+        data = write_dataset(tmp_path / "comma.csv", rows)
+        out = tmp_path / "res.csv"
+        main(["test", data, "--format", "csv", "--n-perms", "150", "--out", str(out)])
+        with open(out, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert {len(row) for row in parsed} == {8}
+        assert "Site A, North" in {row[0] for row in parsed}
+
+    def test_seed_is_not_truncated_to_32_bits(self, tmp_path):
+        data = small_dataset(tmp_path / "d.csv")
+        pvalues = []
+        for seed in ("1", str(2**32 + 1)):
+            out = tmp_path / f"seed{seed}.json"
+            main(["test", data, "--n-perms", "150", "--seed", seed, "--out", str(out)])
+            doc = json.loads(out.read_text())
+            pvalues.append([n["p"] for n in doc["nodes"]])
+        assert pvalues[0] != pvalues[1]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        data = small_dataset(tmp_path / "d.csv")
+        assert main(["test", data, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def _chain(depth, root_units=""):
+    rows = [f"n0,,{root_units}"]
+    rows += [f"n{i},n{i - 1}," for i in range(1, depth - 1)]
+    rows.append(f"n{depth - 1},n{depth - 2},5")
+    return "\n".join(rows) + "\n"
+
 
 class TestNodeSizes:
+    def test_child_before_parent_accepted(self, tmp_path):
+        path = tmp_path / "sizes.csv"
+        path.write_text(
+            "node_id,parent_id,n_units\na1,a,30\nroot,,\na,root,\na2,a,20\nb,root,50\n"
+        )
+        tree = read_node_sizes(str(path))
+        assert list(tree.nodes) == ["a1", "root", "a", "a2", "b"]
+        assert tree.nodes["a"].children == ("a1", "a2")
+        assert tree.nodes["root"].n_units == 100
+        assert tree.nodes["a1"].depth == 3
+
+    def test_deep_chain_accepted(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        path.write_text("node_id,parent_id,n_units\n" + _chain(1500))
+        tree = read_node_sizes(str(path))
+        assert tree.max_depth == 1500
+        assert tree.nodes["n0"].n_units == 5
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (_chain(1500, root_units="7"), "children sum"),
+            ("root,,\na,root,x\nb,root,5\n", r":3: n_units is not an integer"),
+            ("root,,\na,root\nb,root,5\n", r":3: expected 3 fields"),
+            ("root,,\na,root,0\nb,root,5\n", "leaf 'a' needs n_units"),
+            ("root,,\na,nowhere,5\n", "unknown parent 'nowhere'"),
+            ("root,,\na,root,5\na,root,5\n", "duplicate node id"),
+            ("root,,\nother,,5\n", "exactly one root"),
+        ],
+        ids=["deep_chain_bad_total", "units_not_int", "short_row", "leaf_zero_units",
+             "unknown_parent", "duplicate_id", "two_roots"],
+    )
+    def test_bad_table_is_cli_error(self, tmp_path, body, message):
+        path = tmp_path / "sizes.csv"
+        path.write_text("node_id,parent_id,n_units\n" + body)
+        with pytest.raises(CliError, match=message):
+            read_node_sizes(str(path))
+
     def test_roundtrip_schedule(self, tmp_path):
         path = tmp_path / "sizes.csv"
         path.write_text(
@@ -286,3 +369,36 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as err:
             main(["simulate", "medium", "--config", str(cfg)])
         assert err.value.code == 2
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["test", "{data}", "--alpha", "1.5"], None),
+        (["test", "{data}", "--variant", "adaptive", "--d-hat", "0.2", "--alpha", "0.7"], None),
+        (["test", "{data}", "--n-perms", "50"], None),
+        (["test", "{data}", "--variant", "adaptive", "--d-hat", "-1"], None),
+        (["simulate", "strong", "--config", "{config}"],
+         "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=1.0\nreplicates=50\n"),
+        (["simulate", "strong", "--config", "{config}"],
+         "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=1.0\nmethods=td,foo\n"),
+        (["simulate", "dpp", "--config", "{config}"], "d=0.5\nstatistic=bogus\n"),
+        (["alpha-schedule", "{sizes}", "--d-hat", "0.3"], None),
+    ],
+    ids=["alpha_above_one", "alpha_above_half", "too_few_perms", "negative_d_hat",
+         "strong_few_replicates", "strong_unknown_method", "dpp_unknown_statistic",
+         "schedule_one_unit_leaf"],
+)
+def test_package_errors_are_one_line(tmp_path, capsys, argv, config):
+    sizes = tmp_path / "sizes.csv"
+    sizes.write_text("node_id,parent_id,n_units\nroot,,\na,root,1\nb,root,5\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config or "")
+    paths = {"data": os.path.join(GOLDEN, "trial.csv"), "config": str(cfg), "sizes": str(sizes)}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1

@@ -1,0 +1,62 @@
+"""Byte-for-byte guard on the CLI's outputs for fixed inputs and seeds.
+
+Each case runs one ``treegate`` command on a committed input under
+``tests/golden/`` and compares its output with the committed expected file.
+``trial.csv`` mixes small blocks (exact enumeration at the leaves and
+cohorts) with larger unions (Monte Carlo at the sites and the root);
+``sizes.csv`` lists a child before its parent.
+
+To regenerate the expected files after an intended output change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+from treegate.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "test_energy_adaptive.json": [
+        "test", "trial.csv", "--variant", "adaptive_pruned", "--d-hat", "0.4",
+        "--statistic", "energy", "--n-perms", "200", "--seed", "7", "--format", "json",
+    ],
+    "test_meandiff_adaptive.csv": [
+        "test", "trial.csv", "--variant", "adaptive", "--d-hat", "0.5", "--statistic", "mean_diff",
+        "--n-perms", "200", "--seed", "8", "--format", "csv",
+    ],
+    "test_meandiff_collapse.dot": [
+        "test", "trial.csv", "--statistic", "mean_diff", "--n-perms", "200",
+        "--seed", "9", "--format", "dot", "--dot-pruned", "collapse",
+    ],
+    "alpha_schedule.csv": ["alpha-schedule", "sizes.csv", "--d-hat", "0.3"],
+    "simulate_weak.csv": ["simulate", "weak", "--config", "weak.cfg"],
+    "simulate_strong.csv": ["simulate", "strong", "--config", "strong.cfg"],
+    "simulate_dpp.csv": ["simulate", "dpp", "--config", "dpp.cfg"],
+}
+
+
+def _run(name: str, out_path: str) -> None:
+    argv = [os.path.join(GOLDEN, a) if a.endswith((".csv", ".cfg")) else a for a in CASES[name]]
+    assert main([*argv, "--out", out_path]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    _run(name, str(out))
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        expected = fh.read()
+    assert out.read_bytes() == expected
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        _run(case, os.path.join(GOLDEN, case))
+        print(f"wrote {case}", file=sys.stderr)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegate.tree import TreeError, build_from_paths, build_regular
+from treegate.tree import TreeError, build_from_paths, build_regular, from_parents
 
 
 def dpp_style_rows():
@@ -90,6 +90,10 @@ class TestBuildFromPaths:
         with pytest.raises(TreeError, match="duplicate"):
             build_from_paths([("b1", ("G", "b1"), 5), ("b1", ("G", "b1x"), 5)])
 
+    def test_group_id_colliding_with_block_rejected(self):
+        with pytest.raises(TreeError, match="duplicate node id: 'G'"):
+            build_from_paths([("G", ("X", "G"), 5), ("b2", ("G", "b2"), 5)])
+
     def test_block_that_is_also_a_group_rejected(self):
         rows = [("bA", ("X",), 5), ("bB", ("X", "Y", "bB"), 5)]
         with pytest.raises(TreeError, match="group"):
@@ -98,6 +102,53 @@ class TestBuildFromPaths:
     def test_nonpositive_units_rejected(self):
         with pytest.raises(TreeError):
             build_from_paths([("b1", ("b1",), 0)])
+
+
+class TestFromParents:
+    def test_any_order_kept_and_derived(self):
+        tree = from_parents(
+            ["a1", "root", "a", "b", "a2"], [2, -1, 1, 1, 2], [3, None, None, 4, 5]
+        )
+        assert list(tree.nodes) == ["a1", "root", "a", "b", "a2"]
+        assert tree.root == "root"
+        assert tree.nodes["root"].children == ("a", "b")
+        assert tree.nodes["a"].children == ("a1", "a2")
+        assert tree.nodes["a2"].depth == 3
+        assert tree.nodes["a"].blocks == {"a1", "a2"}
+        assert tree.nodes["root"].n_units == 12
+        assert tree.nodes["a1"].parent == "a"
+
+    def test_group_total_checked_when_given(self):
+        assert from_parents(["r", "x", "y"], [-1, 0, 0], [5, 2, 3]).nodes["r"].n_units == 5
+        with pytest.raises(TreeError, match="children sum"):
+            from_parents(["r", "x", "y"], [-1, 0, 0], [6, 2, 3])
+
+    def test_deep_chain(self):
+        n = 5000
+        tree = from_parents(
+            [f"n{i}" for i in range(n)], [i - 1 for i in range(n)], [None] * (n - 1) + [2]
+        )
+        assert tree.max_depth == n
+        assert tree.nodes["n0"].n_units == 2
+
+    @pytest.mark.parametrize(
+        "ids, parent, units, message",
+        [
+            (["r", "x", "x"], [-1, 0, 0], [None, 1, 1], "duplicate node id"),
+            (["r", "x"], [-1, 7], [None, 1], "unknown parent"),
+            (["r", "x"], [0, 0], [None, 1], "exactly one root, found 0"),
+            (["r", "s"], [-1, -1], [1, 1], "exactly one root, found 2"),
+            (["r", "x", "y", "z"], [-1, 0, 3, 2], [None, 1, 1, 1], "unreachable"),
+            (["r", "x"], [-1, 0], [None, None], "leaf 'x' needs n_units"),
+            (["r", "x"], [-1, 0], [None, 0], "leaf 'x' needs n_units"),
+            ([], [], [], "no nodes"),
+        ],
+        ids=["duplicate", "unknown_parent", "no_root", "two_roots", "cycle",
+             "leaf_without_units", "leaf_zero_units", "empty"],
+    )
+    def test_malformed_input_rejected(self, ids, parent, units, message):
+        with pytest.raises(TreeError, match=message):
+            from_parents(ids, parent, units)
 
 
 class TestLabelTruth:
