@@ -51,6 +51,6 @@ from .sim import (
     simulate_strong,
     simulate_weak,
 )
-from .tree import HypothesisTree, TreeNode, build_from_paths, build_regular, from_parents, label_truth
+from .tree import HypothesisTree, TreeNode, build_from_paths, build_regular, from_parents
 
 __version__ = "0.1.0"

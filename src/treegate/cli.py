@@ -47,10 +47,6 @@ class Dataset:
     tree: HypothesisTree
     blocks: list[Block]
 
-    def blocks_under(self, node_id: str) -> list[Block]:
-        wanted = self.tree.nodes[node_id].blocks
-        return [b for b in self.blocks if b.block_id in wanted]
-
 
 def read_dataset(path: str) -> Dataset:
     """Parse a unit-level CSV into blocks and the hierarchy tree.
@@ -218,28 +214,14 @@ def result_from_json(text: str) -> ResultTree:
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CliError(f"unsupported schema_version: {doc.get('schema_version')!r}")
-    outcomes = {}
-    rejections_by_depth: dict[int, int] = {}
-    leaves_tested = 0
-    has_child = {n["parent"] for n in doc["nodes"] if n["parent"] is not None}
-    for n in doc["nodes"]:
-        if not n["tested"]:
-            continue
-        outcomes[n["id"]] = NodeOutcome(
+    outcomes = {
+        n["id"]: NodeOutcome(
             n["id"], True, n["p"], n["p_adjusted"], n["alpha_applied"], n["rejected"]
         )
-        if n["rejected"]:
-            rejections_by_depth[n["depth"]] = rejections_by_depth.get(n["depth"], 0) + 1
-        if n["id"] not in has_child:
-            leaves_tested += 1
-    return ResultTree(
-        variant=doc["variant"],
-        alpha=doc["alpha"],
-        outcomes=outcomes,
-        nodes_tested=len(outcomes),
-        leaves_tested=leaves_tested,
-        rejections_by_depth=rejections_by_depth,
-    )
+        for n in doc["nodes"]
+        if n["tested"]
+    }
+    return ResultTree(variant=doc["variant"], alpha=doc["alpha"], outcomes=outcomes)
 
 
 def result_to_dot(

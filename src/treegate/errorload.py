@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from scipy.stats import norm
 
-from .tree import HypothesisTree, TreeError
+from .tree import HypothesisTree
 
 
 class ScheduleError(ValueError):
@@ -238,10 +238,7 @@ def recompute_after_pruning(
         raise ScheduleError("schedule carries no power model to recompute with")
     if depth_completed < 1:
         raise ScheduleError("depth_completed must be at least 1")
-    try:
-        fresh = adaptive_schedule(surviving_tree, schedule.model)
-    except TreeError as exc:
-        raise ScheduleError(f"surviving tree is not a consistent subtree: {exc}")
+    fresh = adaptive_schedule(surviving_tree, schedule.model)
     rows = []
     for row in fresh.depths:
         if row.depth <= depth_completed:

@@ -70,13 +70,14 @@ class ResultTree:
     variant: str
     alpha: float
     outcomes: dict[str, NodeOutcome]
-    nodes_tested: int
-    leaves_tested: int
-    rejections_by_depth: dict[int, int]
+
+    @property
+    def nodes_tested(self) -> int:
+        return len(self.outcomes)
 
     @property
     def total_rejections(self) -> int:
-        return sum(self.rejections_by_depth.values())
+        return sum(o.rejected for o in self.outcomes.values())
 
     def outcome(self, node_id: str) -> NodeOutcome:
         return self.outcomes.get(node_id, NodeOutcome(node_id, tested=False))
@@ -120,8 +121,6 @@ def run_topdown(
             raise GateError("schedule is shorter than the tree is deep")
 
     outcomes: dict[str, NodeOutcome] = {}
-    rejections_by_depth: dict[int, int] = {}
-    leaves_tested = 0
     working = tree
     sched = schedule
     frontier = [tree.root]
@@ -135,16 +134,12 @@ def run_topdown(
             if variant.local_adjust is None or len(group) == 1:
                 adjusted = raw
             else:
-                adjusted = list(_LOCAL_ADJUSTERS[variant.local_adjust](raw))
+                adjusted = [float(pa) for pa in _LOCAL_ADJUSTERS[variant.local_adjust](raw)]
             for nid, p, pa in zip(group, raw, adjusted):
                 rejected = bool(pa <= threshold)
                 outcomes[nid] = NodeOutcome(nid, True, p, pa, threshold, rejected)
-                node = tree.nodes[nid]
-                if node.is_leaf:
-                    leaves_tested += 1
                 if rejected:
-                    rejections_by_depth[depth] = rejections_by_depth.get(depth, 0) + 1
-                    next_frontier.extend(node.children)
+                    next_frontier.extend(tree.nodes[nid].children)
                 else:
                     non_rejected.append(nid)
         if variant.prune and next_frontier:
@@ -155,14 +150,7 @@ def run_topdown(
         depth += 1
         frontier = next_frontier
 
-    result = ResultTree(
-        variant=variant.name,
-        alpha=alpha,
-        outcomes=outcomes,
-        nodes_tested=len(outcomes),
-        leaves_tested=leaves_tested,
-        rejections_by_depth=rejections_by_depth,
-    )
+    result = ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
     _check_gating(result, tree)
     return result
 
@@ -251,8 +239,8 @@ class RunScore:
 
 def score_result(result: ResultTree, tree: HypothesisTree) -> RunScore:
     """Score one run; the tree must carry is_null labels on every node."""
-    rejected = {nid for nid, o in result.outcomes.items() if o.rejected}
-    return score_rejections(rejected, tree, result.nodes_tested, result.leaves_tested)
+    leaves_tested = sum(tree.nodes[nid].is_leaf for nid in result.outcomes)
+    return score_rejections(result.rejected_ids(), tree, result.nodes_tested, leaves_tested)
 
 
 def score_rejections(

@@ -265,12 +265,8 @@ def _beta_inverse_exponents(
             continue
         d_gen = model.d_hat
         if config.internal_power == "diluted" and not node.is_leaf:
-            non_null_share = sum(
-                1
-                for leaf in tree.leaves
-                if tree.nodes[leaf].is_null is False
-                and tree.nodes[leaf].blocks <= node.blocks
-            ) / sum(1 for leaf in tree.leaves if tree.nodes[leaf].blocks <= node.blocks)
+            under = tree.leaves_under(nid)
+            non_null_share = sum(tree.nodes[leaf].is_null is False for leaf in under) / len(under)
             d_gen = model.d_hat * non_null_share
         power = power_normal_approx(replace(model, d_hat=d_gen), node.n_units)
         a = calibrate_beta_shape(power, config.alpha) if power < 1.0 else 1e-12
@@ -491,7 +487,7 @@ class NodePValues:
 
     def __call__(self, nid: str) -> float:
         if nid not in self._cache:
-            wanted = self.tree.nodes[nid].blocks
+            wanted = set(self.tree.leaves_under(nid))
             node_blocks = [b for b in self.blocks if b.block_id in wanted]
             try:
                 self._cache[nid] = permutation_pvalue(

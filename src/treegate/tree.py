@@ -1,7 +1,7 @@
 """Rooted hypothesis trees over experimental blocks.
 
-Every leaf carries exactly one experimental block; every internal node
-represents the union of the blocks beneath it.  The null hypothesis at a
+Every leaf is one experimental block, and the leaf's id is the block id;
+every internal node represents the union of the blocks beneath it.  The null hypothesis at a
 node asserts "no treatment effect in any unit under this node", so a node
 is null exactly when all of its descendant leaves are null.
 """
@@ -27,7 +27,6 @@ class TreeNode:
     parent: str | None
     children: tuple[str, ...]
     depth: int
-    blocks: frozenset[str]
     n_units: int
     is_null: bool | None = None
 
@@ -39,18 +38,18 @@ class TreeNode:
 class HypothesisTree:
     """Immutable rooted tree of hypotheses.
 
-    Nodes are kept in insertion order (breadth-first for the built-in
-    constructors) so traversals and tie-breaks are reproducible.  Trees are
-    never mutated after construction; relabeling returns a new tree.
+    Build trees with ``from_parents``, ``build_regular`` or
+    ``build_from_paths``, which check their input; the constructor trusts
+    the nodes it is given.  Nodes are kept in insertion order (breadth-first
+    for the built-in constructors) so traversals and tie-breaks are
+    reproducible.  Trees are never mutated after construction; relabeling
+    and pruning return new trees.  On a ``prune_below`` result, ``leaves``
+    and ``leaves_under`` name the terminal nodes, which may be groups.
     """
 
-    def __init__(
-        self, nodes: Mapping[str, TreeNode], root: str, *, group_leaves_ok: bool = False
-    ):
+    def __init__(self, nodes: Mapping[str, TreeNode], root: str):
         self.nodes: dict[str, TreeNode] = dict(nodes)
         self.root = root
-        self._group_leaves_ok = group_leaves_ok
-        self._validate()
         by_depth: dict[int, list[str]] = {}
         for nid, node in self.nodes.items():
             by_depth.setdefault(node.depth, []).append(nid)
@@ -74,63 +73,37 @@ class HypothesisTree:
     def nodes_at_depth(self, depth: int) -> tuple[str, ...]:
         return self._by_depth.get(depth, ())
 
-    def ancestors(self, node_id: str) -> tuple[str, ...]:
-        """Proper ancestors of a node, root first."""
-        chain = []
-        cur = self.node(node_id).parent
-        while cur is not None:
-            chain.append(cur)
-            cur = self.nodes[cur].parent
-        return tuple(reversed(chain))
+    def leaves_under(self, node_id: str) -> list[str]:
+        """Leaf ids under a node in depth-first child order; a leaf lists itself.
 
-    def _validate(self) -> None:
-        roots = [nid for nid, n in self.nodes.items() if n.parent is None]
-        if len(roots) != 1:
-            raise TreeError(f"expected exactly one root, found {len(roots)}")
-        if roots[0] != self.root:
-            raise TreeError("declared root does not match the parentless node")
-        for nid, node in self.nodes.items():
-            if node.parent is not None:
-                parent = self.nodes.get(node.parent)
-                if parent is None:
-                    raise TreeError(f"node {nid!r} references missing parent")
-                if nid not in parent.children:
-                    raise TreeError(f"node {nid!r} missing from parent's children")
-                if node.depth != parent.depth + 1:
-                    raise TreeError(f"node {nid!r} depth inconsistent with parent")
-            if node.is_leaf:
-                if len(node.blocks) != 1 and not self._group_leaves_ok:
-                    raise TreeError(f"leaf {nid!r} must hold exactly one block")
+        On a tree from ``from_parents`` these are the node's block ids.
+        """
+        out = []
+        stack = [self.node(node_id).id]
+        while stack:
+            node = self.nodes[stack.pop()]
+            if node.children:
+                stack.extend(reversed(node.children))
             else:
-                kids = [self.nodes.get(c) for c in node.children]
-                if any(k is None for k in kids):
-                    raise TreeError(f"node {nid!r} references missing child")
-                if sum(k.n_units for k in kids) != node.n_units:
-                    raise TreeError(f"node {nid!r}: children unit counts do not sum")
-                if sum(len(k.blocks) for k in kids) != len(node.blocks) or any(
-                    not k.blocks <= node.blocks for k in kids
-                ):
-                    raise TreeError(f"node {nid!r}: children do not partition blocks")
-        if self.nodes[self.root].depth != 1:
-            raise TreeError("root must have depth 1")
+                out.append(node.id)
+        return out
 
     # -- derived trees -----------------------------------------------------
 
     def label_truth(self, non_null_leaves: Iterable[str]) -> "HypothesisTree":
-        """Return a copy with is_null set from a set of non-null leaf blocks.
+        """Return a copy with is_null set from a set of non-null block ids.
 
-        A node is non-null iff at least one descendant leaf carries a block
-        in ``non_null_leaves``; parents are therefore the conjunction of
-        their children.
+        A leaf is non-null iff its id is in ``non_null_leaves``, and a group
+        is non-null iff at least one leaf under it is; parents are therefore
+        the conjunction of their children.
         """
         wanted = set(non_null_leaves)
-        known = {b for nid in self.leaves for b in self.nodes[nid].blocks}
-        unknown = wanted - known
+        unknown = wanted.difference(self.leaves)
         if unknown:
             raise TreeError(f"unknown block ids: {sorted(unknown)}")
         non_null: set[str] = set()
         for nid in self.leaves:
-            if self.nodes[nid].blocks & wanted:
+            if nid in wanted:
                 non_null.add(nid)
                 cur = self.nodes[nid].parent
                 while cur is not None and cur not in non_null:
@@ -145,9 +118,9 @@ class HypothesisTree:
     def prune_below(self, stop_nodes: Iterable[str]) -> "HypothesisTree":
         """Drop all strict descendants of the given nodes.
 
-        The stop nodes themselves survive with their block sets intact, so
-        the result may contain terminal group nodes.  Used after a testing
-        round to remove the subtrees of non-rejected nodes.
+        The stop nodes themselves survive, so the result may contain
+        terminal group nodes.  Used after a testing round to remove the
+        subtrees of non-rejected nodes.
         """
         stops = set(stop_nodes)
         dead: set[str] = set()
@@ -165,7 +138,7 @@ class HypothesisTree:
             if nid in stops and node.children:
                 node = replace(node, children=())
             kept[nid] = node
-        return HypothesisTree(kept, self.root, group_leaves_ok=True)
+        return HypothesisTree(kept, self.root)
 
     def non_null_count(self, depth: int) -> int:
         return sum(
@@ -195,8 +168,9 @@ def from_parents(
     ``parent[i]`` is the index of node i's parent, or -1 for the root.
     ``n_units[i]`` is required (at least 1) for leaves; for a group it may
     be None, and otherwise must equal the sum over its children.  Each leaf
-    carries one block whose id is the leaf's id; a group holds the blocks
-    beneath it.  Nodes may come in any order, and ``tree.nodes`` keeps it.
+    is one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
+    lists a node's blocks.  Nodes may come in any order, and ``tree.nodes``
+    keeps it.  This is the one place where a tree's structure is checked.
 
     Raises TreeError for a duplicate id, a parent index out of range, zero
     or several roots, a node the root cannot reach (a cycle), a leaf
@@ -245,7 +219,6 @@ def _assemble(
         raise TreeError(f"nodes unreachable from the root: {lost}")
 
     units = [0] * n
-    blocks: list[frozenset[str]] = [frozenset()] * n
     for i in reversed(order):
         kids = children[i]
         given = n_units[i]
@@ -253,13 +226,11 @@ def _assemble(
             if given is None or given < 1:
                 raise TreeError(f"leaf {ids[i]!r} needs n_units of at least 1")
             units[i] = given
-            blocks[i] = frozenset((ids[i],))
         else:
             total = sum(units[c] for c in kids)
             if given is not None and given != total:
                 raise TreeError(f"node {ids[i]!r} n_units {given} != children sum {total}")
             units[i] = total
-            blocks[i] = frozenset().union(*(blocks[c] for c in kids))
 
     nodes = {
         ids[i]: TreeNode(
@@ -267,7 +238,6 @@ def _assemble(
             parent=ids[p] if p != -1 else None,
             children=tuple(ids[c] for c in children[i]),
             depth=depth[i],
-            blocks=blocks[i],
             n_units=units[i],
         )
         for i, p in enumerate(parent)
@@ -338,8 +308,3 @@ def build_from_paths(
                 parent.append(index[path[: cut - 1]])
                 n_units.append(None)
     return from_parents(ids, parent, n_units)
-
-
-def label_truth(tree: HypothesisTree, non_null_leaves: Iterable[str]) -> HypothesisTree:
-    """Functional alias for :meth:`HypothesisTree.label_truth`."""
-    return tree.label_truth(non_null_leaves)

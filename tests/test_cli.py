@@ -114,12 +114,13 @@ class TestCmdTest:
 
         dataset = read_dataset(data)
         spec = TestSpec(statistic="rank", n_perms=200, seed=3)
-        direct = gate.run_topdown(
-            dataset.tree,
-            lambda nid: permutation_pvalue(dataset.blocks_under(nid), spec, stream_key=nid),
-            gate.UNADJUSTED,
-            alpha=0.05,
-        )
+
+        def p_source(nid):
+            wanted = dataset.tree.leaves_under(nid)
+            node_blocks = [b for b in dataset.blocks if b.block_id in wanted]
+            return permutation_pvalue(node_blocks, spec, stream_key=nid)
+
+        direct = gate.run_topdown(dataset.tree, p_source, gate.UNADJUSTED, alpha=0.05)
         assert result_from_json(text) == direct
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -31,6 +31,10 @@ CASES = {
         "test", "trial.csv", "--variant", "adaptive", "--d-hat", "0.5", "--statistic", "mean_diff",
         "--n-perms", "200", "--seed", "8", "--format", "csv",
     ],
+    "test_meandiff_hommel.csv": [
+        "test", "trial.csv", "--variant", "local_hommel", "--statistic", "mean_diff",
+        "--seed", "8", "--format", "csv",
+    ],
     "test_meandiff_collapse.dot": [
         "test", "trial.csv", "--statistic", "mean_diff", "--n-perms", "200",
         "--seed", "9", "--format", "dot", "--dot-pruned", "collapse",

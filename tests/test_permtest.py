@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import permutation_test, rankdata
 
 from treegate.permtest import (
     Block,
@@ -149,6 +150,33 @@ class TestExactMode:
             stats.append(outcome[list(combo)].mean() - outcome[rest].mean())
         expected = np.mean(np.abs(stats) >= abs(obs) - 1e-12)
         assert permutation_pvalue([block], spec) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("stat", ["mean_diff", "rank"])
+    def test_single_block_matches_scipy_permutation_test(self, stat):
+        # one-sided only: for two sides scipy doubles the smaller tail,
+        # while treegate counts |T| >= |t_obs|
+        spec = TestSpec(statistic=stat, sides="one", exact=True)
+        rng = np.random.default_rng(11)
+        for n in range(4, 11):
+            for m in range(2, n - 1):
+                for _ in range(2):
+                    outcome = rng.normal(size=n)
+                    treated = rng.permutation(n)[:m]
+                    outcome[treated] += rng.uniform(-1.0, 2.0)
+                    data = rankdata(outcome) if stat == "rank" else outcome
+                    is_treated = np.isin(np.arange(n), treated)
+                    expected = permutation_test(
+                        (data[is_treated], data[~is_treated]),
+                        lambda x, y, axis: x.mean(axis=axis) - y.mean(axis=axis),
+                        permutation_type="independent",
+                        alternative="greater",
+                        n_resamples=np.inf,
+                        vectorized=True,
+                    ).pvalue
+                    block = make_block(outcome, treated)
+                    assert permutation_pvalue([block], spec) == pytest.approx(
+                        expected, rel=0, abs=1e-12
+                    ), (n, m)
 
     def test_forced_exact_above_cap_rejected(self):
         rng = np.random.default_rng(0)

@@ -59,10 +59,8 @@ class TestBuildRegular:
                 assert node.n_units == sum(
                     tree.nodes[c].n_units for c in node.children
                 )
-                child_blocks = set().union(
-                    *(tree.nodes[c].blocks for c in node.children)
-                )
-                assert child_blocks == node.blocks
+                child_blocks = [b for c in node.children for b in tree.leaves_under(c)]
+                assert child_blocks == tree.leaves_under(node.id)
 
 
 class TestBuildFromPaths:
@@ -114,7 +112,8 @@ class TestFromParents:
         assert tree.nodes["root"].children == ("a", "b")
         assert tree.nodes["a"].children == ("a1", "a2")
         assert tree.nodes["a2"].depth == 3
-        assert tree.nodes["a"].blocks == {"a1", "a2"}
+        assert tree.leaves_under("a") == ["a1", "a2"]
+        assert tree.leaves_under("root") == ["a1", "a2", "b"]
         assert tree.nodes["root"].n_units == 12
         assert tree.nodes["a1"].parent == "a"
 
@@ -149,6 +148,41 @@ class TestFromParents:
     def test_malformed_input_rejected(self, ids, parent, units, message):
         with pytest.raises(TreeError, match=message):
             from_parents(ids, parent, units)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.tuples(*(st.integers(0, i - 1) for i in range(1, n))),
+        st.permutations(range(n)),
+        st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_invariants_of_random_trees(self, drawn):
+        # node i > 0 hangs under an earlier node, so the links form a tree;
+        # the permutation then lists the nodes in a shuffled order
+        links, order, units = drawn
+        position = {node: pos for pos, node in enumerate(order)}
+        groups = set(links)
+        tree = from_parents(
+            [f"n{node}" for node in order],
+            [-1 if node == 0 else position[links[node - 1]] for node in order],
+            [None if node in groups else units[node] for node in order],
+        )
+
+        roots = [nid for nid, node in tree.nodes.items() if node.parent is None]
+        assert roots == [tree.root] == ["n0"]
+        assert tree.nodes[tree.root].depth == 1
+        for nid, node in tree.nodes.items():
+            if node.parent is not None:
+                assert nid in tree.nodes[node.parent].children
+            for c in node.children:
+                assert tree.nodes[c].parent == nid
+                assert tree.nodes[c].depth == node.depth + 1
+            if node.children:
+                assert node.n_units == sum(tree.nodes[c].n_units for c in node.children)
+                assert tree.leaves_under(nid) == [
+                    leaf for c in node.children for leaf in tree.leaves_under(c)
+                ]
+            else:
+                assert tree.leaves_under(nid) == [nid]
 
 
 class TestLabelTruth:
