@@ -16,7 +16,7 @@ quantities computed from estimated per-node rejection probabilities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -39,36 +39,31 @@ class PowerModel:
 
     d_hat: float
     alpha: float = 0.05
-    allocation: float = 0.5
 
     def __post_init__(self):
         if self.d_hat < 0:
             raise ScheduleError("d_hat must be non-negative")
         if not 0.0 < self.alpha < 0.5:
             raise ScheduleError("alpha must lie in (0, 0.5)")
-        if not 0.0 < self.allocation < 1.0:
-            raise ScheduleError("allocation must lie in (0, 1)")
 
 
 def power_normal_approx(model: PowerModel, n_total: int | float) -> float:
     """Normal-approximation power of a two-sided level-alpha test.
 
-    With ``n_total`` units split between arms at the model's allocation the
-    test statistic has drift ``d_hat * sqrt(n_total * q * (1-q))``, which is
-    the familiar ``d_hat * sqrt(n/4)`` at a 50/50 split.  The result is
+    With ``n_total`` units split equally between the two arms the test
+    statistic has drift ``d_hat * sqrt(n_total / 4)``.  The result is
     floored at alpha so a null node never contributes less than its test
     size.
     """
     if n_total < 2:
         raise ScheduleError("n_total must be at least 2")
-    return _power_cached(model.d_hat, model.alpha, model.allocation, float(n_total))
+    return _power_cached(model.d_hat, model.alpha, float(n_total))
 
 
 @lru_cache(maxsize=65536)
-def _power_cached(d_hat: float, alpha: float, allocation: float, n_total: float) -> float:
-    q = allocation
+def _power_cached(d_hat: float, alpha: float, n_total: float) -> float:
     z = norm.ppf(1.0 - alpha / 2.0)
-    theta = norm.cdf(d_hat * math.sqrt(n_total * q * (1.0 - q)) - z)
+    theta = norm.cdf(d_hat * math.sqrt(n_total / 4.0) - z)
     return max(float(theta), alpha)
 
 
@@ -111,6 +106,7 @@ def _schedule_rows(
     loads: Sequence[float],
     theta_means: Sequence[float],
     alpha: float,
+    model: PowerModel | None = None,
 ) -> AlphaSchedule:
     gating = sum(loads) <= 1.0
     rows = []
@@ -123,7 +119,7 @@ def _schedule_rows(
         else:
             a_adj = min(alpha, alpha / exposure) if exposure > 0 else alpha
         rows.append(DepthSchedule(depth, count, theta, exposure, load, a_adj))
-    return AlphaSchedule(alpha, tuple(rows), gating)
+    return AlphaSchedule(alpha, tuple(rows), gating, model)
 
 
 def error_load_regular(
@@ -217,10 +213,7 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
         exposures.append(sum(reach[nid] for nid in ids))
         loads.append(sum(reach[nid] * theta[nid] for nid in ids))
         means.append(sum(theta[nid] for nid in ids) / len(ids) if ids else 0.0)
-    schedule = _schedule_rows(counts, exposures, loads, means, model.alpha)
-    return AlphaSchedule(
-        schedule.alpha, schedule.depths, schedule.gating_sufficient, model
-    )
+    return _schedule_rows(counts, exposures, loads, means, model.alpha, model)
 
 
 def recompute_after_pruning(
@@ -239,19 +232,10 @@ def recompute_after_pruning(
     if depth_completed < 1:
         raise ScheduleError("depth_completed must be at least 1")
     fresh = adaptive_schedule(surviving_tree, schedule.model)
-    rows = []
-    for row in fresh.depths:
-        if row.depth <= depth_completed:
-            rows.append(
-                DepthSchedule(
-                    row.depth,
-                    row.n_nodes,
-                    row.theta_hat,
-                    row.exposure,
-                    row.error_load,
-                    schedule.alpha_at(row.depth),
-                )
-            )
-        else:
-            rows.append(row)
-    return AlphaSchedule(fresh.alpha, tuple(rows), fresh.gating_sufficient, fresh.model)
+    rows = tuple(
+        replace(row, alpha_adj=schedule.alpha_at(row.depth))
+        if row.depth <= depth_completed
+        else row
+        for row in fresh.depths
+    )
+    return replace(fresh, depths=rows)

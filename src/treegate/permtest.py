@@ -179,60 +179,50 @@ def _seed_sequence(seed: int, stream_key) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy)
 
 
-def _enumerate_assignment_stats(blocks, spec, n_total) -> tuple[np.ndarray, int]:
-    """All-assignment statistic matrix (M, q) plus the observed row index.
+def _assignment_stats(blocks, spec, n_total, rng) -> tuple[np.ndarray, int]:
+    """A node's null distribution as rows (R, q), plus the observed row's index.
 
-    The observed statistic is read back out of the enumeration itself, so
-    it is counted in its own tail with no float round-trip.
+    Exact (``rng`` is None): every assignment combination of every block,
+    blocks combined by Cartesian sum, with the observed row read back out
+    of the enumeration.  Monte Carlo: each block's ``n_perms`` random draws
+    followed by its observed contribution as the last row, blocks combined
+    row by row, so the observed row is row ``n_perms``.  Either way the
+    observed assignment is counted as one draw of its own null
+    distribution.
     """
-    acc = None
-    obs_idx = 0
+    acc = obs_row = None
     for b in blocks:
         scores = _score_matrix(spec.statistic, b.outcome)
         m = b.n_treated
-        combos = np.array(list(itertools.combinations(range(b.n), m)), dtype=np.intp)
-        sums = scores[combos].sum(axis=1)  # (n_choose_m, q)
-        contrib = _contribution(scores, b.n / n_total, m, sums)
-        observed_combo = np.flatnonzero(b.treatment == 1)
-        row = int(np.flatnonzero((combos == observed_combo).all(axis=1))[0])
-        if acc is None:
-            acc = contrib
+        if rng is None:
+            combos = np.array(list(itertools.combinations(range(b.n), m)), dtype=np.intp)
+            sums = scores[combos].sum(axis=1)  # (n_choose_m, q)
+            observed_combo = np.flatnonzero(b.treatment == 1)
+            row = int(np.flatnonzero((combos == observed_combo).all(axis=1))[0])
         else:
-            acc = (acc[:, None, :] + contrib[None, :, :]).reshape(-1, contrib.shape[1])
-        obs_idx = obs_idx * contrib.shape[0] + row
-    return acc, obs_idx
-
-
-def _sample_assignment_stats(blocks, spec, n_total, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo assignment statistics (n_perms, q) plus the observed vector."""
-    B = spec.n_perms
-    acc = None
-    obs = None
-    for b in blocks:
-        scores = _score_matrix(spec.statistic, b.outcome)
-        m = b.n_treated
-        idx = np.argsort(rng.random((B, b.n)), axis=1)[:, :m]
-        sums = scores[idx].sum(axis=1)  # (B, q)
+            idx = np.argsort(rng.random((spec.n_perms, b.n)), axis=1)[:, :m]
+            sums = np.vstack([scores[idx].sum(axis=1), scores[b.treatment == 1].sum(axis=0)])
+            row = spec.n_perms
         contrib = _contribution(scores, b.n / n_total, m, sums)
-        obs_c = _contribution(
-            scores, b.n / n_total, m, scores[b.treatment == 1].sum(axis=0)
-        )
         if acc is None:
-            acc, obs = contrib, obs_c
+            acc, obs_row = contrib, row
+        elif rng is None:
+            acc = (acc[:, None, :] + contrib[None, :, :]).reshape(-1, contrib.shape[1])
+            obs_row = obs_row * len(contrib) + row
         else:
             acc = acc + contrib
-            obs = obs + obs_c
-    return acc, obs
+    return acc, obs_row
 
 
 def _energy_quadratic(stats: np.ndarray, rel_tol: float = 1e-10):
     """Quadratic forms of assignment vectors against their own covariance.
 
-    ``stats`` must contain every vector entering the comparison, observed
-    included, so all rows are exchangeable under the null and the tail count
-    stays valid.  The covariance is inverted through its eigendecomposition,
-    dropping eigenvalues below ``rel_tol`` times the largest; the six scores
-    are collinear by construction so the matrix is always rank deficient.
+    ``stats`` is a node's whole null distribution from ``_assignment_stats``,
+    which includes the observed row by construction, so all rows are
+    exchangeable under the null and the tail count stays valid.  The
+    covariance is inverted through its eigendecomposition, dropping
+    eigenvalues below ``rel_tol`` times the largest; the six scores are
+    collinear by construction so the matrix is always rank deficient.
     """
     mu = stats.mean(axis=0)
     centered = stats - mu
@@ -257,12 +247,15 @@ def permutation_pvalue(
 ) -> float:
     """Randomization p-value for the null of no effect in any unit.
 
-    Exact mode enumerates every within-block assignment combination and
-    returns the exact tail proportion (used automatically when the count
-    fits ``spec.exact_cap``); otherwise ``spec.n_perms`` Monte Carlo draws
-    are used with the add-one estimator ``(1 + #{>= obs}) / (1 + n_perms)``,
-    which is valid at any finite number of draws.  ``stream_key`` (for
-    example a node id) isolates the RNG stream of each caller.
+    The p-value is the share of rows of the node's null distribution that
+    are at least as extreme as the observed row, which is one of them.
+    Exact mode enumerates every within-block assignment combination (used
+    automatically when the count fits ``spec.exact_cap``), so the share is
+    the exact tail proportion.  Otherwise the rows are ``spec.n_perms``
+    Monte Carlo draws plus the observed row, so the share is the add-one
+    estimator ``(1 + #{draws >= obs}) / (1 + n_perms)``, which is valid at
+    any finite number of draws.  ``stream_key`` (for example a node id)
+    isolates the RNG stream of each caller.
     """
     _check_blocks(blocks)
     n_total = sum(b.n for b in blocks)
@@ -272,31 +265,15 @@ def permutation_pvalue(
         raise PermTestError(
             f"{M} assignments exceed the exact-enumeration cap {spec.exact_cap}"
         )
-
-    if exact:
-        stats, obs_idx = _enumerate_assignment_stats(blocks, spec, n_total)
-        obs = stats[obs_idx]
-    else:
-        rng = np.random.default_rng(_seed_sequence(spec.seed, stream_key))
-        stats, obs = _sample_assignment_stats(blocks, spec, n_total, rng)
+    rng = None if exact else np.random.default_rng(_seed_sequence(spec.seed, stream_key))
+    rows, obs_row = _assignment_stats(blocks, spec, n_total, rng)
 
     if spec.statistic == "energy":
-        # the observed vector joins the covariance sample so every row is
-        # exchangeable under the null
-        pool = stats if exact else np.vstack([stats, obs])
-        quad, rank = _energy_quadratic(pool)
-        quad_obs = quad[obs_idx] if exact else quad[-1]
-        quad_draws = quad if exact else quad[:-1]
+        vals, rank = _energy_quadratic(rows)
         if spec.chi2_approx:
-            return 1.0 if rank == 0 else float(chi2.sf(quad_obs, df=rank))
-        extreme = int((quad_draws >= quad_obs).sum())
+            return 1.0 if rank == 0 else float(chi2.sf(vals[obs_row], df=rank))
     else:
-        vals = stats[:, 0]
-        obs_val = obs[0]
+        vals = rows[:, 0]
         if spec.sides == "two":
-            vals, obs_val = np.abs(vals), abs(obs_val)
-        extreme = int((vals >= obs_val).sum())
-
-    if exact:
-        return extreme / M
-    return (1 + extreme) / (1 + spec.n_perms)
+            vals = np.abs(vals)
+    return int((vals >= vals[obs_row]).sum()) / len(vals)

@@ -83,6 +83,14 @@ def _indicator_se(p_hat: float, replicates: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / replicates)
 
 
+def _check_methods(methods: Sequence[str]) -> None:
+    unknown = [m for m in methods if m not in TD_METHODS and m not in BU_METHODS]
+    if unknown:
+        raise SimError(f"unknown methods: {unknown}")
+    if not methods:
+        raise SimError("empty method set")
+
+
 # ---------------------------------------------------------------------------
 # weak control
 # ---------------------------------------------------------------------------
@@ -231,13 +239,7 @@ class ScenarioConfig:
             raise SimError(f"unknown placement: {self.placement!r}")
         if self.internal_power not in ("model", "diluted"):
             raise SimError(f"unknown internal_power: {self.internal_power!r}")
-        unknown = [
-            m for m in self.methods if m not in TD_METHODS and m not in BU_METHODS
-        ]
-        if unknown:
-            raise SimError(f"unknown methods: {unknown}")
-        if not self.methods:
-            raise SimError("empty method set")
+        _check_methods(self.methods)
 
 
 def _non_null_leaves(leaf_ids: Sequence[str], null_proportion: float, placement: str):
@@ -305,6 +307,40 @@ def _summarize(method: str, sums: dict, replicates: int) -> MethodSummary:
     )
 
 
+def _score_methods(methods, tree, labeled, p_of, alpha, schedule) -> dict[str, tuple]:
+    """Score every method of one replicate on one source of node p-values.
+
+    Top-down variants query ``p_of`` as they walk; the bottom-up baselines
+    share one dict of leaf p-values read from it.
+    """
+    scores: dict[str, tuple] = {}
+    leaf_p = None
+    for method in methods:
+        if method in TD_METHODS:
+            result = run_topdown(tree, p_of, TD_METHODS[method], alpha=alpha, schedule=schedule)
+            score = score_result(result, labeled)
+        else:
+            if leaf_p is None:
+                leaf_p = {nid: p_of(nid) for nid in tree.leaves}
+            rejected = run_bottom_up(leaf_p, method, alpha)
+            score = score_rejections(
+                rejected, labeled, nodes_tested=len(leaf_p), leaves_tested=len(leaf_p)
+            )
+        scores[method] = _score_to_tuple(score)
+    return scores
+
+
+def _pool(methods, per_rep, replicates: int) -> dict[str, MethodSummary]:
+    """Per-method summaries from per-replicate score tuples, summed in replicate order."""
+    accum = {m: dict.fromkeys(_SCORE_KEYS, 0.0) for m in methods}
+    for rep_scores in per_rep:
+        for method, values in rep_scores.items():
+            sums = accum[method]
+            for key, value in zip(_SCORE_KEYS, values):
+                sums[key] += value
+    return {m: _summarize(m, accum[m], replicates) for m in methods}
+
+
 def simulate_strong(config: ScenarioConfig) -> SimSummary:
     """Run one p-value-draw scenario for every configured method.
 
@@ -322,40 +358,15 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     exponents = _beta_inverse_exponents(labeled, config, model)
 
     node_ids = list(tree.nodes)
-    leaf_set = set(tree.leaves)
-    leaf_positions = [i for i, nid in enumerate(node_ids) if nid in leaf_set]
-    accum = {m: dict.fromkeys(_SCORE_KEYS, 0.0) for m in config.methods}
 
-    for rep in range(config.replicates):
+    def replicate(rep: int) -> dict[str, tuple]:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
-        draws = rng.random(len(node_ids)) ** exponents
-        p_by_node = dict(zip(node_ids, draws))
-        leaf_p = {node_ids[i]: draws[i] for i in leaf_positions}
-        for method in config.methods:
-            if method in TD_METHODS:
-                result = run_topdown(
-                    tree,
-                    p_by_node.__getitem__,
-                    TD_METHODS[method],
-                    alpha=config.alpha,
-                    schedule=schedule,
-                )
-                score = score_result(result, labeled)
-            else:
-                rejected = run_bottom_up(leaf_p, method, config.alpha)
-                score = score_rejections(
-                    rejected,
-                    labeled,
-                    nodes_tested=len(leaf_p),
-                    leaves_tested=len(leaf_p),
-                )
-            sums = accum[method]
-            for key, value in zip(_SCORE_KEYS, _score_to_tuple(score)):
-                sums[key] += value
+        p_by_node = dict(zip(node_ids, rng.random(len(node_ids)) ** exponents))
+        return _score_methods(
+            config.methods, tree, labeled, p_by_node.__getitem__, config.alpha, schedule
+        )
 
-    methods = {
-        m: _summarize(m, accum[m], config.replicates) for m in config.methods
-    }
+    methods = _pool(config.methods, map(replicate, range(config.replicates)), config.replicates)
     params = {
         "k": config.k,
         "L": config.L,
@@ -462,11 +473,7 @@ class DppConfig:
     def __post_init__(self):
         if self.replicates < 100:
             raise SimError("replicates must be at least 100")
-        unknown = [
-            m for m in self.methods if m not in TD_METHODS and m not in BU_METHODS
-        ]
-        if unknown:
-            raise SimError(f"unknown methods: {unknown}")
+        _check_methods(self.methods)
 
 
 class NodePValues:
@@ -518,7 +525,6 @@ def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:
         n_perms=config.n_perms,
         seed=config.seed,
     )
-    needs_bu = any(m in BU_METHODS for m in config.methods)
 
     out = []
     for rep in rep_range:
@@ -530,25 +536,9 @@ def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:
             rep=rep,
         )
         p_source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
-        scores: dict[str, tuple] = {}
-        for method in config.methods:
-            if method in TD_METHODS:
-                result = run_topdown(
-                    tree,
-                    p_source,
-                    TD_METHODS[method],
-                    alpha=config.alpha,
-                    schedule=schedule,
-                )
-                score = score_result(result, labeled)
-            else:
-                leaf_p = {nid: p_source(nid) for nid in tree.leaves}
-                rejected = run_bottom_up(leaf_p, method, config.alpha)
-                score = score_rejections(
-                    rejected, labeled, nodes_tested=len(leaf_p), leaves_tested=len(leaf_p)
-                )
-            scores[method] = _score_to_tuple(score)
-        out.append(scores)
+        out.append(
+            _score_methods(config.methods, tree, labeled, p_source, config.alpha, schedule)
+        )
     return out
 
 
@@ -570,13 +560,7 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
             )
         per_rep = [rep_scores for part in parts for rep_scores in part]
 
-    accum = {m: dict.fromkeys(_SCORE_KEYS, 0.0) for m in config.methods}
-    for rep_scores in per_rep:
-        for method, values in rep_scores.items():
-            sums = accum[method]
-            for key, value in zip(_SCORE_KEYS, values):
-                sums[key] += value
-    methods = {m: _summarize(m, accum[m], config.replicates) for m in config.methods}
+    methods = _pool(config.methods, per_rep, config.replicates)
     layout = config.layout or dpp_default_layout()
     params = {
         "d": config.d,

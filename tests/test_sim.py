@@ -219,6 +219,11 @@ class TestSimulateDpp:
         assert serial == parallel
 
 
+def test_dpp_empty_method_set_rejected():
+    with pytest.raises(SimError, match="empty method set"):
+        DppConfig(d=0.2, methods=())
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("TREEGATE_THREADS", raising=False)
     assert worker_count() == 1

@@ -2,13 +2,16 @@
 
 ``perfbench/tracer.py`` replaces functions by name at the modules that look
 them up, so a refactor that renames or deletes one of them makes a
-``perfbench/run.py --trace 1`` run stop with an ``AttributeError``.  pytest
-collects only ``tests/``, so this test runs the tracer's install step in a
-fresh interpreter.
+``perfbench/run.py --trace 1`` run stop with an ``AttributeError``, and a
+call that skips the patched name silently drops out of the per-layer counts.
+pytest collects only ``tests/``, so these tests run the tracer in a fresh
+interpreter: once only installing it, once through small studies and a
+``treegate test`` run that must reach every traced name.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -16,17 +19,73 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_tracer_installs_on_the_package():
+def _run_with_tracer(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+    env["TREEGATE_THREADS"] = "1"  # replicate workers would run untraced
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=env,
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_tracer_installs_on_the_package():
+    proc = _run_with_tracer("import tracer; tracer.install(tracer.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+# Every traced name a study or ``treegate test`` run must pass through.  A
+# call site that bypasses the module global the tracer patched leaves its
+# count at zero.
+TRACED_CALLS = (
+    "permtest.permutation_pvalue",
+    "gate.run_topdown",
+    "gate.run_bottom_up",
+    "gate.score",
+    "tree.prune_below",
+    "tree.label_truth",
+    "tree.build",
+    "errorload.schedule",
+    "errorload.recompute",
+    "adjust.local",
+    "adjust.bottom_up",
+    "sim.datagen",
+    "cli.read_dataset",
+    "cli.result_to_json",
+)
+
+TRACED_RUN = """
+import json, os, tempfile
+import tracer
+from treegate import cli, sim
+
+tr = tracer.Tracer()
+tracer.install(tr)
+sim.simulate_strong(sim.ScenarioConfig(
+    k=2, L=3, units_per_leaf=64, null_proportion=0.5, d=0.3, replicates=100))
+sim.simulate_dpp(sim.DppConfig(
+    d=0.4, replicates=100, n_perms=100,
+    methods=("td", "td_hommel", "td_adapt_pruned", "bu_hommel")))
+with tempfile.TemporaryDirectory() as tmp:
+    status = cli.main([
+        "test", os.path.join("tests", "golden", "trial.csv"), "--variant", "adaptive_pruned",
+        "--d-hat", "0.4", "--n-perms", "200", "--format", "json",
+        "--out", os.path.join(tmp, "result.json"),
+    ])
+assert status == 0
+print(json.dumps(dict(tr.calls)))
+"""
+
+
+def test_traced_runs_reach_every_call_site():
+    proc = _run_with_tracer(TRACED_RUN)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    missing = [name for name in TRACED_CALLS if not calls.get(name)]
+    assert not missing, calls
