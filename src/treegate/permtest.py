@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import zlib
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy.stats import chi2
 
 STATISTICS = ("mean_diff", "rank", "energy")
 
@@ -91,6 +90,18 @@ class TestSpec:
             raise PermTestError("seed must be non-negative")
 
 
+def _ranks(y: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with tied values given their mean rank (``rankdata``'s
+    default), without scipy's per-call overhead."""
+    order = np.argsort(y, kind="stable")
+    ordered = y[order]
+    bounds = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, y.size)
+    lows = np.concatenate(([0], bounds[:-1]))  # each run of ties: positions [low, bound)
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat((lows + bounds + 1) / 2, bounds - lows)
+    return ranks
+
+
 def energy_scores(outcomes) -> np.ndarray:
     """Six per-unit outcome representations, returned as an (n, 6) array.
 
@@ -102,7 +113,7 @@ def energy_scores(outcomes) -> np.ndarray:
     if y.ndim != 1 or y.size < 2:
         raise PermTestError("need at least 2 outcomes for distance scores")
     n = y.size
-    ranks = rankdata(y)
+    ranks = _ranks(y)
     dist = np.abs(y[:, None] - y[None, :])
     rdist = np.abs(ranks[:, None] - ranks[None, :])
     return np.column_stack(
@@ -121,7 +132,7 @@ def _score_matrix(statistic: str, outcome: np.ndarray) -> np.ndarray:
     if statistic == "mean_diff":
         return np.asarray(outcome, dtype=float)[:, None]
     if statistic == "rank":
-        return rankdata(outcome)[:, None]
+        return _ranks(outcome)[:, None]
     return energy_scores(outcome)
 
 
@@ -133,16 +144,15 @@ def _check_blocks(blocks: Sequence[Block]) -> None:
         raise DegenerateBlockError(bad)
 
 
-def _contribution(scores: np.ndarray, weight: float, m: int, sum_treated) -> np.ndarray:
-    """Weighted (treated mean - control mean) from treated score sums.
+def _weighted_diff(n: int, m: int, sum_treated, sum_control) -> np.ndarray:
+    """``n`` times (treated mean - control mean), from the arms' score sums.
 
-    ``sum_treated`` has shape (..., q); the result keeps that shape.  The
-    difference is linear in the treated sum, which lets callers evaluate
-    whole batches of assignments at once.
+    The sums have shape (..., q) and the result keeps it.  A node's
+    statistic is the sum of its blocks' weighted differences divided by the
+    node's unit count, so a node is formed from its blocks' rows by
+    addition alone.
     """
-    n = scores.shape[0]
-    total = scores.sum(axis=0)
-    return weight * (sum_treated / m - (total - sum_treated) / (n - m))
+    return n * (sum_treated / m - sum_control / (n - m))
 
 
 def block_statistic(
@@ -167,62 +177,76 @@ def block_statistic(
         if not 1 <= m <= b.n - 1:
             raise DegenerateBlockError([b.block_id])
         scores = _score_matrix(spec.statistic, b.outcome)
-        parts.append(_contribution(scores, b.n / n_total, m, scores[t == 1].sum(axis=0)))
-    stat = reduce(np.add, parts)
+        parts.append(
+            _weighted_diff(b.n, m, scores[t == 1].sum(axis=0), scores[t == 0].sum(axis=0))
+        )
+    stat = reduce(np.add, parts) / n_total
     return stat if spec.statistic == "energy" else float(stat[0])
 
 
-def _seed_sequence(seed: int, stream_key) -> np.random.SeedSequence:
-    entropy = [seed]
-    if stream_key is not None:
-        entropy.append(zlib.crc32(str(stream_key).encode("utf-8")))
-    return np.random.SeedSequence(entropy)
+def _key_int(key) -> int:
+    # injective: the leading byte keeps a key's leading zero bytes
+    return int.from_bytes(b"\x01" + str(key).encode("utf-8"), "big")
 
 
-def _assignment_stats(blocks, spec, n_total, rng) -> tuple[np.ndarray, int]:
-    """A node's null distribution as rows (R, q), plus the observed row's index.
+def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
+    """One block's Monte Carlo rows, shape ``(spec.n_perms + 1, q)``.
 
-    Exact (``rng`` is None): every assignment combination of every block,
-    blocks combined by Cartesian sum, with the observed row read back out
-    of the enumeration.  Monte Carlo: each block's ``n_perms`` random draws
-    followed by its observed contribution as the last row, blocks combined
-    row by row, so the observed row is row ``n_perms``.  Either way the
-    observed assignment is counted as one draw of its own null
-    distribution.
+    Rows are the block's weighted differences (``_weighted_diff``) for
+    ``spec.n_perms`` random within-block assignments, followed by the
+    observed assignment as the last row.  The draws come from a stream keyed
+    by ``(spec.seed, stream_key, block.block_id)``, so every node evaluated
+    with one ``stream_key`` sums the same draws of a block.
+    """
+    seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
+    rng = np.random.default_rng(seq)
+    scores = _score_matrix(spec.statistic, block.outcome)
+    m = block.n_treated
+    # random keys made distinct by the unit index in their low bits: the m
+    # smallest keys of a row are a uniformly drawn set of m treated units
+    shift = np.uint64(block.n.bit_length())
+    keys = rng.bit_generator.random_raw((spec.n_perms, block.n)) >> shift << shift
+    keys |= np.arange(block.n, dtype=np.uint64)
+    treated = keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
+    sums = np.vstack([treated, block.treatment == 1]).astype(float) @ scores
+    return _weighted_diff(block.n, m, sums, scores.sum(axis=0) - sums)
+
+
+def _exact_rows(blocks: Sequence[Block], spec: TestSpec) -> tuple[np.ndarray, int]:
+    """Every assignment combination of every block, blocks combined by
+    Cartesian sum of their weighted differences, and the observed row's index.
+
+    Each combination's control arm is summed over its own units, not taken
+    as total minus treated, so in a balanced block the complement of an
+    assignment gives exactly the negated row and two-sided ties count.
     """
     acc = obs_row = None
     for b in blocks:
         scores = _score_matrix(spec.statistic, b.outcome)
         m = b.n_treated
-        if rng is None:
-            combos = np.array(list(itertools.combinations(range(b.n), m)), dtype=np.intp)
-            sums = scores[combos].sum(axis=1)  # (n_choose_m, q)
-            observed_combo = np.flatnonzero(b.treatment == 1)
-            row = int(np.flatnonzero((combos == observed_combo).all(axis=1))[0])
-        else:
-            idx = np.argsort(rng.random((spec.n_perms, b.n)), axis=1)[:, :m]
-            sums = np.vstack([scores[idx].sum(axis=1), scores[b.treatment == 1].sum(axis=0)])
-            row = spec.n_perms
-        contrib = _contribution(scores, b.n / n_total, m, sums)
+        combos = np.array(list(itertools.combinations(range(b.n), m)), dtype=np.intp)
+        control = np.ones((len(combos), b.n), dtype=bool)
+        control[np.arange(len(combos))[:, None], combos] = False
+        rest = np.nonzero(control)[1].reshape(len(combos), b.n - m)
+        contrib = _weighted_diff(b.n, m, scores[combos].sum(axis=1), scores[rest].sum(axis=1))
+        row = int(np.flatnonzero((combos == np.flatnonzero(b.treatment == 1)).all(axis=1))[0])
         if acc is None:
             acc, obs_row = contrib, row
-        elif rng is None:
+        else:
             acc = (acc[:, None, :] + contrib[None, :, :]).reshape(-1, contrib.shape[1])
             obs_row = obs_row * len(contrib) + row
-        else:
-            acc = acc + contrib
     return acc, obs_row
 
 
 def _energy_quadratic(stats: np.ndarray, rel_tol: float = 1e-10):
     """Quadratic forms of assignment vectors against their own covariance.
 
-    ``stats`` is a node's whole null distribution from ``_assignment_stats``,
-    which includes the observed row by construction, so all rows are
-    exchangeable under the null and the tail count stays valid.  The
-    covariance is inverted through its eigendecomposition, dropping
-    eigenvalues below ``rel_tol`` times the largest; the six scores are
-    collinear by construction so the matrix is always rank deficient.
+    ``stats`` is a node's whole null distribution, which includes the
+    observed row by construction, so all rows are exchangeable under the
+    null and the tail count stays valid.  The covariance is inverted
+    through its eigendecomposition, dropping eigenvalues below ``rel_tol``
+    times the largest; the six scores are collinear by construction so the
+    matrix is always rank deficient.
     """
     mu = stats.mean(axis=0)
     centered = stats - mu
@@ -242,8 +266,26 @@ def total_assignments(blocks: Sequence[Block]) -> int:
     return math.prod(math.comb(b.n, b.n_treated) for b in blocks)
 
 
+def is_exact(blocks: Sequence[Block], spec: TestSpec) -> bool:
+    """Whether a node on ``blocks`` is tested by exact enumeration.
+
+    Checks the blocks first (``DegenerateBlockError`` names the blocks
+    without both arms), and raises when ``spec.exact`` forces enumeration
+    past ``spec.exact_cap``.
+    """
+    _check_blocks(blocks)
+    M = total_assignments(blocks)
+    if spec.exact is None:
+        return M <= spec.exact_cap
+    if spec.exact and M > spec.exact_cap:
+        raise PermTestError(
+            f"{M} assignments exceed the exact-enumeration cap {spec.exact_cap}"
+        )
+    return spec.exact
+
+
 def permutation_pvalue(
-    blocks: Sequence[Block], spec: TestSpec, stream_key=None
+    blocks: Sequence[Block], spec: TestSpec, stream_key="", *, draws=None
 ) -> float:
     """Randomization p-value for the null of no effect in any unit.
 
@@ -254,19 +296,26 @@ def permutation_pvalue(
     the exact tail proportion.  Otherwise the rows are ``spec.n_perms``
     Monte Carlo draws plus the observed row, so the share is the add-one
     estimator ``(1 + #{draws >= obs}) / (1 + n_perms)``, which is valid at
-    any finite number of draws.  ``stream_key`` (for example a node id)
-    isolates the RNG stream of each caller.
+    any finite number of draws.
+
+    Each block draws from its own stream, keyed by ``(spec.seed,
+    stream_key, block_id)`` (see ``block_draws``), and a node's rows are
+    its blocks' rows summed in the given order and divided by the node's
+    unit count.  Nodes evaluated with one ``stream_key`` therefore share
+    each block's draws: each node's rows still follow its own
+    randomization distribution, only the p-values of different nodes
+    become dependent.  A caller that already holds that sum of
+    ``block_draws`` rows may pass it as ``draws``; it is ignored in exact
+    mode.
     """
-    _check_blocks(blocks)
     n_total = sum(b.n for b in blocks)
-    M = total_assignments(blocks)
-    exact = spec.exact if spec.exact is not None else M <= spec.exact_cap
-    if exact and M > spec.exact_cap:
-        raise PermTestError(
-            f"{M} assignments exceed the exact-enumeration cap {spec.exact_cap}"
-        )
-    rng = None if exact else np.random.default_rng(_seed_sequence(spec.seed, stream_key))
-    rows, obs_row = _assignment_stats(blocks, spec, n_total, rng)
+    if is_exact(blocks, spec):
+        rows, obs_row = _exact_rows(blocks, spec)
+    else:
+        if draws is None:
+            draws = reduce(np.add, (block_draws(b, spec, stream_key) for b in blocks))
+        rows, obs_row = draws, spec.n_perms
+    rows = rows / n_total
 
     if spec.statistic == "energy":
         vals, rank = _energy_quadratic(rows)

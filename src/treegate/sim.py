@@ -29,7 +29,15 @@ import numpy as np
 from . import gate
 from .errorload import PowerModel, adaptive_schedule, power_normal_approx
 from .gate import GateVariant, run_bottom_up, run_topdown, score_rejections, score_result
-from .permtest import Block, DegenerateBlockError, PermTestError, TestSpec, permutation_pvalue
+from .permtest import (
+    Block,
+    DegenerateBlockError,
+    PermTestError,
+    TestSpec,
+    block_draws,
+    is_exact,
+    permutation_pvalue,
+)
 from .tree import HypothesisTree, build_from_paths, build_regular
 
 
@@ -477,10 +485,16 @@ class DppConfig:
 
 
 class NodePValues:
-    """Cached randomization p-value source for the nodes of one dataset.
+    """Randomization p-value source for every node of one dataset.
 
-    A node is tested on its blocks in dataset order, with the RNG stream
-    keyed ``prefix + node_id``, and each node's p-value is computed once.
+    The first call fills the whole cache in one pass over the blocks, in
+    dataset order.  Each block draws its Monte Carlo rows once, from the
+    stream keyed ``(spec.seed, prefix, block_id)``, and adds them into a
+    running sum held by its leaf and by each ancestor tested by Monte
+    Carlo; a node's p-value is computed, and its sum dropped, as soon as
+    its last block is in.  Nodes within ``spec.exact_cap`` are enumerated
+    exactly.  Every node's p-value equals
+    ``permutation_pvalue(node_blocks, spec, prefix)``.
     """
 
     def __init__(
@@ -493,18 +507,52 @@ class NodePValues:
         self._cache: dict[str, float] = {}
 
     def __call__(self, nid: str) -> float:
-        if nid not in self._cache:
-            wanted = set(self.tree.leaves_under(nid))
-            node_blocks = [b for b in self.blocks if b.block_id in wanted]
+        if not self._cache:
+            self._fill()
+        return self._cache[nid]
+
+    def _fill(self) -> None:
+        tree, spec, key = self.tree, self.spec, self.prefix
+        leaves = set(tree.leaves)
+        under: dict[str, list[Block]] = {nid: [] for nid in tree.nodes}
+        paths = []  # per block: its leaf, then the leaf's ancestors
+        for b in self.blocks:
+            path = []
+            nid = b.block_id if b.block_id in leaves else None
+            while nid is not None:
+                under[nid].append(b)
+                path.append(nid)
+                nid = tree.nodes[nid].parent
+            paths.append(path)
+
+        cache: dict[str, float] = {}
+        pending: dict[str, int] = {}  # Monte Carlo node -> its blocks not yet summed
+        for nid, node_blocks in under.items():
             try:
-                self._cache[nid] = permutation_pvalue(
-                    node_blocks, self.spec, stream_key=self.prefix + nid
-                )
+                exact = is_exact(node_blocks, spec)
             except DegenerateBlockError as exc:
                 raise PermTestError(
                     f"degenerate blocks under node {nid!r}: {exc.block_ids}"
                 ) from None
-        return self._cache[nid]
+            if exact:
+                cache[nid] = permutation_pvalue(node_blocks, spec, key)
+            else:
+                pending[nid] = len(node_blocks)
+
+        sums: dict[str, np.ndarray] = {}
+        for b, path in zip(self.blocks, paths):
+            summed_into = [nid for nid in path if nid in pending]
+            if not summed_into:
+                continue
+            draws = block_draws(b, spec, key)
+            for nid in summed_into:
+                sums[nid] = draws if nid not in sums else sums[nid] + draws
+                pending[nid] -= 1
+                if not pending[nid]:
+                    cache[nid] = permutation_pvalue(
+                        under[nid], spec, key, draws=sums.pop(nid)
+                    )
+        self._cache = cache
 
 
 def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:

@@ -115,10 +115,11 @@ class TestCmdTest:
         dataset = read_dataset(data)
         spec = TestSpec(statistic="rank", n_perms=200, seed=3)
 
+        # the CLI draws each block once per dataset, from the stream key ""
         def p_source(nid):
             wanted = dataset.tree.leaves_under(nid)
             node_blocks = [b for b in dataset.blocks if b.block_id in wanted]
-            return permutation_pvalue(node_blocks, spec, stream_key=nid)
+            return permutation_pvalue(node_blocks, spec, stream_key="")
 
         direct = gate.run_topdown(dataset.tree, p_source, gate.UNADJUSTED, alpha=0.05)
         assert result_from_json(text) == direct

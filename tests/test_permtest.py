@@ -10,6 +10,7 @@ from treegate.permtest import (
     DegenerateBlockError,
     PermTestError,
     TestSpec,
+    block_draws,
     block_statistic,
     energy_scores,
     permutation_pvalue,
@@ -56,6 +57,12 @@ class TestEnergyScores:
     def test_too_small_rejected(self):
         with pytest.raises(PermTestError):
             energy_scores([1.0])
+
+    def test_rank_column_matches_scipy_rankdata_with_ties(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 40):
+            y = np.round(rng.normal(size=n) * rng.choice([0.5, 4.0]))
+            np.testing.assert_array_equal(energy_scores(y)[:, 1], rankdata(y))
 
     def test_rank_columns_invariant_to_monotone_transform(self):
         rng = np.random.default_rng(2)
@@ -205,6 +212,22 @@ class TestMonteCarloMode:
         p3 = permutation_pvalue(blocks, spec, stream_key="nodeY")
         assert p3 != p1  # different stream, almost surely different draw
 
+    def test_block_draws_are_uniform_treated_sets_then_the_observed_one(self):
+        # outcomes 2**i make a row's treated sum spell out its treated units
+        n, m, n_perms = 6, 2, 15_000
+        block = make_block(2.0 ** np.arange(n), [1, 4])
+        rows = block_draws(block, TestSpec(statistic="mean_diff", n_perms=n_perms), "k")
+        total = 2.0**n - 1
+        treated_sums = (rows[:, 0] / n + total / (n - m)) / (1 / m + 1 / (n - m))
+        sets = np.rint(treated_sums).astype(int)
+        assert np.allclose(treated_sums, sets)
+        assert sets[-1] == 2**1 + 2**4
+        assert all(bin(s).count("1") == m for s in sets)
+        valid = [s for s in range(2**n) if bin(s).count("1") == m]
+        counts = np.bincount(sets[:-1], minlength=2**n)[valid]
+        expected = n_perms / math.comb(n, m)
+        assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
+
     def test_addone_estimator_range(self):
         rng = np.random.default_rng(5)
         blocks = null_blocks(rng)
@@ -267,16 +290,27 @@ class TestExactAgainstMonteCarlo:
         assert abs(estimate - exact) <= 4 * se, (exact, estimate, se)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="exact tail count misses a row tied with the observed one by float rounding",
-)
 def test_exact_two_sided_counts_the_mirrored_assignment():
     # the complement assignment {2, 3} has exactly -T, so two rows of six
     # are at least as extreme as |T|
     block = make_block([7.9, 6.2, 8.1, 10.1], [0, 1])
     spec = TestSpec(statistic="mean_diff", sides="two", exact=True)
     assert permutation_pvalue([block], spec) == 2 / 6
+
+
+def test_exact_two_sided_tail_counts_are_even_in_balanced_blocks():
+    # every assignment of a balanced block has a complement with exactly -T,
+    # so a two-sided mean_diff tail count must be even
+    rng = np.random.default_rng(404)
+    spec = TestSpec(statistic="mean_diff", sides="two", exact=True)
+    odd = []
+    for trial in range(1000):
+        n = int(rng.choice([4, 6, 8, 10]))
+        block = make_block(rng.normal(10, 3, n), rng.permutation(n)[: n // 2])
+        count = round(permutation_pvalue([block], spec) * total_assignments([block]))
+        if count % 2:
+            odd.append((trial, n, count))
+    assert not odd, odd[:5]
 
 
 class TestEnergyPvalue:

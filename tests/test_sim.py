@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from treegate.cli import read_dataset
+from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
     DppConfig,
+    NodePValues,
     ScenarioConfig,
     SimError,
     calibrate_beta_shape,
@@ -16,6 +19,9 @@ from treegate.sim import (
     simulate_weak,
     worker_count,
 )
+from treegate.tree import build_from_paths
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 class TestCalibrateBetaShape:
@@ -217,6 +223,68 @@ class TestSimulateDpp:
         finally:
             del os.environ["TREEGATE_THREADS"]
         assert serial == parallel
+
+
+class TestNodePValues:
+    """The one-pass source of node p-values against per-node evaluation."""
+
+    @staticmethod
+    def node_blocks(tree, blocks, nid):
+        wanted = set(tree.leaves_under(nid))
+        return [b for b in blocks if b.block_id in wanted]
+
+    @pytest.mark.parametrize("stat", ["rank", "mean_diff", "energy"])
+    def test_equals_permutation_pvalue_on_every_node(self, stat):
+        # trial.csv: exact leaves and cohorts, Monte Carlo sites and root;
+        # the dpp replicate: Monte Carlo everywhere
+        dataset = read_dataset(os.path.join(GOLDEN, "trial.csv"))
+        tree, blocks, _ = generate_dpp_data(None, 0.3, seed=5, rep=2)
+        cases = [(dataset.tree, dataset.blocks, ""), (tree, blocks, "2/")]
+        spec = TestSpec(statistic=stat, n_perms=200, seed=7)
+        modes = set()
+        for tree, blocks, prefix in cases:
+            source = NodePValues(tree, blocks, spec, prefix)
+            for nid in tree.nodes:
+                node_blocks = self.node_blocks(tree, blocks, nid)
+                modes.add(is_exact(node_blocks, spec))
+                assert source(nid) == permutation_pvalue(node_blocks, spec, stream_key=prefix), nid
+        assert modes == {True, False}
+
+    def test_per_node_null_validity_under_shared_draws(self):
+        # sham treatment on 2 sites x 2 cohorts x 2 blocks of 8: every node's
+        # rejection rate at 0.05 stays within criterion 5's bound
+        rows = [
+            (f"b{s}{c}{k}", (f"S{s}", f"S{s}C{c}", f"b{s}{c}{k}"), 8)
+            for s in range(2) for c in range(2) for k in range(2)
+        ]
+        tree = build_from_paths(rows)
+        spec = TestSpec(statistic="mean_diff", n_perms=199, exact=False, seed=3)
+        replicates, alpha = 1000, 0.05
+        hits = dict.fromkeys(tree.nodes, 0)
+        for rep in range(replicates):
+            rng = np.random.default_rng(np.random.SeedSequence([55, rep]))
+            blocks = []
+            for bid, _, n in rows:
+                t = np.zeros(n, dtype=np.int8)
+                t[rng.permutation(n)[: n // 2]] = 1
+                blocks.append(Block(bid, t, rng.normal(size=n)))
+            source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
+            for nid in tree.nodes:
+                hits[nid] += source(nid) <= alpha
+        bound = alpha + 2 * math.sqrt(alpha * (1 - alpha) / replicates)
+        rates = {nid: count / replicates for nid, count in hits.items()}
+        assert len(rates) == 15
+        assert max(rates.values()) <= bound, rates
+
+    @pytest.mark.parametrize("first", ["root", "b2"])
+    def test_degenerate_block_is_one_line_error(self, first):
+        rows = [(f"b{i}", (f"G{i // 2}", f"b{i}"), 4) for i in range(4)]
+        tree = build_from_paths(rows)
+        arms = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]
+        blocks = [Block(f"b{i}", t, np.arange(4.0) + i) for i, t in enumerate(arms)]
+        source = NodePValues(tree, blocks, TestSpec(statistic="mean_diff"))
+        with pytest.raises(PermTestError, match=r"^degenerate blocks under node '\w+': \['b2'\]$"):
+            source(first)
 
 
 def test_dpp_empty_method_set_rejected():
