@@ -8,16 +8,14 @@ randomization tests for block data, and Monte Carlo studies of weak- and
 strong-sense family-wise error control.
 """
 
-from .adjust import adjust_bh, adjust_bonferroni, adjust_hommel, family_error_rate
+from .adjust import adjust_bh, adjust_hommel
 from .errorload import (
     AlphaSchedule,
     PowerModel,
     adaptive_schedule,
-    error_load_irregular,
     error_load_regular,
     power_normal_approx,
     recompute_after_pruning,
-    schedule_from_thetas,
 )
 from .gate import (
     ADAPTIVE,
@@ -36,7 +34,6 @@ from .gate import (
 from .permtest import (
     Block,
     TestSpec,
-    block_statistic,
     energy_scores,
     permutation_pvalue,
 )

@@ -24,12 +24,6 @@ def _stable_order(arr: np.ndarray) -> np.ndarray:
     return np.argsort(arr, kind="stable")
 
 
-def adjust_bonferroni(p) -> np.ndarray:
-    """Bonferroni: multiply by the family size, clamp at 1."""
-    arr = _as_pvalues(p)
-    return np.minimum(arr * arr.size, 1.0)
-
-
 def adjust_bh(p) -> np.ndarray:
     """Benjamini-Hochberg step-up adjusted p-values.
 
@@ -76,14 +70,3 @@ def adjust_hommel(p) -> np.ndarray:
     out[order] = np.minimum(adjusted, 1.0)
     return out
 
-
-def family_error_rate(alpha: float, m: int, independent: bool = True) -> float:
-    """P(at least one of m independent level-alpha tests rejects) under the
-    global null: ``1 - (1 - alpha)**m``."""
-    if not independent:
-        raise ValueError("only the independent-tests model is supported")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return 1.0 - (1.0 - alpha) ** m

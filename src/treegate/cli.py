@@ -154,7 +154,7 @@ def read_node_sizes(path: str) -> HypothesisTree:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
             nid, parent, units = (row[i].strip() for i in cols)
             if not nid:
@@ -239,28 +239,35 @@ def result_to_dot(
         out = result.outcome(nid)
         if not out.tested:
             continue
-        label = f"{nid}\\np={out.p_value:.4g}"
+        q = _dot_escape(nid)
+        label = f"{q}\\np={out.p_value:.4g}"
         style = (
             'style=filled, fillcolor="#c7e9c0", peripheries=2'
             if out.rejected
             else 'style=filled, fillcolor="#f0f0f0"'
         )
-        lines.append(f'  "{nid}" [label="{label}", {style}];')
+        lines.append(f'  "{q}" [label="{label}", {style}];')
     for nid in tree.nodes:
         out = result.outcome(nid)
         if not out.tested:
             continue
         node = tree.nodes[nid]
+        q = _dot_escape(nid)
         if node.parent is not None and result.outcome(node.parent).tested:
-            lines.append(f'  "{node.parent}" -> "{nid}";')
+            lines.append(f'  "{_dot_escape(node.parent)}" -> "{q}";')
         if pruned == "collapse" and node.children and not out.rejected:
             skipped = _count_descendants(tree, nid)
             lines.append(
-                f'  "{nid}:pruned" [label="{skipped} untested", shape=box, style=dashed];'
+                f'  "{q}:pruned" [label="{skipped} untested", shape=box, style=dashed];'
             )
-            lines.append(f'  "{nid}" -> "{nid}:pruned" [style=dashed];')
+            lines.append(f'  "{q}" -> "{q}:pruned" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    """Escape a node id for use inside a double-quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _count_descendants(tree: HypothesisTree, nid: str) -> int:
@@ -423,6 +430,8 @@ def read_config(path: str, kind: str) -> dict:
                     f"{path}:{lineno}: invalid key {key!r} for kind {kind!r} "
                     f"(allowed: {', '.join(allowed)})"
                 )
+            if key in out:
+                raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 out[key] = _CONFIG_TYPES[key](value)
             except ValueError:

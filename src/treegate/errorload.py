@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from scipy.stats import norm
 
@@ -83,12 +83,15 @@ class AlphaSchedule:
 
     alpha: float
     depths: tuple[DepthSchedule, ...]
-    gating_sufficient: bool
     model: PowerModel | None = None
 
     @property
     def total_error_load(self) -> float:
         return sum(row.error_load for row in self.depths)
+
+    @property
+    def gating_sufficient(self) -> bool:
+        return self.total_error_load <= 1.0
 
     def alpha_at(self, depth: int) -> float:
         for row in self.depths:
@@ -98,28 +101,6 @@ class AlphaSchedule:
 
     def max_depth(self) -> int:
         return max(row.depth for row in self.depths)
-
-
-def _schedule_rows(
-    counts: Sequence[int],
-    exposures: Sequence[float],
-    loads: Sequence[float],
-    theta_means: Sequence[float],
-    alpha: float,
-    model: PowerModel | None = None,
-) -> AlphaSchedule:
-    gating = sum(loads) <= 1.0
-    rows = []
-    for i, (count, exposure, load, theta) in enumerate(
-        zip(counts, exposures, loads, theta_means)
-    ):
-        depth = i + 1
-        if gating or depth == 1:
-            a_adj = alpha
-        else:
-            a_adj = min(alpha, alpha / exposure) if exposure > 0 else alpha
-        rows.append(DepthSchedule(depth, count, theta, exposure, load, a_adj))
-    return AlphaSchedule(alpha, tuple(rows), gating, model)
 
 
 def error_load_regular(
@@ -142,78 +123,40 @@ def error_load_regular(
     return loads, sum(loads)
 
 
-def error_load_irregular(
-    tree: HypothesisTree, theta: Mapping[str, float]
-) -> list[float]:
-    """Per-depth exposure of an irregular tree.
-
-    Entry ``l-1`` is the sum over depth-``l`` nodes of the product of theta
-    over each node's strict ancestors; thetas must be supplied for every
-    non-leaf node.  For a regular tree this equals the per-level error load
-    divided by the depth's own theta.
-    """
-    reach = _reach_products(tree, theta)
-    out = [0.0] * tree.max_depth
-    for nid, r in reach.items():
-        out[tree.nodes[nid].depth - 1] += r
-    return out
-
-
-def _reach_products(
-    tree: HypothesisTree, theta: Mapping[str, float]
-) -> dict[str, float]:
-    reach: dict[str, float] = {tree.root: 1.0}
-    for depth in range(1, tree.max_depth):
-        for nid in tree.nodes_at_depth(depth):
-            node = tree.nodes[nid]
-            if not node.children:
-                continue
-            if nid not in theta:
-                raise ScheduleError(f"missing theta for non-leaf node {nid!r}")
-            down = reach[nid] * theta[nid]
-            for child in node.children:
-                reach[child] = down
-    return reach
-
-
-def schedule_from_thetas(
-    counts: Sequence[int], thetas: Sequence[float], alpha: float
-) -> AlphaSchedule:
-    """Schedule for a tree summarized by per-depth node counts and thetas."""
-    if len(counts) != len(thetas):
-        raise ScheduleError("counts and thetas must have equal length")
-    exposures = []
-    loads = []
-    reach = 1.0
-    for count, theta in zip(counts, thetas):
-        exposures.append(count * reach)
-        reach *= theta
-        loads.append(count * reach)
-    return _schedule_rows(counts, exposures, loads, list(thetas), alpha)
-
-
 def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     """Adaptive per-depth thresholds for a hypothesis tree.
 
-    Each node's theta comes from the power model at the node's unit count.
-    When the total error load is at most 1 every depth keeps the nominal
-    alpha; otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped
-    at alpha, with the root always at alpha.
+    Each node's theta comes from the power model at the node's unit count,
+    and its reach is the product of theta over its strict ancestors.  When
+    the total error load is at most 1 every depth keeps the nominal alpha;
+    otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped at
+    alpha, with the root always at alpha.
     """
-    theta = {
-        nid: power_normal_approx(model, node.n_units)
-        for nid, node in tree.nodes.items()
-    }
-    reach = _reach_products(tree, theta)
-    depths = range(1, tree.max_depth + 1)
-    counts, exposures, loads, means = [], [], [], []
-    for depth in depths:
+    reach = {tree.root: 1.0}
+    sums = []  # per depth: node count, exposure, error load, mean theta
+    for depth in range(1, tree.max_depth + 1):
         ids = tree.nodes_at_depth(depth)
-        counts.append(len(ids))
-        exposures.append(sum(reach[nid] for nid in ids))
-        loads.append(sum(reach[nid] * theta[nid] for nid in ids))
-        means.append(sum(theta[nid] for nid in ids) / len(ids) if ids else 0.0)
-    return _schedule_rows(counts, exposures, loads, means, model.alpha, model)
+        theta = [power_normal_approx(model, tree.nodes[nid].n_units) for nid in ids]
+        here = [reach.pop(nid) for nid in ids]
+        for nid, r, t in zip(ids, here, theta):
+            for child in tree.nodes[nid].children:
+                reach[child] = r * t
+        load = sum(r * t for r, t in zip(here, theta))
+        sums.append((len(ids), sum(here), load, sum(theta) / len(ids)))
+    alpha = model.alpha
+    gating = sum(load for _, _, load, _ in sums) <= 1.0
+    rows = tuple(
+        DepthSchedule(
+            depth,
+            count,
+            theta_mean,
+            exposure,
+            load,
+            alpha if gating or depth == 1 or exposure <= 0 else min(alpha, alpha / exposure),
+        )
+        for depth, (count, exposure, load, theta_mean) in enumerate(sums, start=1)
+    )
+    return AlphaSchedule(alpha, rows, model)
 
 
 def recompute_after_pruning(

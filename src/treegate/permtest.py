@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import chi2
@@ -153,35 +153,6 @@ def _weighted_diff(n: int, m: int, sum_treated, sum_control) -> np.ndarray:
     addition alone.
     """
     return n * (sum_treated / m - sum_control / (n - m))
-
-
-def block_statistic(
-    blocks: Sequence[Block],
-    spec: TestSpec,
-    assignment: Mapping[str, np.ndarray] | None = None,
-):
-    """Observed statistic for an assignment (defaults to the recorded one).
-
-    Returns a float for mean_diff/rank and a length-6 vector for energy.
-    Within each block the treated-minus-control score means are weighted by
-    the block's share of the total sample.
-    """
-    _check_blocks(blocks)
-    n_total = sum(b.n for b in blocks)
-    parts = []
-    for b in blocks:
-        t = b.treatment if assignment is None else np.asarray(assignment[b.block_id])
-        if t.shape != b.treatment.shape or not np.isin(t, (0, 1)).all():
-            raise PermTestError(f"assignment for block {b.block_id!r} malformed")
-        m = int(t.sum())
-        if not 1 <= m <= b.n - 1:
-            raise DegenerateBlockError([b.block_id])
-        scores = _score_matrix(spec.statistic, b.outcome)
-        parts.append(
-            _weighted_diff(b.n, m, scores[t == 1].sum(axis=0), scores[t == 0].sum(axis=0))
-        )
-    stat = reduce(np.add, parts) / n_total
-    return stat if spec.statistic == "energy" else float(stat[0])
 
 
 def _key_int(key) -> int:

@@ -123,7 +123,6 @@ class WeakSummary:
     fwer_se: float
     mean_tests: float
     mean_nodes_tested: float
-    max_nodes_tested: int
 
 
 def simulate_weak(
@@ -141,7 +140,6 @@ def simulate_weak(
     fwer_hits = 0
     tests_sum = 0.0
     tested_sum = 0
-    tested_max = 0
     for rep in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, L, rep]))
         result = run_topdown(
@@ -152,7 +150,6 @@ def simulate_weak(
         fwer_hits += rejections > 0
         tests_sum += 1 + rejections - (1 if root_rejected else 0)
         tested_sum += result.nodes_tested
-        tested_max = max(tested_max, result.nodes_tested)
     fwer = fwer_hits / replicates
     return WeakSummary(
         k=k,
@@ -164,7 +161,6 @@ def simulate_weak(
         fwer_se=_indicator_se(fwer, replicates),
         mean_tests=tests_sum / replicates,
         mean_nodes_tested=tested_sum / replicates,
-        max_nodes_tested=tested_max,
     )
 
 

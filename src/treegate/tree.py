@@ -140,25 +140,6 @@ class HypothesisTree:
             kept[nid] = node
         return HypothesisTree(kept, self.root)
 
-    def non_null_count(self, depth: int) -> int:
-        return sum(
-            1 for nid in self.nodes_at_depth(depth) if self.nodes[nid].is_null is False
-        )
-
-    def exposed_null_count(self, depth: int) -> int:
-        """Count true nulls at a depth whose parent is non-null.
-
-        The root counts as exposed when it is null itself.
-        """
-        count = 0
-        for nid in self.nodes_at_depth(depth):
-            node = self.nodes[nid]
-            if node.is_null is not True:
-                continue
-            if node.parent is None or self.nodes[node.parent].is_null is False:
-                count += 1
-        return count
-
 
 def from_parents(
     ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]

@@ -3,6 +3,9 @@
 from itertools import chain, combinations
 
 import numpy as np
+from scipy.stats import rankdata
+
+from treegate.permtest import DegenerateBlockError, energy_scores
 
 
 def simes_pvalue(pvals) -> float:
@@ -45,3 +48,29 @@ def bh_stepup_reject(pvals, alpha) -> set[int]:
         if pvals[i] <= alpha * rank / m:
             k_star = rank
     return {int(order[r]) for r in range(k_star)}
+
+
+def block_statistic(blocks, spec, assignment=None):
+    """Observed node statistic, written from its definition.
+
+    In each block, the treated-minus-control difference of mean unit scores
+    (the outcome, its within-block mid-ranks, or the six energy scores) is
+    weighted by the block's share of the node's units.  ``assignment`` maps
+    block ids to 0/1 vectors that replace the recorded treatment.  Returns
+    a float for mean_diff and rank and a length-6 vector for energy.
+    """
+    n_total = sum(b.n for b in blocks)
+    stat = 0.0
+    for b in blocks:
+        t = b.treatment if assignment is None else np.asarray(assignment[b.block_id])
+        if not 0 < t.sum() < b.n:
+            raise DegenerateBlockError([b.block_id])
+        if spec.statistic == "mean_diff":
+            scores = b.outcome
+        elif spec.statistic == "rank":
+            scores = rankdata(b.outcome)
+        else:
+            scores = energy_scores(b.outcome)
+        diff = scores[t == 1].mean(axis=0) - scores[t == 0].mean(axis=0)
+        stat = stat + (b.n / n_total) * diff
+    return stat if spec.statistic == "energy" else float(stat)

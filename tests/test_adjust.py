@@ -3,27 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegate.adjust import (
-    adjust_bh,
-    adjust_bonferroni,
-    adjust_hommel,
-    family_error_rate,
-)
+from treegate.adjust import adjust_bh, adjust_hommel
 
 from _oracles import bh_stepup_reject, closed_testing_hommel
 
 grid_pvalues = st.lists(
     st.integers(1, 100).map(lambda i: i / 100.0), min_size=1, max_size=8
 )
-
-
-def test_bonferroni_examples():
-    np.testing.assert_allclose(adjust_bonferroni([0.5]), [0.5])
-    np.testing.assert_allclose(adjust_bonferroni([0.01, 0.2]), [0.02, 0.4])
-    # threshold view: adjusted p <= alpha iff raw p <= alpha / m
-    raw = np.full(100, 0.0005)
-    assert np.all(adjust_bonferroni(raw) <= 0.05)
-    assert np.all(adjust_bonferroni(raw + 1e-6) > 0.05)
 
 
 def test_hommel_examples():
@@ -41,23 +27,11 @@ def test_bh_examples():
     np.testing.assert_allclose(adjust_bh([0.05, 0.05]), [0.05, 0.05])
 
 
-def test_family_error_rate_values():
-    assert family_error_rate(0.05, 100) == pytest.approx(0.9941, abs=0.0002)
-    assert family_error_rate(0.05, 1) == pytest.approx(0.05)
-    assert family_error_rate(0.05, 9) == pytest.approx(0.3698, abs=0.0001)
-
-
-def test_family_error_rate_rejects_dependent_model():
-    with pytest.raises(ValueError):
-        family_error_rate(0.05, 10, independent=False)
-    with pytest.raises(ValueError):
-        family_error_rate(0.05, 0)
-
-
 @pytest.mark.parametrize("bad", [[], [1.5], [-0.1], [np.nan]])
-def test_input_validation(bad):
+@pytest.mark.parametrize("fn", [adjust_hommel, adjust_bh])
+def test_input_validation(fn, bad):
     with pytest.raises(ValueError):
-        adjust_bonferroni(bad)
+        fn(bad)
 
 
 @given(grid_pvalues)
@@ -72,7 +46,7 @@ def test_hommel_matches_closed_testing_oracle(pvals):
 @settings(max_examples=150, deadline=None)
 def test_adjusted_at_least_raw_and_clamped(pvals):
     raw = np.asarray(pvals)
-    for fn in (adjust_bonferroni, adjust_hommel, adjust_bh):
+    for fn in (adjust_hommel, adjust_bh):
         adjusted = fn(pvals)
         assert np.all(adjusted >= raw - 1e-15)
         assert np.all(adjusted <= 1.0)
@@ -81,14 +55,15 @@ def test_adjusted_at_least_raw_and_clamped(pvals):
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_hommel_no_more_conservative_than_bonferroni(pvals):
-    assert np.all(adjust_hommel(pvals) <= adjust_bonferroni(pvals) + 1e-12)
+    bonferroni = np.minimum(len(pvals) * np.asarray(pvals), 1.0)
+    assert np.all(adjust_hommel(pvals) <= bonferroni + 1e-12)
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_sorted_adjusted_monotone_in_sorted_raw(pvals):
     order = np.argsort(pvals, kind="stable")
-    for fn in (adjust_bonferroni, adjust_hommel, adjust_bh):
+    for fn in (adjust_hommel, adjust_bh):
         ranked = fn(pvals)[order]
         assert np.all(np.diff(ranked) >= -1e-12)
 

@@ -171,6 +171,38 @@ class TestCmdTest:
         if "untested" in text:
             assert "style=dashed" in text
 
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [
+            (f"u{i}", f"b{i // 10}", i % 2, round(rng.normal() + 3.0 * (i % 2), 6),
+             'Site "A"' if i < 20 else "B\\2", "C")
+            for i in range(40)
+        ]
+        data = write_dataset(tmp_path / "quoted.csv", rows)
+        out = tmp_path / "res.dot"
+        main(["test", data, "--format", "dot", "--dot-pruned", "collapse",
+              "--n-perms", "150", "--out", str(out)])
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node_stmt = re.compile(rf"  {quoted} \[label={quoted}, [^\"]*(?:\"#\w+\"[^\"]*)?\];")
+        edge_stmt = re.compile(rf"  {quoted} -> {quoted}(?: \[style=dashed\])?;")
+        placeholder = re.compile(rf"  {quoted} \[label=\"\d+ untested\", shape=box, style=dashed\];")
+        declared, edges = {}, []
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["digraph gated_tests {", "  node [shape=ellipse, fontsize=10];"]
+        assert lines[-1] == "}"
+        for line in lines[2:-1]:
+            if m := node_stmt.fullmatch(line):
+                assert m[2].startswith(m[1] + "\\np=")
+                declared[m[1]] = line
+            elif m := placeholder.fullmatch(line):
+                declared[m[1]] = line
+            else:
+                m = edge_stmt.fullmatch(line)
+                assert m, line
+                edges.append((m[1], m[2]))
+        assert {'Site \\"A\\"', 'Site \\"A\\"/C', "B\\\\2"} <= set(declared)
+        assert all({src, dst} <= set(declared) for src, dst in edges)
+
     def test_csv_format_lists_every_node(self, tmp_path):
         data = small_dataset(tmp_path / "d.csv")
         out = tmp_path / "res.csv"
@@ -243,13 +275,14 @@ class TestNodeSizes:
             (_chain(1500, root_units="7"), "children sum"),
             ("root,,\na,root,x\nb,root,5\n", r":3: n_units is not an integer"),
             ("root,,\na,root\nb,root,5\n", r":3: expected 3 fields"),
+            ("root,,\na,root,5,99\nb,root,5\n", r":3: expected 3 fields"),
             ("root,,\na,root,0\nb,root,5\n", "leaf 'a' needs n_units"),
             ("root,,\na,nowhere,5\n", "unknown parent 'nowhere'"),
             ("root,,\na,root,5\na,root,5\n", "duplicate node id"),
             ("root,,\nother,,5\n", "exactly one root"),
         ],
-        ids=["deep_chain_bad_total", "units_not_int", "short_row", "leaf_zero_units",
-             "unknown_parent", "duplicate_id", "two_roots"],
+        ids=["deep_chain_bad_total", "units_not_int", "short_row", "long_row",
+             "leaf_zero_units", "unknown_parent", "duplicate_id", "two_roots"],
     )
     def test_bad_table_is_cli_error(self, tmp_path, body, message):
         path = tmp_path / "sizes.csv"
@@ -364,6 +397,12 @@ class TestSimulateCommand:
         code = main(["simulate", "weak", "--config", str(cfg)])
         assert code == 1
         assert "bananas" in capsys.readouterr().err
+
+    def test_duplicate_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text("k=2\nL=4\n# later value would win\nk=5\n")
+        assert main(["simulate", "weak", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: duplicate key 'k'\n"
 
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"

@@ -1,16 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegate.errorload import (
     PowerModel,
     ScheduleError,
     adaptive_schedule,
-    error_load_irregular,
     error_load_regular,
     power_normal_approx,
     recompute_after_pruning,
-    schedule_from_thetas,
 )
 from treegate.tree import build_from_paths, build_regular
 
@@ -66,73 +64,47 @@ class TestErrorLoadRegular:
             error_load_regular(2, 3, [1.0, 0.5])
 
 
-class TestErrorLoadIrregular:
-    def test_pair_under_root(self):
-        tree = build_from_paths([("b1", ("b1",), 4), ("b2", ("b2",), 4)])
-        loads = error_load_irregular(tree, {tree.root: 0.5})
-        assert loads == pytest.approx([1.0, 1.0])
-
-    def test_star_tree_exposure(self):
-        m = 7
-        tree = build_from_paths([(f"b{i}", (f"b{i}",), 3) for i in range(m)])
-        loads = error_load_irregular(tree, {tree.root: 1.0})
-        assert loads[1] == pytest.approx(m)
-
-    def test_regular_tree_consistency(self):
-        # on a regular tree the irregular exposure equals the regular error
-        # load shifted by one theta factor: exposure_l * theta_l = G_l
-        k, L = 3, 3
-        tree = build_regular(k, L)
-        thetas = [0.9, 0.4, 0.2]
-        theta_by_node = {
-            nid: thetas[node.depth - 1] for nid, node in tree.nodes.items()
-        }
-        exposure = error_load_irregular(tree, theta_by_node)
-        loads, _ = error_load_regular(k, L, thetas)
-        for lvl in range(L):
-            assert exposure[lvl] * thetas[lvl] == pytest.approx(loads[lvl])
-
-    def test_missing_theta_rejected(self):
-        tree = build_regular(2, 3)
-        with pytest.raises(ScheduleError, match="missing theta"):
-            error_load_irregular(tree, {"1": 0.5})
-
-
-class TestScheduleFromThetas:
-    def test_reference_thresholds(self):
-        sched = schedule_from_thetas([1, 2, 4], [1.0, 0.6, 0.3], 0.05)
-        alphas = [row.alpha_adj for row in sched.depths]
-        assert alphas[0] == 0.05
-        assert alphas[1] == pytest.approx(0.025, abs=1e-9)
-        assert alphas[2] == pytest.approx(0.0208333333, abs=1e-9)
-        assert not sched.gating_sufficient
-        # deeper threshold exceeds the shallower one: relaxed where power decays
-        assert alphas[2] < alphas[1] or alphas[2] > alphas[1]  # both defined
-        assert alphas[1] < alphas[0]
-
-    def test_natural_gating_keeps_alpha_everywhere(self):
-        sched = schedule_from_thetas([1, 2, 4], [0.3, 0.3, 0.3], 0.05)
-        assert sched.gating_sufficient
-        assert all(row.alpha_adj == 0.05 for row in sched.depths)
-
-    def test_root_always_nominal(self):
-        sched = schedule_from_thetas([1, 5], [1.0, 1.0], 0.05)
-        assert sched.depths[0].alpha_adj == 0.05
-
-    @given(st.integers(2, 5), thetas_strategy, st.floats(0.3, 1.0))
-    @settings(max_examples=150, deadline=None)
-    def test_per_level_budget(self, k, thetas, d_scale):
-        # when adjusted: (nodes at depth) * reach * alpha_adj <= alpha
-        counts = [k ** i for i in range(len(thetas))]
-        sched = schedule_from_thetas(counts, thetas, 0.05)
-        reach = 1.0
-        for i, row in enumerate(sched.depths):
-            if not sched.gating_sufficient:
-                assert row.n_nodes * reach * row.alpha_adj <= 0.05 * (1 + 1e-12)
-            reach *= thetas[i]
-
-
 class TestAdaptiveSchedule:
+    @given(st.integers(2, 4), st.integers(2, 5), st.integers(2, 200), st.floats(0.0, 1.0))
+    @example(2, 3, 50, 0.0)  # total error load below 1: nominal alpha everywhere
+    @example(3, 3, 100, 0.8)  # load above 1: adjusted below the root
+    @settings(max_examples=150, deadline=None)
+    def test_regular_tree_matches_regular_error_loads(self, k, L, units, d_hat):
+        tree = build_regular(k, L, units_per_leaf=units)
+        model = PowerModel(d_hat=d_hat)
+        sched = adaptive_schedule(tree, model)
+        # every depth-l node holds units * k**(L-l) units, so shares one theta
+        thetas = [power_normal_approx(model, units * k ** (L - d)) for d in range(1, L + 1)]
+        loads, total = error_load_regular(k, L, thetas)
+        assert sched.total_error_load == pytest.approx(total, rel=1e-12)
+        assert sched.gating_sufficient == (sched.total_error_load <= 1.0)
+        assert sched.depths[0].alpha_adj == model.alpha
+        for row, theta, load in zip(sched.depths, thetas, loads):
+            assert row.n_nodes == k ** (row.depth - 1)
+            assert row.theta_hat == pytest.approx(theta, rel=1e-12)
+            assert row.error_load == pytest.approx(load, rel=1e-12)
+            assert row.exposure * theta == pytest.approx(load, rel=1e-12)
+            if sched.gating_sufficient:
+                assert row.alpha_adj == model.alpha
+            else:
+                assert row.exposure * row.alpha_adj <= model.alpha * (1 + 1e-12)
+
+    def test_irregular_tree_sums_reach_products(self):
+        # root -> (g -> a, b), c: depth 3 is reached through root and g
+        tree = build_from_paths(
+            [("a", ("g", "a"), 30), ("b", ("g", "b"), 50), ("c", ("c",), 40)]
+        )
+        model = PowerModel(d_hat=0.5)
+        theta = {nid: power_normal_approx(model, n.n_units) for nid, n in tree.nodes.items()}
+        sched = adaptive_schedule(tree, model)
+        assert [row.n_nodes for row in sched.depths] == [1, 2, 2]
+        assert [row.exposure for row in sched.depths] == pytest.approx(
+            [1.0, 2 * theta["root"], 2 * theta["root"] * theta["g"]]
+        )
+        assert sched.depths[2].error_load == pytest.approx(
+            theta["root"] * theta["g"] * (theta["a"] + theta["b"])
+        )
+
     def test_monotone_in_planning_effect(self):
         tree = build_regular(3, 3, units_per_leaf=40)
         previous = None

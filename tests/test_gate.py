@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegate.errorload import PowerModel, adaptive_schedule, schedule_from_thetas
+from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptive_schedule
 from treegate.gate import (
     ADAPTIVE,
     ADAPTIVE_PRUNED,
@@ -27,6 +27,16 @@ FIG_PVALUES = {
     "6": 0.5,
     "7": 0.7,
 }
+
+
+def fixed_schedule(counts, thresholds, alpha=0.05):
+    """Schedule with the given per-depth node counts and thresholds; each
+    depth's exposure is ``alpha / threshold`` and every theta is 1."""
+    rows = tuple(
+        DepthSchedule(depth, n, 1.0, alpha / a, alpha / a, a)
+        for depth, (n, a) in enumerate(zip(counts, thresholds), start=1)
+    )
+    return AlphaSchedule(alpha, rows)
 
 
 @pytest.fixture
@@ -117,7 +127,7 @@ class TestLocalAdjustment:
 
 class TestAdaptiveVariants:
     def test_adaptive_uses_schedule_thresholds(self, k3l3):
-        sched = schedule_from_thetas([1, 3, 9], [1.0, 0.5, 0.3], 0.05)
+        sched = fixed_schedule([1, 3, 9], [0.05, 0.05 / 3, 0.05 / 4.5])
         # alpha_2 = 0.05 / 3, so p = 0.02 passes unadjusted but not adaptive
         pvals = {"1": 0.001, "2": 0.02, "3": 0.5, "4": 0.5}
         pvals.update({str(i): 0.9 for i in range(5, 14)})
@@ -132,7 +142,7 @@ class TestAdaptiveVariants:
             run_topdown(k3l3, FIG_PVALUES.__getitem__, ADAPTIVE)
 
     def test_short_schedule_rejected(self, k3l3):
-        sched = schedule_from_thetas([1, 3], [1.0, 0.5], 0.05)
+        sched = fixed_schedule([1, 3], [0.05, 0.05 / 3])
         with pytest.raises(GateError, match="shorter"):
             run_topdown(k3l3, FIG_PVALUES.__getitem__, ADAPTIVE, schedule=sched)
 

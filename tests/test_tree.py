@@ -196,10 +196,6 @@ class TestLabelTruth:
         tree = build_regular(3, 3).label_truth(set())
         assert all(n.is_null for n in tree.nodes.values())
 
-    def test_exposed_null_count(self):
-        tree = build_regular(3, 2).label_truth({"2"})
-        assert tree.exposed_null_count(2) == 2
-
     def test_unknown_block_rejected(self):
         with pytest.raises(TreeError, match="unknown"):
             build_regular(3, 3).label_truth({"99"})
@@ -233,11 +229,19 @@ class TestLabelTruth:
         tree = build_regular(k, L)
         leaves = list(tree.leaves)
         chosen = data.draw(st.sets(st.sampled_from(leaves), min_size=1))
-        labeled = tree.label_truth(chosen)
+        nodes = tree.label_truth(chosen).nodes
+
+        def non_null(depth):
+            return sum(1 for n in nodes.values() if n.depth == depth and n.is_null is False)
+
         for depth in range(2, L + 1):
-            m_here = labeled.non_null_count(depth)
-            e_here = labeled.exposed_null_count(depth)
-            assert m_here + e_here == k * labeled.non_null_count(depth - 1)
+            # a null whose parent is non-null is exposed to testing
+            exposed = sum(
+                1
+                for n in nodes.values()
+                if n.depth == depth and n.is_null and nodes[n.parent].is_null is False
+            )
+            assert non_null(depth) + exposed == k * non_null(depth - 1)
 
 
 class TestPruneBelow:
