@@ -183,16 +183,19 @@ def read_node_sizes(path: str) -> HypothesisTree:
 # ---------------------------------------------------------------------------
 
 
+def _parent_ids(tree: HypothesisTree) -> list[str | None]:
+    return [tree.ids[p] if p >= 0 else None for p in tree.parent.tolist()]
+
+
 def result_to_json(result: ResultTree, tree: HypothesisTree, extra: dict | None = None) -> str:
     nodes = []
-    for nid in tree.nodes:
-        node = tree.nodes[nid]
+    for nid, parent, depth in zip(tree.ids, _parent_ids(tree), tree.depth.tolist()):
         out = result.outcome(nid)
         nodes.append(
             {
                 "id": nid,
-                "parent": node.parent,
-                "depth": node.depth,
+                "parent": parent,
+                "depth": depth,
                 "tested": out.tested,
                 "p": out.p_value,
                 "p_adjusted": out.p_adjusted,
@@ -235,7 +238,7 @@ def result_to_dot(
     if pruned not in ("omit", "collapse"):
         raise CliError(f"unknown pruned mode: {pruned!r}")
     lines = ["digraph gated_tests {", '  node [shape=ellipse, fontsize=10];']
-    for nid in tree.nodes:
+    for nid in tree.ids:
         out = result.outcome(nid)
         if not out.tested:
             continue
@@ -247,18 +250,18 @@ def result_to_dot(
             else 'style=filled, fillcolor="#f0f0f0"'
         )
         lines.append(f'  "{q}" [label="{label}", {style}];')
-    for nid in tree.nodes:
+    if pruned == "collapse":
+        descendants = (tree.subtree_sum(np.ones(len(tree))) - 1).tolist()
+    for i, (nid, parent) in enumerate(zip(tree.ids, _parent_ids(tree))):
         out = result.outcome(nid)
         if not out.tested:
             continue
-        node = tree.nodes[nid]
         q = _dot_escape(nid)
-        if node.parent is not None and result.outcome(node.parent).tested:
-            lines.append(f'  "{_dot_escape(node.parent)}" -> "{q}";')
-        if pruned == "collapse" and node.children and not out.rejected:
-            skipped = _count_descendants(tree, nid)
+        if parent is not None and result.outcome(parent).tested:
+            lines.append(f'  "{_dot_escape(parent)}" -> "{q}";')
+        if pruned == "collapse" and not tree.is_leaf[i] and not out.rejected:
             lines.append(
-                f'  "{q}:pruned" [label="{skipped} untested", shape=box, style=dashed];'
+                f'  "{q}:pruned" [label="{descendants[i]} untested", shape=box, style=dashed];'
             )
             lines.append(f'  "{q}" -> "{q}:pruned" [style=dashed];')
     lines.append("}")
@@ -270,16 +273,6 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _count_descendants(tree: HypothesisTree, nid: str) -> int:
-    stack = list(tree.nodes[nid].children)
-    count = 0
-    while stack:
-        cur = stack.pop()
-        count += 1
-        stack.extend(tree.nodes[cur].children)
-    return count
-
-
 def _csv_text(rows) -> str:
     """Rows as CSV text with "\n" line ends; fields are quoted only when needed."""
     buf = io.StringIO()
@@ -289,14 +282,13 @@ def _csv_text(rows) -> str:
 
 def result_to_csv(result: ResultTree, tree: HypothesisTree) -> str:
     rows = [["id", "parent", "depth", "tested", "p", "p_adjusted", "alpha_applied", "rejected"]]
-    for nid in tree.nodes:
-        node = tree.nodes[nid]
+    for nid, parent, depth in zip(tree.ids, _parent_ids(tree), tree.depth.tolist()):
         out = result.outcome(nid)
         rows.append(
             [
                 nid,
-                node.parent or "",
-                node.depth,
+                parent or "",
+                depth,
                 int(out.tested),
                 "" if out.p_value is None else repr(out.p_value),
                 "" if out.p_adjusted is None else repr(out.p_adjusted),

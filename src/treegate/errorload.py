@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
 from scipy.stats import norm
 
 from .tree import HypothesisTree
@@ -132,17 +133,20 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped at
     alpha, with the root always at alpha.
     """
-    reach = {tree.root: 1.0}
+    sizes = np.unique(tree.n_units)
+    theta = np.array([power_normal_approx(model, n) for n in sizes.tolist()])
+    theta = theta[np.searchsorted(sizes, tree.n_units)]
+    reach = np.ones(len(tree))
     sums = []  # per depth: node count, exposure, error load, mean theta
-    for depth in range(1, tree.max_depth + 1):
-        ids = tree.nodes_at_depth(depth)
-        theta = [power_normal_approx(model, tree.nodes[nid].n_units) for nid in ids]
-        here = [reach.pop(nid) for nid in ids]
-        for nid, r, t in zip(ids, here, theta):
-            for child in tree.nodes[nid].children:
-                reach[child] = r * t
-        load = sum(r * t for r, t in zip(here, theta))
-        sums.append((len(ids), sum(here), load, sum(theta) / len(ids)))
+    for level in tree.levels:
+        if sums:  # below the root: the parent's reach times the parent's theta
+            up = tree.parent[level]
+            reach[level] = reach[up] * theta[up]
+        # Python sums add left to right, as the depth's nodes come in index
+        # order; numpy's pairwise sum rounds differently beyond eight terms
+        here, t = reach[level], theta[level]
+        load = sum((here * t).tolist())
+        sums.append((len(level), sum(here.tolist()), load, sum(t.tolist()) / len(level)))
     alpha = model.alpha
     gating = sum(load for _, _, load, _ in sums) <= 1.0
     rows = tuple(

@@ -121,58 +121,53 @@ def run_topdown(
             raise GateError("schedule is shorter than the tree is deep")
 
     outcomes: dict[str, NodeOutcome] = {}
+    tested: list[int] = []
+    ids, offsets, children = tree.ids, tree.child_offsets, tree.children
     working = tree
     sched = schedule
-    frontier = [tree.root]
+    groups = [[tree.root_index]]  # sibling groups of node indices at this depth
     depth = 1
-    while frontier:
+    while groups:
         threshold = sched.alpha_at(depth) if adaptive else alpha
-        next_frontier: list[str] = []
-        non_rejected: list[str] = []
-        for parent_id, group in _sibling_groups(tree, frontier):
-            raw = [_validated_p(p_source, nid) for nid in group]
+        next_groups: list[list[int]] = []
+        stops: list[str] = []  # non-rejected nodes whose subtrees go untested
+        for group in groups:
+            tested.extend(group)
+            raw = [_validated_p(p_source, ids[i]) for i in group]
             if variant.local_adjust is None or len(group) == 1:
                 adjusted = raw
             else:
                 adjusted = [float(pa) for pa in _LOCAL_ADJUSTERS[variant.local_adjust](raw)]
-            for nid, p, pa in zip(group, raw, adjusted):
+            for i, p, pa in zip(group, raw, adjusted):
+                nid = ids[i]
                 rejected = bool(pa <= threshold)
                 outcomes[nid] = NodeOutcome(nid, True, p, pa, threshold, rejected)
+                lo, hi = offsets[i], offsets[i + 1]
+                if lo == hi:
+                    continue
                 if rejected:
-                    next_frontier.extend(tree.nodes[nid].children)
+                    next_groups.append(children[lo:hi].tolist())
                 else:
-                    non_rejected.append(nid)
-        if variant.prune and next_frontier:
-            working = working.prune_below(
-                [nid for nid in non_rejected if tree.nodes[nid].children]
-            )
+                    stops.append(nid)
+        if variant.prune and next_groups:
+            working = working.prune_below(stops)
             sched = recompute_after_pruning(sched, working, depth)
         depth += 1
-        frontier = next_frontier
+        groups = next_groups
 
     result = ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
-    _check_gating(result, tree)
+    _check_gating(result, tree, tested)
     return result
 
 
-def _sibling_groups(
-    tree: HypothesisTree, frontier: list[str]
-) -> list[tuple[str | None, list[str]]]:
-    groups: dict[str | None, list[str]] = {}
-    for nid in frontier:
-        groups.setdefault(tree.nodes[nid].parent, []).append(nid)
-    return list(groups.items())
-
-
-def _check_gating(result: ResultTree, tree: HypothesisTree) -> None:
+def _check_gating(result: ResultTree, tree: HypothesisTree, tested: list[int]) -> None:
     # every tested non-root node must sit under a rejected parent
-    for nid, out in result.outcomes.items():
-        parent = tree.nodes[nid].parent
-        if out.tested and parent is not None:
-            if not result.outcome(parent).rejected:
-                raise AssertionError(
-                    f"gating violated: {nid!r} tested under non-rejected parent"
-                )
+    rejected = set(result.rejected_ids())
+    for i, parent in zip(tested, tree.parent[tested].tolist()):
+        if parent >= 0 and tree.ids[parent] not in rejected:
+            raise AssertionError(
+                f"gating violated: {tree.ids[i]!r} tested under non-rejected parent"
+            )
 
 
 def run_bottom_up(
@@ -238,8 +233,9 @@ class RunScore:
 
 
 def score_result(result: ResultTree, tree: HypothesisTree) -> RunScore:
-    """Score one run; the tree must carry is_null labels on every node."""
-    leaves_tested = sum(tree.nodes[nid].is_leaf for nid in result.outcomes)
+    """Score one run; the tree must carry is_null labels."""
+    tested = [tree.index_of(nid) for nid in result.outcomes]
+    leaves_tested = int(np.count_nonzero(tree.is_leaf[tested]))
     return score_rejections(result.rejected_ids(), tree, result.nodes_tested, leaves_tested)
 
 
@@ -250,36 +246,25 @@ def score_rejections(
     leaves_tested: int = 0,
 ) -> RunScore:
     """Score an arbitrary rejection set (gate output or bottom-up baseline)."""
-    rejected = set(rejected)
-    tn = fn = tl = fl = 0
-    null_nodes = non_null_nodes = null_leaves = non_null_leaves = 0
-    for nid, node in tree.nodes.items():
-        if node.is_null is None:
-            raise GateError(f"tree is not truth-labeled at node {nid!r}")
-        hit = nid in rejected
-        if node.is_null:
-            null_nodes += 1
-            null_leaves += node.is_leaf
-            if hit:
-                fn += 1
-                fl += node.is_leaf
-        else:
-            non_null_nodes += 1
-            non_null_leaves += node.is_leaf
-            if hit:
-                tn += 1
-                tl += node.is_leaf
+    null = tree.is_null
+    if null is None:
+        raise GateError("tree is not truth-labeled")
+    hit = np.zeros(len(tree), dtype=bool)
+    hit[[tree.index_of(nid) for nid in rejected]] = True
+    # node count per (rejected, null, leaf) combination, indexed by its bits
+    c = np.bincount(4 * hit + 2 * null + tree.is_leaf, minlength=8).tolist()
+    fn, fl = c[6] + c[7], c[7]
     return RunScore(
         any_false_rejection_node=fn > 0,
         any_false_rejection_leaf=fl > 0,
-        true_rejections_node=tn,
-        true_rejections_leaf=tl,
+        true_rejections_node=c[4] + c[5],
+        true_rejections_leaf=c[5],
         false_rejections_node=fn,
         false_rejections_leaf=fl,
-        n_null_nodes=null_nodes,
-        n_non_null_nodes=non_null_nodes,
-        n_null_leaves=null_leaves,
-        n_non_null_leaves=non_null_leaves,
+        n_null_nodes=c[2] + c[3] + c[6] + c[7],
+        n_non_null_nodes=c[0] + c[1] + c[4] + c[5],
+        n_null_leaves=c[3] + c[7],
+        n_non_null_leaves=c[1] + c[5],
         nodes_tested=nodes_tested,
         leaves_tested=leaves_tested,
     )

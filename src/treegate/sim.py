@@ -265,16 +265,17 @@ def _beta_inverse_exponents(
     shape calibrated at the nominal alpha to the power model evaluated at
     the node's aggregate unit count.
     """
-    exponents = np.ones(len(tree.nodes))
-    for i, (nid, node) in enumerate(tree.nodes.items()):
-        if node.is_null is not False:
-            continue
+    exponents = np.ones(len(tree))
+    diluted = config.internal_power == "diluted"
+    if diluted:
+        leaves = tree.subtree_sum(tree.is_leaf).tolist()
+        non_null_leaves = tree.subtree_sum(tree.is_leaf & ~tree.is_null).tolist()
+    n_units = tree.n_units.tolist()
+    for i in np.flatnonzero(~tree.is_null).tolist():
         d_gen = model.d_hat
-        if config.internal_power == "diluted" and not node.is_leaf:
-            under = tree.leaves_under(nid)
-            non_null_share = sum(tree.nodes[leaf].is_null is False for leaf in under) / len(under)
-            d_gen = model.d_hat * non_null_share
-        power = power_normal_approx(replace(model, d_hat=d_gen), node.n_units)
+        if diluted and not tree.is_leaf[i]:
+            d_gen = model.d_hat * (non_null_leaves[i] / leaves[i])
+        power = power_normal_approx(replace(model, d_hat=d_gen), n_units[i])
         a = calibrate_beta_shape(power, config.alpha) if power < 1.0 else 1e-12
         exponents[i] = 1.0 / a
     return exponents
@@ -361,11 +362,9 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     schedule = adaptive_schedule(tree, model)
     exponents = _beta_inverse_exponents(labeled, config, model)
 
-    node_ids = list(tree.nodes)
-
     def replicate(rep: int) -> dict[str, tuple]:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
-        p_by_node = dict(zip(node_ids, rng.random(len(node_ids)) ** exponents))
+        p_by_node = dict(zip(tree.ids, rng.random(len(tree)) ** exponents))
         return _score_methods(
             config.methods, tree, labeled, p_by_node.__getitem__, config.alpha, schedule
         )
@@ -510,43 +509,44 @@ class NodePValues:
     def _fill(self) -> None:
         tree, spec, key = self.tree, self.spec, self.prefix
         leaves = set(tree.leaves)
-        under: dict[str, list[Block]] = {nid: [] for nid in tree.nodes}
+        parent = tree.parent.tolist()
+        under: list[list[Block]] = [[] for _ in range(len(tree))]
         paths = []  # per block: its leaf, then the leaf's ancestors
         for b in self.blocks:
             path = []
-            nid = b.block_id if b.block_id in leaves else None
-            while nid is not None:
-                under[nid].append(b)
-                path.append(nid)
-                nid = tree.nodes[nid].parent
+            i = tree.index_of(b.block_id) if b.block_id in leaves else -1
+            while i >= 0:
+                under[i].append(b)
+                path.append(i)
+                i = parent[i]
             paths.append(path)
 
         cache: dict[str, float] = {}
-        pending: dict[str, int] = {}  # Monte Carlo node -> its blocks not yet summed
-        for nid, node_blocks in under.items():
+        pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
+        for i, node_blocks in enumerate(under):
             try:
                 exact = is_exact(node_blocks, spec)
             except DegenerateBlockError as exc:
                 raise PermTestError(
-                    f"degenerate blocks under node {nid!r}: {exc.block_ids}"
+                    f"degenerate blocks under node {tree.ids[i]!r}: {exc.block_ids}"
                 ) from None
             if exact:
-                cache[nid] = permutation_pvalue(node_blocks, spec, key)
+                cache[tree.ids[i]] = permutation_pvalue(node_blocks, spec, key)
             else:
-                pending[nid] = len(node_blocks)
+                pending[i] = len(node_blocks)
 
-        sums: dict[str, np.ndarray] = {}
+        sums: dict[int, np.ndarray] = {}
         for b, path in zip(self.blocks, paths):
-            summed_into = [nid for nid in path if nid in pending]
+            summed_into = [i for i in path if i in pending]
             if not summed_into:
                 continue
             draws = block_draws(b, spec, key)
-            for nid in summed_into:
-                sums[nid] = draws if nid not in sums else sums[nid] + draws
-                pending[nid] -= 1
-                if not pending[nid]:
-                    cache[nid] = permutation_pvalue(
-                        under[nid], spec, key, draws=sums.pop(nid)
+            for i in summed_into:
+                sums[i] = draws if i not in sums else sums[i] + draws
+                pending[i] -= 1
+                if not pending[i]:
+                    cache[tree.ids[i]] = permutation_pvalue(
+                        under[i], spec, key, draws=sums.pop(i)
                     )
         self._cache = cache
 

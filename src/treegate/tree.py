@@ -8,8 +8,14 @@ is null exactly when all of its descendant leaves are null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from typing import Iterable, Sequence
+
+import numpy as np
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TreeError(ValueError):
@@ -18,7 +24,8 @@ class TreeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
-    """One hypothesis node.  Depth is 1 at the root.
+    """One node, as ``HypothesisTree.node`` builds it on demand.  Depth is 1
+    at the root.
 
     ``is_null`` is a simulation-only truth label: None means unlabeled.
     """
@@ -36,42 +43,101 @@ class TreeNode:
 
 
 class HypothesisTree:
-    """Immutable rooted tree of hypotheses.
+    """Immutable rooted tree of hypotheses, held as arrays over node indices.
+
+    A node's index is its position in the order given to ``from_parents``
+    (breadth-first for ``build_regular`` and ``build_from_paths``), so
+    traversals and tie-breaks are reproducible.  ``ids`` lists the node ids
+    in that order, and each array follows it: ``parent`` (-1 at the root),
+    ``depth`` (1 at the root), ``n_units`` and, on a ``label_truth`` result,
+    the bool ``is_null`` (None when unlabeled).  The children of node ``i``
+    are ``children[child_offsets[i]:child_offsets[i + 1]]``, in index order.
 
     Build trees with ``from_parents``, ``build_regular`` or
     ``build_from_paths``, which check their input; the constructor trusts
-    the nodes it is given.  Nodes are kept in insertion order (breadth-first
-    for the built-in constructors) so traversals and tie-breaks are
-    reproducible.  Trees are never mutated after construction; relabeling
-    and pruning return new trees.  On a ``prune_below`` result, ``leaves``
-    and ``leaves_under`` name the terminal nodes, which may be groups.
+    the arrays it is given.  Relabeling and pruning return new trees.  On a
+    ``prune_below`` result, ``leaves`` and ``leaves_under`` name the
+    terminal nodes, which may be groups.
     """
 
-    def __init__(self, nodes: Mapping[str, TreeNode], root: str):
-        self.nodes: dict[str, TreeNode] = dict(nodes)
-        self.root = root
-        by_depth: dict[int, list[str]] = {}
-        for nid, node in self.nodes.items():
-            by_depth.setdefault(node.depth, []).append(nid)
-        self._by_depth = {d: tuple(ids) for d, ids in sorted(by_depth.items())}
-        self.max_depth = max(self._by_depth)
-        self.leaves: tuple[str, ...] = tuple(
-            nid for nid, n in self.nodes.items() if n.is_leaf
-        )
+    def __init__(
+        self,
+        ids: list[str],
+        parent: np.ndarray,
+        depth: np.ndarray,
+        n_units: np.ndarray,
+        child_offsets: np.ndarray,
+        children: np.ndarray,
+        is_null: np.ndarray | None = None,
+    ):
+        self.ids = ids
+        self.parent = parent
+        self.depth = depth
+        self.n_units = n_units
+        self.child_offsets = child_offsets
+        self.children = children
+        self.is_null = is_null
+        for array in (parent, depth, n_units, child_offsets, children, is_null):
+            if array is not None:
+                array.flags.writeable = False  # shared with derived trees
+        self.root_index = int(parent.argmin())  # the one -1
 
     # -- structure ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
-    def node(self, node_id: str) -> TreeNode:
+    @property
+    def root(self) -> str:
+        return self.ids[self.root_index]
+
+    @cached_property
+    def max_depth(self) -> int:
+        return int(self.depth.max())
+
+    @cached_property
+    def is_leaf(self) -> np.ndarray:
+        return self.child_offsets[1:] == self.child_offsets[:-1]
+
+    @cached_property
+    def leaves(self) -> tuple[str, ...]:
+        return tuple(compress(self.ids, self.is_leaf.tolist()))
+
+    @cached_property
+    def levels(self) -> list[np.ndarray]:
+        """Node indices per depth, root first, each level in index order."""
+        order = np.argsort(self.depth, kind="stable")
+        bounds = np.cumsum(np.bincount(self.depth)).tolist()  # depth 0 is empty
+        return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {nid: i for i, nid in enumerate(self.ids)}
+
+    def index_of(self, node_id: str) -> int:
         try:
-            return self.nodes[node_id]
+            return self._index[node_id]
         except KeyError:
             raise TreeError(f"unknown node id: {node_id!r}") from None
 
+    def node(self, node_id: str) -> TreeNode:
+        """A view of one node, built on each call."""
+        i = self.index_of(node_id)
+        p = int(self.parent[i])
+        lo, hi = self.child_offsets[i : i + 2]
+        return TreeNode(
+            id=node_id,
+            parent=self.ids[p] if p >= 0 else None,
+            children=tuple(self.ids[c] for c in self.children[lo:hi].tolist()),
+            depth=int(self.depth[i]),
+            n_units=int(self.n_units[i]),
+            is_null=None if self.is_null is None else bool(self.is_null[i]),
+        )
+
     def nodes_at_depth(self, depth: int) -> tuple[str, ...]:
-        return self._by_depth.get(depth, ())
+        if not 1 <= depth <= self.max_depth:
+            return ()
+        return tuple(self.ids[i] for i in self.levels[depth - 1].tolist())
 
     def leaves_under(self, node_id: str) -> list[str]:
         """Leaf ids under a node in depth-first child order; a leaf lists itself.
@@ -79,14 +145,19 @@ class HypothesisTree:
         On a tree from ``from_parents`` these are the node's block ids.
         """
         out = []
-        stack = [self.node(node_id).id]
+        stack = [self.index_of(node_id)]
         while stack:
-            node = self.nodes[stack.pop()]
-            if node.children:
-                stack.extend(reversed(node.children))
+            i = stack.pop()
+            lo, hi = self.child_offsets[i : i + 2]
+            if lo == hi:
+                out.append(self.ids[i])
             else:
-                out.append(node.id)
+                stack.extend(self.children[lo:hi][::-1].tolist())
         return out
+
+    def subtree_sum(self, values) -> np.ndarray:
+        """Per node, the int64 sum of ``values`` over the node and its descendants."""
+        return _subtree_sum(values, self.parent, self.levels)
 
     # -- derived trees -----------------------------------------------------
 
@@ -101,19 +172,17 @@ class HypothesisTree:
         unknown = wanted.difference(self.leaves)
         if unknown:
             raise TreeError(f"unknown block ids: {sorted(unknown)}")
-        non_null: set[str] = set()
-        for nid in self.leaves:
-            if nid in wanted:
-                non_null.add(nid)
-                cur = self.nodes[nid].parent
-                while cur is not None and cur not in non_null:
-                    non_null.add(cur)
-                    cur = self.nodes[cur].parent
-        relabeled = {
-            nid: replace(node, is_null=nid not in non_null)
-            for nid, node in self.nodes.items()
-        }
-        return HypothesisTree(relabeled, self.root)
+        marked = np.zeros(len(self), dtype=np.int64)
+        marked[[self.index_of(nid) for nid in wanted]] = 1
+        return HypothesisTree(
+            self.ids,
+            self.parent,
+            self.depth,
+            self.n_units,
+            self.child_offsets,
+            self.children,
+            is_null=self.subtree_sum(marked) == 0,
+        )
 
     def prune_below(self, stop_nodes: Iterable[str]) -> "HypothesisTree":
         """Drop all strict descendants of the given nodes.
@@ -122,23 +191,59 @@ class HypothesisTree:
         terminal group nodes.  Used after a testing round to remove the
         subtrees of non-rejected nodes.
         """
-        stops = set(stop_nodes)
-        dead: set[str] = set()
-        stack = [c for nid in stops for c in self.node(nid).children]
-        while stack:
-            cur = stack.pop()
-            if cur in dead:
-                continue
-            dead.add(cur)
-            stack.extend(self.nodes[cur].children)
-        kept = {}
-        for nid, node in self.nodes.items():
-            if nid in dead:
-                continue
-            if nid in stops and node.children:
-                node = replace(node, children=())
-            kept[nid] = node
-        return HypothesisTree(kept, self.root)
+        stop = np.zeros(len(self), dtype=bool)
+        stop[[self.index_of(nid) for nid in stop_nodes]] = True
+        dead = np.zeros(len(self), dtype=bool)
+        for level in self.levels[1:]:
+            up = self.parent[level]
+            dead[level] = dead[up] | stop[up]
+        keep = ~dead
+        parent = self.parent[keep]
+        root = parent < 0
+        parent = (np.cumsum(keep) - 1)[parent]  # new positions
+        parent[root] = -1
+        return HypothesisTree(
+            list(compress(self.ids, keep.tolist())),
+            parent,
+            self.depth[keep],
+            self.n_units[keep],
+            *_child_csr(parent),
+            is_null=None if self.is_null is None else self.is_null[keep],
+        )
+
+
+def _child_csr(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Child offsets and child indices, stable by index, from parent links
+    with exactly one root (-1) and every other entry in range."""
+    # entry j + 1 counts the children of node j; entry 0 counts the root
+    offsets = np.cumsum(np.bincount(parent + 1, minlength=len(parent) + 1)) - 1
+    return offsets, np.argsort(parent, kind="stable")[1:]  # the root sorts first
+
+
+def _subtree_sum(values, parent: np.ndarray, levels: Sequence[np.ndarray]) -> np.ndarray:
+    total = np.array(values, dtype=np.int64)
+    for level in reversed(levels[1:]):
+        np.add.at(total, parent[level], total[level])
+    return total
+
+
+def _int64_units(ids: list[str], n_units: Sequence[int | None]) -> np.ndarray:
+    """``n_units`` as int64, None read as 0; any other value must be an
+    integer within the int64 range."""
+    raw = [0 if u is None else u for u in n_units]
+    units = np.array(raw)
+    if units.dtype.kind != "i":
+        i = next(
+            i
+            for i, u in enumerate(raw)
+            if isinstance(u, bool)
+            or not isinstance(u, (int, np.integer))
+            or not -INT64_MAX - 1 <= u <= INT64_MAX
+        )
+        raise TreeError(
+            f"node {ids[i]!r} n_units {raw[i]!r} is not an integer in the int64 range"
+        )
+    return units.astype(np.int64, copy=False)
 
 
 def from_parents(
@@ -150,80 +255,68 @@ def from_parents(
     ``n_units[i]`` is required (at least 1) for leaves; for a group it may
     be None, and otherwise must equal the sum over its children.  Each leaf
     is one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
-    lists a node's blocks.  Nodes may come in any order, and ``tree.nodes``
-    keeps it.  This is the one place where a tree's structure is checked.
+    lists a node's blocks.  Nodes may come in any order, and node ``i`` of
+    the tree is ``ids[i]``.  This is the one place where a tree's structure
+    is checked.
 
     Raises TreeError for a duplicate id, a parent index out of range, zero
     or several roots, a node the root cannot reach (a cycle), a leaf
-    without ``n_units >= 1``, or a given group total that is not the sum
-    over its children.
+    without ``n_units >= 1``, an ``n_units`` that is not an integer in the
+    int64 range, a unit total beyond that range, or a given group total
+    that is not the sum over its children.
     """
-    return HypothesisTree(*_assemble(ids, parent, n_units))
-
-
-def _assemble(
-    ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]
-) -> tuple[dict[str, TreeNode], str]:
-    # Separate from from_parents so that the index lists below are freed
-    # before HypothesisTree copies the node dict (about 15 MB less peak
-    # memory on a 524k-node tree).
     n = len(ids)
     if n == 0:
         raise TreeError("no nodes given")
     if len(parent) != n or len(n_units) != n:
         raise TreeError("ids, parent and n_units must have equal lengths")
+    ids = list(ids)
     if len(set(ids)) != n:
         seen: set[str] = set()
         dup = next(nid for nid in ids if nid in seen or seen.add(nid))
         raise TreeError(f"duplicate node id: {dup!r}")
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for i, p in enumerate(parent):
-        if p == -1:
-            roots.append(i)
-        elif 0 <= p < n:
-            children[p].append(i)
-        else:
-            raise TreeError(f"node {ids[i]!r} references unknown parent index {p}")
+    parent = np.array(parent, dtype=np.int64)
+    bad = np.flatnonzero((parent < -1) | (parent >= n))
+    if bad.size:
+        i = int(bad[0])
+        raise TreeError(f"node {ids[i]!r} references unknown parent index {int(parent[i])}")
+    roots = np.flatnonzero(parent == -1)
     if len(roots) != 1:
         raise TreeError(f"expected exactly one root, found {len(roots)}")
 
-    order = [roots[0]]
-    depth = [0] * n
-    depth[order[0]] = 1
-    for i in order:  # breadth-first; the list grows while it is walked
-        for c in children[i]:
-            depth[c] = depth[i] + 1
-            order.append(c)
-    if len(order) != n:
-        lost = sorted(ids[i] for i in range(n) if not depth[i])
+    # Depth level by level from the root; a node on a cycle is never reached.
+    offsets, children = _child_csr(parent)
+    depth = np.zeros(n, dtype=np.int64)
+    levels = []
+    level = roots
+    while level.size:
+        levels.append(level)
+        depth[level] = len(levels)
+        lo = offsets[level]
+        count = offsets[level + 1] - lo
+        # positions of each node's child slice, concatenated
+        level = children[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    if sum(map(len, levels)) != n:
+        lost = sorted(ids[i] for i in np.flatnonzero(depth == 0).tolist())
         raise TreeError(f"nodes unreachable from the root: {lost}")
 
-    units = [0] * n
-    for i in reversed(order):
-        kids = children[i]
-        given = n_units[i]
-        if not kids:
-            if given is None or given < 1:
-                raise TreeError(f"leaf {ids[i]!r} needs n_units of at least 1")
-            units[i] = given
-        else:
-            total = sum(units[c] for c in kids)
-            if given is not None and given != total:
-                raise TreeError(f"node {ids[i]!r} n_units {given} != children sum {total}")
-            units[i] = total
-
-    nodes = {
-        ids[i]: TreeNode(
-            id=ids[i],
-            parent=ids[p] if p != -1 else None,
-            children=tuple(ids[c] for c in children[i]),
-            depth=depth[i],
-            n_units=units[i],
+    given = np.fromiter((u is not None for u in n_units), dtype=bool, count=n)
+    units = _int64_units(ids, n_units)
+    is_leaf = offsets[1:] == offsets[:-1]
+    bad = np.flatnonzero(is_leaf & (~given | (units < 1)))
+    if bad.size:
+        raise TreeError(f"leaf {ids[bad[0]]!r} needs n_units of at least 1")
+    total = sum(units[is_leaf].tolist())
+    if total > INT64_MAX:
+        raise TreeError(
+            f"n_units total {total} under {ids[roots[0]]!r} is beyond the int64 range"
         )
-        for i, p in enumerate(parent)
-    }
-    return nodes, ids[order[0]]
+    totals = _subtree_sum(np.where(is_leaf, units, 0), parent, levels)
+    bad = np.flatnonzero(given & ~is_leaf & (units != totals))
+    if bad.size:
+        i = int(bad[0])
+        raise TreeError(f"node {ids[i]!r} n_units {units[i]} != children sum {totals[i]}")
+    return HypothesisTree(ids, parent, depth, totals, offsets, children)
 
 
 def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
@@ -242,8 +335,8 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     n_groups = (k ** (L - 1) - 1) // (k - 1)
     total = n_groups + k ** (L - 1)
     return from_parents(
-        [str(i) for i in range(1, total + 1)],
-        [-1, *((i - 1) // k for i in range(1, total))],
+        list(map(str, range(1, total + 1))),
+        np.arange(-1, total - 1) // k,  # node i > 0 hangs under (i - 1) // k
         [None] * n_groups + [units_per_leaf] * (total - n_groups),
     )
 

@@ -74,3 +74,93 @@ def block_statistic(blocks, spec, assignment=None):
         diff = scores[t == 1].mean(axis=0) - scores[t == 0].mean(axis=0)
         stat = stat + (b.n / n_total) * diff
     return stat if spec.statistic == "energy" else float(stat)
+
+
+class ReferenceTree:
+    """A hypothesis tree as a dict of parent links, every quantity computed
+    from its definition by walking the links.
+
+    ``parent`` maps each node id to its parent id (None at the root), in
+    node order; ``units`` gives each leaf's unit count.  ``is_null`` maps
+    node ids to truth labels, or is None when unlabeled.
+    """
+
+    def __init__(self, parent, units, is_null=None):
+        self.parent = dict(parent)
+        self.units = dict(units)
+        self.is_null = is_null
+        self.root = next(nid for nid, p in self.parent.items() if p is None)
+
+    def children(self, nid):
+        return tuple(c for c, p in self.parent.items() if p == nid)
+
+    def ancestors(self, nid):
+        """Strict ancestors, root first."""
+        out = []
+        while self.parent[nid] is not None:
+            nid = self.parent[nid]
+            out.append(nid)
+        return out[::-1]
+
+    def depth(self, nid):
+        return 1 + len(self.ancestors(nid))
+
+    def n_units(self, nid):
+        kids = self.children(nid)
+        return self.units[nid] if not kids else sum(self.n_units(c) for c in kids)
+
+    def leaves(self):
+        return [nid for nid in self.parent if not self.children(nid)]
+
+    def leaves_under(self, nid):
+        kids = self.children(nid)
+        return [nid] if not kids else [leaf for c in kids for leaf in self.leaves_under(c)]
+
+    def label_truth(self, non_null_leaves):
+        """A node is null iff no leaf under it is in ``non_null_leaves``."""
+        wanted = set(non_null_leaves)
+        labels = {nid: not wanted.intersection(self.leaves_under(nid)) for nid in self.parent}
+        return ReferenceTree(self.parent, self.units, labels)
+
+    def prune_below(self, stop_nodes):
+        """Drop every node with a stop node among its strict ancestors; a
+        surviving stop node keeps its unit total."""
+        stops = set(stop_nodes)
+        kept = [nid for nid in self.parent if not stops.intersection(self.ancestors(nid))]
+        return ReferenceTree(
+            {nid: self.parent[nid] for nid in kept},
+            {nid: self.n_units(nid) for nid in kept},
+            None if self.is_null is None else {nid: self.is_null[nid] for nid in kept},
+        )
+
+    def schedule_rows(self, model, power):
+        """Per depth: (depth, n_nodes, theta_hat, exposure, error_load, alpha_adj).
+
+        A node's reach is the product of theta over its strict ancestors,
+        multiplied from the root down; depth sums add the depth's nodes in
+        node order.
+        """
+        theta = {nid: power(model, self.n_units(nid)) for nid in self.parent}
+        reach = {}
+        for nid in self.parent:
+            r = 1.0
+            for a in self.ancestors(nid):
+                r *= theta[a]
+            reach[nid] = r
+
+        sums = []
+        for depth in range(1, max(map(self.depth, self.parent)) + 1):
+            ids = [nid for nid in self.parent if self.depth(nid) == depth]
+            sums.append((
+                depth,
+                len(ids),
+                sum(theta[nid] for nid in ids) / len(ids),
+                sum(reach[nid] for nid in ids),
+                sum(reach[nid] * theta[nid] for nid in ids),
+            ))
+        alpha = model.alpha
+        gating = sum(row[4] for row in sums) <= 1.0
+        return [
+            (*row, alpha if gating or row[0] == 1 or row[3] <= 0 else min(alpha, alpha / row[3]))
+            for row in sums
+        ]

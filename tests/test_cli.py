@@ -257,17 +257,17 @@ class TestNodeSizes:
             "node_id,parent_id,n_units\na1,a,30\nroot,,\na,root,\na2,a,20\nb,root,50\n"
         )
         tree = read_node_sizes(str(path))
-        assert list(tree.nodes) == ["a1", "root", "a", "a2", "b"]
-        assert tree.nodes["a"].children == ("a1", "a2")
-        assert tree.nodes["root"].n_units == 100
-        assert tree.nodes["a1"].depth == 3
+        assert tree.ids == ["a1", "root", "a", "a2", "b"]
+        assert tree.node("a").children == ("a1", "a2")
+        assert tree.node("root").n_units == 100
+        assert tree.node("a1").depth == 3
 
     def test_deep_chain_accepted(self, tmp_path):
         path = tmp_path / "chain.csv"
         path.write_text("node_id,parent_id,n_units\n" + _chain(1500))
         tree = read_node_sizes(str(path))
         assert tree.max_depth == 1500
-        assert tree.nodes["n0"].n_units == 5
+        assert tree.node("n0").n_units == 5
 
     @pytest.mark.parametrize(
         "body, message",
@@ -300,7 +300,7 @@ class TestNodeSizes:
             "a1,a,100\na2,a,100\nb1,b,100\nb2,b,100\n"
         )
         tree = read_node_sizes(str(path))
-        assert tree.nodes["root"].n_units == 400
+        assert tree.node("root").n_units == 400
         assert tree.max_depth == 3
 
     def test_inconsistent_units_rejected(self, tmp_path):
@@ -318,6 +318,14 @@ class TestNodeSizes:
         )
         with pytest.raises(CliError, match="unreachable"):
             read_node_sizes(str(path))
+
+    def test_units_beyond_int64_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "sizes.csv"
+        path.write_text("node_id,parent_id,n_units\nroot,,\na,root,9223372036854775808\nb,root,5\n")
+        assert main(["alpha-schedule", str(path), "--d-hat", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: node 'a' n_units 9223372036854775808 ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_single_node_schedule(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

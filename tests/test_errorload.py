@@ -95,7 +95,7 @@ class TestAdaptiveSchedule:
             [("a", ("g", "a"), 30), ("b", ("g", "b"), 50), ("c", ("c",), 40)]
         )
         model = PowerModel(d_hat=0.5)
-        theta = {nid: power_normal_approx(model, n.n_units) for nid, n in tree.nodes.items()}
+        theta = {nid: power_normal_approx(model, tree.node(nid).n_units) for nid in tree.ids}
         sched = adaptive_schedule(tree, model)
         assert [row.n_nodes for row in sched.depths] == [1, 2, 2]
         assert [row.exposure for row in sched.depths] == pytest.approx(

@@ -59,13 +59,13 @@ class TestRunTopdown:
     def test_rejected_set_upward_closed(self, k3l3):
         result = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED)
         for nid in result.rejected_ids():
-            parent = k3l3.nodes[nid].parent
+            parent = k3l3.node(nid).parent
             if parent is not None:
                 assert result.outcome(parent).rejected
 
     def test_alpha_zero_and_one(self, k3l3):
         rng = np.random.default_rng(0)
-        pvals = {nid: rng.random() for nid in k3l3.nodes}
+        pvals = {nid: rng.random() for nid in k3l3.ids}
         none = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED, alpha=0.0)
         assert none.total_rejections == 0
         # p-values can equal 1, so alpha=1 rejects every node in the tree
@@ -79,7 +79,7 @@ class TestRunTopdown:
     def test_monotone_in_alpha(self, a1, a2, seed):
         tree = build_regular(3, 3)
         rng = np.random.default_rng(seed)
-        pvals = {nid: rng.random() for nid in tree.nodes}
+        pvals = {nid: rng.random() for nid in tree.ids}
         low, high = sorted([a1, a2])
         r_low = run_topdown(tree, pvals.__getitem__, UNADJUSTED, alpha=low)
         r_high = run_topdown(tree, pvals.__getitem__, UNADJUSTED, alpha=high)
@@ -118,7 +118,7 @@ class TestLocalAdjustment:
         assert set(result.rejected_ids()) == {"1", "2", "3", "4"}
 
     def test_root_group_of_one_is_unchanged(self, k3l3):
-        pvals = {nid: 0.9 for nid in k3l3.nodes}
+        pvals = {nid: 0.9 for nid in k3l3.ids}
         pvals["1"] = 0.04
         result = run_topdown(k3l3, pvals.__getitem__, LOCAL_HOMMEL, alpha=0.05)
         assert result.outcome("1").rejected
@@ -164,7 +164,7 @@ class TestAdaptiveVariants:
     def test_pruned_equals_adaptive_when_nothing_pruned(self, k3l3):
         tree = build_regular(3, 3, units_per_leaf=300)
         sched = adaptive_schedule(tree, PowerModel(d_hat=0.2))
-        pvals = {nid: 0.0001 for nid in tree.nodes}
+        pvals = {nid: 0.0001 for nid in tree.ids}
         a = run_topdown(tree, pvals.__getitem__, ADAPTIVE, schedule=sched)
         b = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=sched)
         assert set(a.rejected_ids()) == set(b.rejected_ids())
@@ -222,7 +222,7 @@ class TestScoring:
 
     def test_everything_rejected_on_global_null(self, k3l3):
         labeled = k3l3.label_truth(set())
-        score = score_rejections(set(labeled.nodes), labeled)
+        score = score_rejections(set(labeled.ids), labeled)
         assert score.any_false_rejection_node
         assert score.false_rejection_prop_node == 1.0
         assert score.power_node == 0.0

@@ -153,7 +153,7 @@ class TestGenerateDppData:
         assert sum(b.n for b in blocks) == 2200
         assert all(b.n_treated == 25 for b in blocks)
         assert len(non_null) == 9
-        assert tree.nodes[tree.root].n_units == 2200
+        assert tree.node(tree.root).n_units == 2200
 
     def test_effect_is_additive_shift(self):
         _, blocks, non_null = generate_dpp_data(None, 0.2, seed=3)
@@ -244,7 +244,7 @@ class TestNodePValues:
         modes = set()
         for tree, blocks, prefix in cases:
             source = NodePValues(tree, blocks, spec, prefix)
-            for nid in tree.nodes:
+            for nid in tree.ids:
                 node_blocks = self.node_blocks(tree, blocks, nid)
                 modes.add(is_exact(node_blocks, spec))
                 assert source(nid) == permutation_pvalue(node_blocks, spec, stream_key=prefix), nid
@@ -260,7 +260,7 @@ class TestNodePValues:
         tree = build_from_paths(rows)
         spec = TestSpec(statistic="mean_diff", n_perms=199, exact=False, seed=3)
         replicates, alpha = 1000, 0.05
-        hits = dict.fromkeys(tree.nodes, 0)
+        hits = dict.fromkeys(tree.ids, 0)
         for rep in range(replicates):
             rng = np.random.default_rng(np.random.SeedSequence([55, rep]))
             blocks = []
@@ -269,7 +269,7 @@ class TestNodePValues:
                 t[rng.permutation(n)[: n // 2]] = 1
                 blocks.append(Block(bid, t, rng.normal(size=n)))
             source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
-            for nid in tree.nodes:
+            for nid in tree.ids:
                 hits[nid] += source(nid) <= alpha
         bound = alpha + 2 * math.sqrt(alpha * (1 - alpha) / replicates)
         rates = {nid: count / replicates for nid, count in hits.items()}

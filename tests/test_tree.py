@@ -1,7 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import ReferenceTree
+from treegate.errorload import (
+    PowerModel,
+    adaptive_schedule,
+    power_normal_approx,
+    recompute_after_pruning,
+)
 from treegate.tree import TreeError, build_from_paths, build_regular, from_parents
 
 
@@ -17,6 +26,30 @@ def dpp_style_rows():
     return rows
 
 
+def shuffled_trees(max_nodes=40, min_units=1):
+    """Strategy for ``from_parents`` arguments of a random tree.
+
+    Node i > 0 hangs under an earlier node, so the links form a tree; a
+    permutation then lists the nodes, "n0" ... , in a shuffled order.
+    """
+
+    def arguments(drawn):
+        links, order, units = drawn
+        position = {node: pos for pos, node in enumerate(order)}
+        groups = set(links)
+        return (
+            [f"n{node}" for node in order],
+            [-1 if node == 0 else position[links[node - 1]] for node in order],
+            [None if node in groups else units[node] for node in order],
+        )
+
+    return st.integers(1, max_nodes).flatmap(lambda n: st.tuples(
+        st.tuples(*(st.integers(0, i - 1) for i in range(1, n))),
+        st.permutations(range(n)),
+        st.lists(st.integers(min_units, 9), min_size=n, max_size=n),
+    )).map(arguments)
+
+
 class TestBuildRegular:
     def test_k3_l3_counts(self):
         tree = build_regular(3, 3)
@@ -29,16 +62,22 @@ class TestBuildRegular:
         assert len(tree.leaves) == 2
 
     def test_largest_reference_tree(self):
-        # binary tree with 18 levels below the root
-        tree = build_regular(2, 19)
+        # binary tree with 18 levels below the root, built within 120 MiB
+        tracemalloc.start()
+        try:
+            tree = build_regular(2, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(tree) == 524_287
         assert len(tree.leaves) == 262_144
+        assert peak <= 120 * 2**20
 
     def test_unit_counts_scale_with_level(self):
         tree = build_regular(3, 3, units_per_leaf=10)
-        assert tree.nodes["1"].n_units == 90
-        assert tree.nodes["2"].n_units == 30
-        assert tree.nodes["5"].n_units == 10
+        assert tree.node("1").n_units == 90
+        assert tree.node("2").n_units == 30
+        assert tree.node("5").n_units == 10
 
     @pytest.mark.parametrize("k,L", [(1, 3), (2, 1), (0, 2)])
     def test_rejects_degenerate_shapes(self, k, L):
@@ -47,17 +86,17 @@ class TestBuildRegular:
 
     def test_children_in_order(self):
         tree = build_regular(3, 3)
-        assert tree.nodes["1"].children == ("2", "3", "4")
-        assert tree.nodes["2"].children == ("5", "6", "7")
+        assert tree.node("1").children == ("2", "3", "4")
+        assert tree.node("2").children == ("5", "6", "7")
 
     @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 7))
     @settings(max_examples=30, deadline=None)
     def test_children_units_sum_to_parent(self, k, L, units):
         tree = build_regular(k, L, units_per_leaf=units)
-        for node in tree.nodes.values():
+        for node in map(tree.node, tree.ids):
             if node.children:
                 assert node.n_units == sum(
-                    tree.nodes[c].n_units for c in node.children
+                    tree.node(c).n_units for c in node.children
                 )
                 child_blocks = [b for c in node.children for b in tree.leaves_under(c)]
                 assert child_blocks == tree.leaves_under(node.id)
@@ -69,20 +108,20 @@ class TestBuildFromPaths:
         assert len(tree.nodes_at_depth(2)) == 5
         assert len(tree.leaves) == 44
         assert len(tree) == 1 + 5 + 15 + 44
-        assert tree.nodes[tree.root].n_units == 2200
+        assert tree.node(tree.root).n_units == 2200
 
     def test_single_block_empty_path(self):
         tree = build_from_paths([("b1", (), 10)])
         assert len(tree) == 2
-        assert tree.nodes["b1"].parent == tree.root
+        assert tree.node("b1").parent == tree.root
 
     def test_two_blocks_under_one_parent(self):
         tree = build_from_paths(
             [("b1", ("G", "b1"), 5), ("b2", ("G", "b2"), 5)]
         )
         assert len(tree) == 4
-        assert tree.nodes["G"].children == ("b1", "b2")
-        assert tree.nodes["G"].n_units == 10
+        assert tree.node("G").children == ("b1", "b2")
+        assert tree.node("G").n_units == 10
 
     def test_duplicate_block_rejected(self):
         with pytest.raises(TreeError, match="duplicate"):
@@ -107,18 +146,18 @@ class TestFromParents:
         tree = from_parents(
             ["a1", "root", "a", "b", "a2"], [2, -1, 1, 1, 2], [3, None, None, 4, 5]
         )
-        assert list(tree.nodes) == ["a1", "root", "a", "b", "a2"]
+        assert tree.ids == ["a1", "root", "a", "b", "a2"]
         assert tree.root == "root"
-        assert tree.nodes["root"].children == ("a", "b")
-        assert tree.nodes["a"].children == ("a1", "a2")
-        assert tree.nodes["a2"].depth == 3
+        assert tree.node("root").children == ("a", "b")
+        assert tree.node("a").children == ("a1", "a2")
+        assert tree.node("a2").depth == 3
         assert tree.leaves_under("a") == ["a1", "a2"]
         assert tree.leaves_under("root") == ["a1", "a2", "b"]
-        assert tree.nodes["root"].n_units == 12
-        assert tree.nodes["a1"].parent == "a"
+        assert tree.node("root").n_units == 12
+        assert tree.node("a1").parent == "a"
 
     def test_group_total_checked_when_given(self):
-        assert from_parents(["r", "x", "y"], [-1, 0, 0], [5, 2, 3]).nodes["r"].n_units == 5
+        assert from_parents(["r", "x", "y"], [-1, 0, 0], [5, 2, 3]).node("r").n_units == 5
         with pytest.raises(TreeError, match="children sum"):
             from_parents(["r", "x", "y"], [-1, 0, 0], [6, 2, 3])
 
@@ -128,7 +167,7 @@ class TestFromParents:
             [f"n{i}" for i in range(n)], [i - 1 for i in range(n)], [None] * (n - 1) + [2]
         )
         assert tree.max_depth == n
-        assert tree.nodes["n0"].n_units == 2
+        assert tree.node("n0").n_units == 2
 
     @pytest.mark.parametrize(
         "ids, parent, units, message",
@@ -141,43 +180,37 @@ class TestFromParents:
             (["r", "x"], [-1, 0], [None, None], "leaf 'x' needs n_units"),
             (["r", "x"], [-1, 0], [None, 0], "leaf 'x' needs n_units"),
             ([], [], [], "no nodes"),
+            (["r", "x"], [-1, 0], [None, 2**63], "'x' n_units 9223372036854775808 is not an integer"),
+            (["r", "g", "x", "y"], [-1, 0, 1, 1], [None, None, 2**62, 2**62],
+             "n_units total 9223372036854775808 under 'r' is beyond the int64 range"),
+            (["r", "x", "y"], [-1, 0, 0], [None, 1.5, 2], "'x' n_units 1.5 is not an integer"),
         ],
         ids=["duplicate", "unknown_parent", "no_root", "two_roots", "cycle",
-             "leaf_without_units", "leaf_zero_units", "empty"],
+             "leaf_without_units", "leaf_zero_units", "empty", "leaf_beyond_int64",
+             "total_beyond_int64", "leaf_not_integer"],
     )
     def test_malformed_input_rejected(self, ids, parent, units, message):
-        with pytest.raises(TreeError, match=message):
+        with pytest.raises(TreeError, match=message) as err:
             from_parents(ids, parent, units)
+        assert "\n" not in str(err.value)
 
-    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
-        st.tuples(*(st.integers(0, i - 1) for i in range(1, n))),
-        st.permutations(range(n)),
-        st.lists(st.integers(1, 9), min_size=n, max_size=n),
-    )))
+    @given(shuffled_trees())
     @settings(max_examples=200, deadline=None)
-    def test_invariants_of_random_trees(self, drawn):
-        # node i > 0 hangs under an earlier node, so the links form a tree;
-        # the permutation then lists the nodes in a shuffled order
-        links, order, units = drawn
-        position = {node: pos for pos, node in enumerate(order)}
-        groups = set(links)
-        tree = from_parents(
-            [f"n{node}" for node in order],
-            [-1 if node == 0 else position[links[node - 1]] for node in order],
-            [None if node in groups else units[node] for node in order],
-        )
+    def test_invariants_of_random_trees(self, args):
+        tree = from_parents(*args)
 
-        roots = [nid for nid, node in tree.nodes.items() if node.parent is None]
+        roots = [nid for nid in tree.ids if tree.node(nid).parent is None]
         assert roots == [tree.root] == ["n0"]
-        assert tree.nodes[tree.root].depth == 1
-        for nid, node in tree.nodes.items():
+        assert tree.node(tree.root).depth == 1
+        for nid in tree.ids:
+            node = tree.node(nid)
             if node.parent is not None:
-                assert nid in tree.nodes[node.parent].children
+                assert nid in tree.node(node.parent).children
             for c in node.children:
-                assert tree.nodes[c].parent == nid
-                assert tree.nodes[c].depth == node.depth + 1
+                assert tree.node(c).parent == nid
+                assert tree.node(c).depth == node.depth + 1
             if node.children:
-                assert node.n_units == sum(tree.nodes[c].n_units for c in node.children)
+                assert node.n_units == sum(tree.node(c).n_units for c in node.children)
                 assert tree.leaves_under(nid) == [
                     leaf for c in node.children for leaf in tree.leaves_under(c)
                 ]
@@ -188,13 +221,13 @@ class TestFromParents:
 class TestLabelTruth:
     def test_reference_13_node_case(self):
         tree = build_regular(3, 3).label_truth({"5"})
-        non_null = {nid for nid, n in tree.nodes.items() if n.is_null is False}
+        non_null = {nid for nid in tree.ids if tree.node(nid).is_null is False}
         assert non_null == {"1", "2", "5"}
-        assert sum(n.is_null for n in tree.nodes.values()) == 10
+        assert sum(n.is_null for n in map(tree.node, tree.ids)) == 10
 
     def test_empty_set_is_global_null(self):
         tree = build_regular(3, 3).label_truth(set())
-        assert all(n.is_null for n in tree.nodes.values())
+        assert all(n.is_null for n in map(tree.node, tree.ids))
 
     def test_unknown_block_rejected(self):
         with pytest.raises(TreeError, match="unknown"):
@@ -203,7 +236,7 @@ class TestLabelTruth:
     def test_original_tree_unchanged(self):
         tree = build_regular(3, 3)
         tree.label_truth({"5"})
-        assert all(n.is_null is None for n in tree.nodes.values())
+        assert all(n.is_null is None for n in map(tree.node, tree.ids))
 
     @given(
         st.sets(st.sampled_from([str(i) for i in range(5, 14)]), max_size=9),
@@ -214,9 +247,9 @@ class TestLabelTruth:
         tree = build_regular(3, 3)
         before = tree.label_truth(base)
         after = tree.label_truth(base | {extra})
-        for nid in tree.nodes:
-            if before.nodes[nid].is_null is False:
-                assert after.nodes[nid].is_null is False
+        for nid in tree.ids:
+            if before.node(nid).is_null is False:
+                assert after.node(nid).is_null is False
 
     @given(
         st.integers(2, 3),
@@ -229,7 +262,8 @@ class TestLabelTruth:
         tree = build_regular(k, L)
         leaves = list(tree.leaves)
         chosen = data.draw(st.sets(st.sampled_from(leaves), min_size=1))
-        nodes = tree.label_truth(chosen).nodes
+        labeled = tree.label_truth(chosen)
+        nodes = {nid: labeled.node(nid) for nid in labeled.ids}
 
         def non_null(depth):
             return sum(1 for n in nodes.values() if n.depth == depth and n.is_null is False)
@@ -248,14 +282,74 @@ class TestPruneBelow:
     def test_prune_removes_descendants_only(self):
         tree = build_regular(3, 3)
         pruned = tree.prune_below(["2"])
-        assert "2" in pruned.nodes
-        assert "5" not in pruned.nodes
+        assert "2" in pruned.ids
+        assert "5" not in pruned.ids
         assert len(pruned) == 13 - 3
-        assert pruned.nodes["2"].children == ()
+        assert pruned.node("2").children == ()
         # original untouched
-        assert tree.nodes["2"].children == ("5", "6", "7")
+        assert tree.node("2").children == ("5", "6", "7")
 
     def test_prune_nothing_is_identity_shape(self):
         tree = build_regular(3, 3)
         pruned = tree.prune_below([])
-        assert set(pruned.nodes) == set(tree.nodes)
+        assert set(pruned.ids) == set(tree.ids)
+
+
+def _schedule_rows(schedule):
+    return [
+        (row.depth, row.n_nodes, row.theta_hat, row.exposure, row.error_load, row.alpha_adj)
+        for row in schedule.depths
+    ]
+
+
+class TestAgainstReferenceTree:
+    """The array tree against a dict of parent links walked by definition."""
+
+    @staticmethod
+    def assert_same(tree, ref):
+        assert tree.ids == list(ref.parent)
+        assert tree.root == ref.root
+        assert list(tree.leaves) == ref.leaves()
+        for nid in tree.ids:
+            node = tree.node(nid)
+            assert node.parent == ref.parent[nid]
+            assert node.children == ref.children(nid)
+            assert node.depth == ref.depth(nid)
+            assert node.n_units == ref.n_units(nid)
+            assert node.is_null == (None if ref.is_null is None else ref.is_null[nid])
+            assert tree.leaves_under(nid) == ref.leaves_under(nid)
+        for depth in range(1, tree.max_depth + 2):
+            assert tree.nodes_at_depth(depth) == tuple(
+                nid for nid in ref.parent if ref.depth(nid) == depth
+            )
+
+    @given(shuffled_trees(max_nodes=30, min_units=2), st.floats(0.01, 1.0), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_structure_labels_pruning_and_schedules_match(self, args, d_hat, data):
+        ids, parent, units = args
+        tree = from_parents(ids, parent, units)
+        ref = ReferenceTree(
+            {nid: ids[p] if p >= 0 else None for nid, p in zip(ids, parent)},
+            {nid: u for nid, u in zip(ids, units) if u is not None},
+        )
+        self.assert_same(tree, ref)
+
+        non_null = data.draw(st.sets(st.sampled_from(ref.leaves())), label="non_null")
+        tree, ref = tree.label_truth(non_null), ref.label_truth(non_null)
+        self.assert_same(tree, ref)
+
+        model = PowerModel(d_hat=d_hat)
+        schedule = adaptive_schedule(tree, model)
+        expected = ref.schedule_rows(model, power_normal_approx)
+        assert _schedule_rows(schedule) == expected
+        for depth_completed in range(1, tree.max_depth):
+            stops = data.draw(st.sets(st.sampled_from(tree.ids)), label="stops")
+            tree, ref = tree.prune_below(stops), ref.prune_below(stops)
+            self.assert_same(tree, ref)
+            schedule = recompute_after_pruning(schedule, tree, depth_completed)
+            kept = {row[0]: row[5] for row in expected}
+            expected = [
+                (*row[:5], kept[row[0]]) if row[0] <= depth_completed else row
+                for row in ref.schedule_rows(model, power_normal_approx)
+            ]
+            assert _schedule_rows(schedule) == expected
