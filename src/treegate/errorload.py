@@ -15,13 +15,11 @@ quantities computed from estimated per-node rejection probabilities:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .tree import HypothesisTree
 
@@ -42,30 +40,26 @@ class PowerModel:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.d_hat < 0:
-            raise ScheduleError("d_hat must be non-negative")
+        if not (np.isfinite(self.d_hat) and self.d_hat >= 0):
+            raise ScheduleError(f"d_hat must be finite and non-negative: {self.d_hat}")
         if not 0.0 < self.alpha < 0.5:
             raise ScheduleError("alpha must lie in (0, 0.5)")
 
 
-def power_normal_approx(model: PowerModel, n_total: int | float) -> float:
+def power_normal_approx(model: PowerModel, n_total: float | np.ndarray) -> float | np.ndarray:
     """Normal-approximation power of a two-sided level-alpha test.
 
     With ``n_total`` units split equally between the two arms the test
     statistic has drift ``d_hat * sqrt(n_total / 4)``.  The result is
     floored at alpha so a null node never contributes less than its test
-    size.
+    size.  Takes one size (returns a float) or an array of sizes.
     """
-    if n_total < 2:
+    n = np.asarray(n_total, dtype=float)
+    if (n < 2).any():
         raise ScheduleError("n_total must be at least 2")
-    return _power_cached(model.d_hat, model.alpha, float(n_total))
-
-
-@lru_cache(maxsize=65536)
-def _power_cached(d_hat: float, alpha: float, n_total: float) -> float:
-    z = norm.ppf(1.0 - alpha / 2.0)
-    theta = norm.cdf(d_hat * math.sqrt(n_total / 4.0) - z)
-    return max(float(theta), alpha)
+    z = ndtri(1.0 - model.alpha / 2.0)
+    theta = np.maximum(ndtr(model.d_hat * np.sqrt(n / 4.0) - z), model.alpha)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,9 +127,7 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped at
     alpha, with the root always at alpha.
     """
-    sizes = np.unique(tree.n_units)
-    theta = np.array([power_normal_approx(model, n) for n in sizes.tolist()])
-    theta = theta[np.searchsorted(sizes, tree.n_units)]
+    theta = power_normal_approx(model, tree.n_units)
     reach = np.ones(len(tree))
     sums = []  # per depth: node count, exposure, error load, mean theta
     for level in tree.levels:

@@ -10,7 +10,6 @@ sibling group can additionally be adjusted before comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -91,7 +90,7 @@ def _validated_p(p_source: PSource, node_id: str) -> float:
         p = float(p_source(node_id))
     except KeyError:
         raise GateError(f"p-value source has no value for reachable node {node_id!r}")
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
+    if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
         raise GateError(f"p-value for node {node_id!r} outside [0, 1]: {p}")
     return p
 

@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 STATISTICS = ("mean_diff", "rank", "energy")
 
@@ -291,7 +291,7 @@ def permutation_pvalue(
     if spec.statistic == "energy":
         vals, rank = _energy_quadratic(rows)
         if spec.chi2_approx:
-            return 1.0 if rank == 0 else float(chi2.sf(vals[obs_row], df=rank))
+            return 1.0 if rank == 0 else float(chdtrc(rank, vals[obs_row]))
     else:
         vals = rows[:, 0]
         if spec.sides == "two":

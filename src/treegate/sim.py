@@ -136,6 +136,8 @@ def simulate_weak(
     """
     if replicates < 100:
         raise SimError("replicates must be at least 100")
+    if seed < 0:
+        raise SimError("seed must be non-negative")
     tree = build_regular(k, L)
     fwer_hits = 0
     tests_sum = 0.0
@@ -239,6 +241,10 @@ class ScenarioConfig:
             raise SimError("replicates must be at least 100")
         if self.d is None and self.null_proportion < 1.0:
             raise SimError("an effect size d is required when non-null leaves exist")
+        if self.d is not None and not math.isfinite(self.d):
+            raise SimError(f"d must be finite: {self.d}")
+        if self.seed < 0:
+            raise SimError("seed must be non-negative")
         if self.placement not in ("contiguous", "scattered"):
             raise SimError(f"unknown placement: {self.placement!r}")
         if self.internal_power not in ("model", "diluted"):
@@ -476,6 +482,8 @@ class DppConfig:
     def __post_init__(self):
         if self.replicates < 100:
             raise SimError("replicates must be at least 100")
+        if not math.isfinite(self.d):
+            raise SimError(f"d must be finite: {self.d}")
         _check_methods(self.methods)
 
 

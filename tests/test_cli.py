@@ -436,17 +436,29 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
          "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=1.0\nmethods=td,foo\n"),
         (["simulate", "dpp", "--config", "{config}"], "d=0.5\nstatistic=bogus\n"),
         (["alpha-schedule", "{sizes}", "--d-hat", "0.3"], None),
+        (["alpha-schedule", "{valid_sizes}", "--d-hat", "nan"], None),
+        (["test", "{data}", "--variant", "adaptive", "--d-hat", "nan"], None),
+        (["simulate", "strong", "--config", "{config}"],
+         "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=0.5\nd=nan\n"),
+        (["simulate", "dpp", "--config", "{config}"], "d=nan\n"),
+        (["simulate", "weak", "--config", "{config}"], "k=2\nL=3\nseed=-1\n"),
+        (["simulate", "strong", "--config", "{config}"],
+         "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=1.0\nseed=-1\n"),
     ],
     ids=["alpha_above_one", "alpha_above_half", "too_few_perms", "negative_d_hat",
          "strong_few_replicates", "strong_unknown_method", "dpp_unknown_statistic",
-         "schedule_one_unit_leaf"],
+         "schedule_one_unit_leaf", "schedule_nan_d_hat", "adaptive_nan_d_hat",
+         "strong_nan_d", "dpp_nan_d", "weak_negative_seed", "strong_negative_seed"],
 )
 def test_package_errors_are_one_line(tmp_path, capsys, argv, config):
     sizes = tmp_path / "sizes.csv"
     sizes.write_text("node_id,parent_id,n_units\nroot,,\na,root,1\nb,root,5\n")
+    valid_sizes = tmp_path / "valid_sizes.csv"
+    valid_sizes.write_text("node_id,parent_id,n_units\nroot,,\na,root,4\nb,root,5\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config or "")
-    paths = {"data": os.path.join(GOLDEN, "trial.csv"), "config": str(cfg), "sizes": str(sizes)}
+    paths = {"data": os.path.join(GOLDEN, "trial.csv"), "config": str(cfg),
+             "sizes": str(sizes), "valid_sizes": str(valid_sizes)}
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from treegate.errorload import (
     PowerModel,
@@ -35,6 +39,41 @@ class TestPowerModel:
             PowerModel(d_hat=-0.1)
         with pytest.raises(ScheduleError):
             PowerModel(d_hat=0.2, alpha=0.6)
+        for d_hat in (math.nan, math.inf):
+            with pytest.raises(ScheduleError, match="finite"):
+                PowerModel(d_hat=d_hat)
+
+
+class TestPowerAgainstScipyStats:
+    # differential oracle: the scipy.special expression against the
+    # textbook formula through scipy.stats.norm, element by element
+    SIZES = np.concatenate([np.arange(2, 600), [1000, 4096, 10**5, 10**7]])
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.25, 0.49])
+    @pytest.mark.parametrize("d_hat", [0.0, 0.01, 0.13, 0.2, 0.5, 0.8, 1.7, 4.0])
+    def test_array_power_matches_norm_bitwise(self, d_hat, alpha):
+        model = PowerModel(d_hat=d_hat, alpha=alpha)
+        theta = power_normal_approx(model, self.SIZES)
+        assert isinstance(theta, np.ndarray) and theta.shape == self.SIZES.shape
+        z = norm.ppf(1.0 - alpha / 2.0)
+        expected = [
+            max(float(norm.cdf(d_hat * math.sqrt(n / 4.0) - z)), alpha)
+            for n in self.SIZES.tolist()
+        ]
+        assert theta.tolist() == expected
+
+    def test_scalar_call_is_the_matching_float(self):
+        model = PowerModel(d_hat=0.3, alpha=0.05)
+        theta = power_normal_approx(model, self.SIZES)
+        for i in (0, 7, 300, len(self.SIZES) - 1):
+            for n in (int(self.SIZES[i]), float(self.SIZES[i]), self.SIZES[i]):
+                value = power_normal_approx(model, n)
+                assert type(value) is float
+                assert value == theta[i]
+
+    def test_array_with_a_tiny_size_rejected(self):
+        with pytest.raises(ScheduleError):
+            power_normal_approx(PowerModel(d_hat=0.5), np.array([40, 1, 40]))
 
 
 class TestErrorLoadRegular:

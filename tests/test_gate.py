@@ -94,9 +94,10 @@ class TestRunTopdown:
         with pytest.raises(GateError, match="no value"):
             run_topdown(k3l3, {"1": 0.001}.__getitem__, UNADJUSTED)
 
-    def test_out_of_range_pvalue_raises(self, k3l3):
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_out_of_range_pvalue_raises(self, k3l3, p):
         with pytest.raises(GateError, match="outside"):
-            run_topdown(k3l3, {"1": 1.5}.__getitem__, UNADJUSTED)
+            run_topdown(k3l3, {"1": p}.__getitem__, UNADJUSTED)
 
 
 class TestLocalAdjustment:

@@ -1,15 +1,17 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from scipy.stats import permutation_test, rankdata
+from scipy.stats import chi2, permutation_test, rankdata
 
 from treegate.permtest import (
     Block,
     DegenerateBlockError,
     PermTestError,
     TestSpec,
+    _energy_quadratic,
     block_draws,
     energy_scores,
     permutation_pvalue,
@@ -351,6 +353,25 @@ class TestEnergyPvalue:
         p_mc = permutation_pvalue(blocks, mc, stream_key="n")
         p_chi = permutation_pvalue(blocks, approx, stream_key="n")
         assert abs(p_mc - p_chi) < 0.12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chi2_approximation_is_scipy_stats_chi2_sf(self, seed):
+        # differential oracle: the chi-square tail of the observed row's
+        # quadratic form, through scipy.stats.chi2 at the form's rank
+        rng = np.random.default_rng(900 + seed)
+        if seed % 2:  # two outcome values make several scores collinear
+            blocks = [
+                make_block(rng.integers(0, 2, 12).astype(float), rng.permutation(12)[:6], f"b{i}")
+                for i in range(2)
+            ]
+        else:
+            blocks = null_blocks(rng, n_blocks=3, n=10, m=5)
+        spec = TestSpec(statistic="energy", n_perms=300, exact=False, seed=seed, chi2_approx=True)
+        draws = reduce(np.add, (block_draws(b, spec, "k") for b in blocks))
+        quad, rank = _energy_quadratic(draws / sum(b.n for b in blocks))
+        assert rank > 0
+        expected = float(chi2.sf(quad[spec.n_perms], df=rank))
+        assert permutation_pvalue(blocks, spec, stream_key="k") == expected
 
     def test_rank_deficiency_handled(self):
         # two outcome values make several scores perfectly collinear

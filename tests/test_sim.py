@@ -91,6 +91,11 @@ class TestScenarioConfig:
                 methods=("td", "holm"), replicates=100,
             )
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_effect_rejected(self, d):
+        with pytest.raises(SimError, match="d must be finite"):
+            ScenarioConfig(k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=d)
+
     def test_bad_placement_rejected(self):
         with pytest.raises(SimError):
             ScenarioConfig(
@@ -193,6 +198,11 @@ class TestSimulateDpp:
         base = dict(d=0.8, replicates=100, n_perms=100, seed=1)
         base.update(kw)
         return DppConfig(**base)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_non_finite_effect_rejected(self, d):
+        with pytest.raises(SimError, match="d must be finite"):
+            self.config(d=d)
 
     def test_runs_and_detects_large_effect(self):
         summary = simulate_dpp(self.config())
