@@ -127,13 +127,25 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped at
     alpha, with the root always at alpha.
     """
+    return _schedule(tree, model, None)
+
+
+def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray | None) -> AlphaSchedule:
+    # Sums over the nodes with no cut strict ancestor (every node when
+    # ``cut`` is None); depths with none of them get no row.
     theta = power_normal_approx(model, tree.n_units)
     reach = np.ones(len(tree))
+    alive = None if cut is None else np.ones(len(tree), dtype=bool)
     sums = []  # per depth: node count, exposure, error load, mean theta
     for level in tree.levels:
         if sums:  # below the root: the parent's reach times the parent's theta
             up = tree.parent[level]
             reach[level] = reach[up] * theta[up]
+            if alive is not None:
+                alive[level] = alive[up] & ~cut[up]
+                level = level[alive[level]]
+                if not level.size:
+                    break
         # Python sums add left to right, as the depth's nodes come in index
         # order; numpy's pairwise sum rounds differently beyond eight terms
         here, t = reach[level], theta[level]
@@ -157,20 +169,27 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
 
 def recompute_after_pruning(
     schedule: AlphaSchedule,
-    surviving_tree: HypothesisTree,
+    tree: HypothesisTree,
+    cut: np.ndarray,
     depth_completed: int,
 ) -> AlphaSchedule:
-    """Recompute the schedule on the subtree that survived a testing round.
+    """Recompute the schedule over the nodes that survived a testing round.
 
-    Thresholds for depths at or above ``depth_completed`` are preserved
-    (those tests already ran); deeper depths are recomputed on the surviving
-    nodes, so their thresholds can only rise toward the alpha cap.
+    ``cut`` is a bool mask over the tree's node indices that marks the
+    non-rejected nodes whose subtrees go untested; a node survives when no
+    strict ancestor is cut.  The tree itself is not rebuilt.  Thresholds
+    for depths at or above ``depth_completed`` are preserved (those tests
+    already ran); deeper depths are recomputed on the surviving nodes, so
+    their thresholds can only rise toward the alpha cap.
     """
     if schedule.model is None:
         raise ScheduleError("schedule carries no power model to recompute with")
     if depth_completed < 1:
         raise ScheduleError("depth_completed must be at least 1")
-    fresh = adaptive_schedule(surviving_tree, schedule.model)
+    cut = np.asarray(cut, dtype=bool)
+    if cut.shape != (len(tree),):
+        raise ScheduleError(f"cut mask of shape {cut.shape} does not match {len(tree)} nodes")
+    fresh = _schedule(tree, schedule.model, cut)
     rows = tuple(
         replace(row, alpha_adj=schedule.alpha_at(row.depth))
         if row.depth <= depth_completed

@@ -4,7 +4,7 @@ The engine walks the tree breadth-first: the root is tested first and a
 node's children are tested only when the node is rejected, so every
 non-rejection prunes its whole branch.  Thresholds come either from a fixed
 nominal alpha or from an adaptive per-depth schedule, optionally recomputed
-on the surviving subtree after each completed depth; p-values within a
+over the surviving nodes after each completed depth; p-values within a
 sibling group can additionally be adjusted before comparison.
 """
 
@@ -108,7 +108,8 @@ def run_topdown(
     ``p_source`` maps a node id to its p-value and is consulted lazily, only
     for nodes whose every ancestor was rejected.  Adaptive variants require
     a schedule covering the tree's depth; the pruning variant recomputes it
-    on the surviving subtree after each completed depth.
+    over the surviving nodes after each completed depth, marking the
+    non-rejected internal nodes in a cut mask on the same tree.
     """
     if not 0.0 <= alpha <= 1.0:
         raise GateError("alpha must lie in [0, 1]")
@@ -122,14 +123,14 @@ def run_topdown(
     outcomes: dict[str, NodeOutcome] = {}
     tested: list[int] = []
     ids, offsets, children = tree.ids, tree.child_offsets, tree.children
-    working = tree
     sched = schedule
+    # non-rejected internal nodes, whose subtrees go untested
+    cut = np.zeros(len(tree), dtype=bool) if variant.prune else None
     groups = [[tree.root_index]]  # sibling groups of node indices at this depth
     depth = 1
     while groups:
         threshold = sched.alpha_at(depth) if adaptive else alpha
         next_groups: list[list[int]] = []
-        stops: list[str] = []  # non-rejected nodes whose subtrees go untested
         for group in groups:
             tested.extend(group)
             raw = [_validated_p(p_source, ids[i]) for i in group]
@@ -146,11 +147,10 @@ def run_topdown(
                     continue
                 if rejected:
                     next_groups.append(children[lo:hi].tolist())
-                else:
-                    stops.append(nid)
-        if variant.prune and next_groups:
-            working = working.prune_below(stops)
-            sched = recompute_after_pruning(sched, working, depth)
+                elif cut is not None:
+                    cut[i] = True
+        if cut is not None and next_groups:
+            sched = recompute_after_pruning(sched, tree, cut, depth)
         depth += 1
         groups = next_groups
 

@@ -57,7 +57,10 @@ class HypothesisTree:
     ``build_from_paths``, which check their input; the constructor trusts
     the arrays it is given.  Relabeling and pruning return new trees.  On a
     ``prune_below`` result, ``leaves`` and ``leaves_under`` name the
-    terminal nodes, which may be groups.
+    terminal nodes, which may be groups.  The gate does not prune: its
+    pruning variant marks cut nodes in a mask over this tree's indices
+    (``errorload.recompute_after_pruning``), and ``prune_below`` remains as
+    the reference that mask is tested against.
     """
 
     def __init__(
@@ -134,11 +137,6 @@ class HypothesisTree:
             is_null=None if self.is_null is None else bool(self.is_null[i]),
         )
 
-    def nodes_at_depth(self, depth: int) -> tuple[str, ...]:
-        if not 1 <= depth <= self.max_depth:
-            return ()
-        return tuple(self.ids[i] for i in self.levels[depth - 1].tolist())
-
     def leaves_under(self, node_id: str) -> list[str]:
         """Leaf ids under a node in depth-first child order; a leaf lists itself.
 
@@ -188,8 +186,7 @@ class HypothesisTree:
         """Drop all strict descendants of the given nodes.
 
         The stop nodes themselves survive, so the result may contain
-        terminal group nodes.  Used after a testing round to remove the
-        subtrees of non-rejected nodes.
+        terminal group nodes.
         """
         stop = np.zeros(len(self), dtype=bool)
         stop[[self.index_of(nid) for nid in stop_nodes]] = True

@@ -1,8 +1,10 @@
-"""Brute-force reference implementations used only by the test suite."""
+"""Brute-force reference implementations, and the random inputs they are
+compared on, used only by the test suite."""
 
 from itertools import chain, combinations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from treegate.permtest import DegenerateBlockError, energy_scores
@@ -164,3 +166,27 @@ class ReferenceTree:
             (*row, alpha if gating or row[0] == 1 or row[3] <= 0 else min(alpha, alpha / row[3]))
             for row in sums
         ]
+
+
+def shuffled_trees(max_nodes=40, min_units=1):
+    """Strategy for ``from_parents`` arguments of a random tree.
+
+    Node i > 0 hangs under an earlier node, so the links form a tree; a
+    permutation then lists the nodes, "n0" ... , in a shuffled order.
+    """
+
+    def arguments(drawn):
+        links, order, units = drawn
+        position = {node: pos for pos, node in enumerate(order)}
+        groups = set(links)
+        return (
+            [f"n{node}" for node in order],
+            [-1 if node == 0 else position[links[node - 1]] for node in order],
+            [None if node in groups else units[node] for node in order],
+        )
+
+    return st.integers(1, max_nodes).flatmap(lambda n: st.tuples(
+        st.tuples(*(st.integers(0, i - 1) for i in range(1, n))),
+        st.permutations(range(n)),
+        st.lists(st.integers(min_units, 9), min_size=n, max_size=n),
+    )).map(arguments)

@@ -48,7 +48,7 @@ class TestReadDataset:
         dataset = read_dataset(data)
         assert len(dataset.blocks) == 4
         assert dataset.tree.max_depth == 4
-        assert len(dataset.tree.nodes_at_depth(2)) == 2
+        assert len(dataset.tree.levels[1]) == 2
 
     def test_star_tree_without_hierarchy(self, tmp_path):
         rows = [

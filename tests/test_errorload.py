@@ -167,6 +167,13 @@ class TestAdaptiveSchedule:
             sched.alpha_at(5)
 
 
+def cut_at(tree, stops):
+    """The cut mask marking the given node ids."""
+    cut = np.zeros(len(tree), dtype=bool)
+    cut[[tree.index_of(nid) for nid in stops]] = True
+    return cut
+
+
 class TestRecomputeAfterPruning:
     def make(self, branches=5, leaf_units=400):
         rows = []
@@ -180,7 +187,7 @@ class TestRecomputeAfterPruning:
         tree = self.make()
         model = PowerModel(d_hat=0.2)
         sched = adaptive_schedule(tree, model)
-        again = recompute_after_pruning(sched, tree, depth_completed=1)
+        again = recompute_after_pruning(sched, tree, cut_at(tree, []), depth_completed=1)
         assert again == sched
 
     def test_surviving_branch_relaxes_downstream(self):
@@ -188,8 +195,8 @@ class TestRecomputeAfterPruning:
         model = PowerModel(d_hat=0.12)
         sched = adaptive_schedule(tree, model)
         assert not sched.gating_sufficient
-        survivor = tree.prune_below([f"g{b}" for b in range(1, 5)])
-        after = recompute_after_pruning(sched, survivor, depth_completed=2)
+        cut = cut_at(tree, [f"g{b}" for b in range(1, 5)])
+        after = recompute_after_pruning(sched, tree, cut, depth_completed=2)
         before_leaf = sched.alpha_at(3)
         after_leaf = after.alpha_at(3)
         assert after_leaf >= before_leaf
@@ -203,16 +210,23 @@ class TestRecomputeAfterPruning:
         tree = self.make(branches=3)
         model = PowerModel(d_hat=0.2)
         sched = adaptive_schedule(tree, model)
-        survivor = tree.prune_below(["g0", "g1", "g2"])
-        after = recompute_after_pruning(sched, survivor, depth_completed=2)
+        cut = cut_at(tree, ["g0", "g1", "g2"])
+        after = recompute_after_pruning(sched, tree, cut, depth_completed=2)
         assert after.max_depth() == 2
 
     def test_thresholds_never_decrease(self):
         tree = self.make(branches=4)
         model = PowerModel(d_hat=0.15)
         sched = adaptive_schedule(tree, model)
-        survivor = tree.prune_below(["g0"])
-        after = recompute_after_pruning(sched, survivor, depth_completed=2)
+        after = recompute_after_pruning(sched, tree, cut_at(tree, ["g0"]), depth_completed=2)
         for row in after.depths:
             assert row.alpha_adj >= sched.alpha_at(row.depth) - 1e-15
             assert row.alpha_adj <= sched.alpha + 1e-15
+
+    @pytest.mark.parametrize("shape", [(0,), (20,), (22,), (1, 21), (21, 1), ()])
+    def test_cut_of_another_shape_rejected(self, shape):
+        tree = self.make(branches=5)  # 21 nodes
+        sched = adaptive_schedule(tree, PowerModel(d_hat=0.12))
+        with pytest.raises(ScheduleError, match="cut mask") as err:
+            recompute_after_pruning(sched, tree, np.zeros(shape, dtype=bool), depth_completed=1)
+        assert "\n" not in str(err.value)

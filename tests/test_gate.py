@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import shuffled_trees
 from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptive_schedule
 from treegate.gate import (
     ADAPTIVE,
@@ -16,7 +17,7 @@ from treegate.gate import (
     score_rejections,
     score_result,
 )
-from treegate.tree import build_regular
+from treegate.tree import build_regular, from_parents
 
 FIG_PVALUES = {
     "1": 0.001,
@@ -169,6 +170,59 @@ class TestAdaptiveVariants:
         a = run_topdown(tree, pvals.__getitem__, ADAPTIVE, schedule=sched)
         b = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=sched)
         assert set(a.rejected_ids()) == set(b.rejected_ids())
+
+
+def rebuilt_pruned_walk(tree, pvals, schedule):
+    """The adaptive_pruned walk that rebuilds the surviving tree after each
+    depth: ``prune_below`` drops the subtrees of the non-rejected nodes, and
+    ``adaptive_schedule`` of the rebuilt tree gives the deeper thresholds.
+
+    Returns the rejected ids and each tested node's threshold.
+    """
+    thresholds = {row.depth: row.alpha_adj for row in schedule.depths}
+    surviving = tree
+    applied, rejected = {}, set()
+    level, depth = [tree.root], 1
+    while level:
+        below, stops = [], []
+        for nid in level:
+            applied[nid] = thresholds[depth]
+            children = tree.node(nid).children
+            if pvals[nid] <= thresholds[depth]:
+                rejected.add(nid)
+                below.extend(children)
+            elif children:
+                stops.append(nid)
+        if below:
+            surviving = surviving.prune_below(stops)
+            fresh = adaptive_schedule(surviving, schedule.model)
+            thresholds = {
+                row.depth: thresholds[row.depth] if row.depth <= depth else row.alpha_adj
+                for row in fresh.depths
+            }
+        level, depth = below, depth + 1
+    return rejected, applied
+
+
+class TestPrunedAgainstRebuiltTree:
+    @given(
+        shuffled_trees(max_nodes=30, min_units=2),
+        st.integers(1, 300),
+        st.floats(0.05, 1.0),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cut_mask_walk_equals_rebuilding_walk(self, args, scale, d_hat, data):
+        ids, parent, units = args
+        tree = from_parents(ids, parent, [None if u is None else u * scale for u in units])
+        schedule = adaptive_schedule(tree, PowerModel(d_hat=d_hat))
+        # p-values around the thresholds as well as anywhere in [0, 1]
+        p = st.one_of(st.floats(0.0, 0.06), st.floats(0.0, 1.0))
+        pvals = data.draw(st.fixed_dictionaries({nid: p for nid in ids}), label="pvals")
+        result = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=schedule)
+        rejected, applied = rebuilt_pruned_walk(tree, pvals, schedule)
+        assert set(result.rejected_ids()) == rejected
+        assert {nid: o.alpha_applied for nid, o in result.outcomes.items()} == applied
 
 
 class TestWeakControlProperty:

@@ -48,7 +48,6 @@ TRACED_CALLS = (
     "gate.run_topdown",
     "gate.run_bottom_up",
     "gate.score",
-    "tree.prune_below",
     "tree.label_truth",
     "tree.build",
     "errorload.schedule",

@@ -1,10 +1,11 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ReferenceTree
+from _oracles import ReferenceTree, shuffled_trees
 from treegate.errorload import (
     PowerModel,
     adaptive_schedule,
@@ -24,30 +25,6 @@ def dpp_style_rows():
                 n += 1
                 rows.append((f"B{n:02d}", (f"C{c}", f"Y{y}", f"B{n:02d}"), 50))
     return rows
-
-
-def shuffled_trees(max_nodes=40, min_units=1):
-    """Strategy for ``from_parents`` arguments of a random tree.
-
-    Node i > 0 hangs under an earlier node, so the links form a tree; a
-    permutation then lists the nodes, "n0" ... , in a shuffled order.
-    """
-
-    def arguments(drawn):
-        links, order, units = drawn
-        position = {node: pos for pos, node in enumerate(order)}
-        groups = set(links)
-        return (
-            [f"n{node}" for node in order],
-            [-1 if node == 0 else position[links[node - 1]] for node in order],
-            [None if node in groups else units[node] for node in order],
-        )
-
-    return st.integers(1, max_nodes).flatmap(lambda n: st.tuples(
-        st.tuples(*(st.integers(0, i - 1) for i in range(1, n))),
-        st.permutations(range(n)),
-        st.lists(st.integers(min_units, 9), min_size=n, max_size=n),
-    )).map(arguments)
 
 
 class TestBuildRegular:
@@ -105,7 +82,7 @@ class TestBuildRegular:
 class TestBuildFromPaths:
     def test_dpp_layout_shape(self):
         tree = build_from_paths(dpp_style_rows())
-        assert len(tree.nodes_at_depth(2)) == 5
+        assert len(tree.levels[1]) == 5
         assert len(tree.leaves) == 44
         assert len(tree) == 1 + 5 + 15 + 44
         assert tree.node(tree.root).n_units == 2200
@@ -318,10 +295,11 @@ class TestAgainstReferenceTree:
             assert node.n_units == ref.n_units(nid)
             assert node.is_null == (None if ref.is_null is None else ref.is_null[nid])
             assert tree.leaves_under(nid) == ref.leaves_under(nid)
-        for depth in range(1, tree.max_depth + 2):
-            assert tree.nodes_at_depth(depth) == tuple(
-                nid for nid in ref.parent if ref.depth(nid) == depth
-            )
+        # one level per depth down to the deepest node, none beyond it
+        assert [[tree.ids[i] for i in level.tolist()] for level in tree.levels] == [
+            [nid for nid in ref.parent if ref.depth(nid) == depth]
+            for depth in range(1, max(map(ref.depth, ref.parent)) + 1)
+        ]
 
     @given(shuffled_trees(max_nodes=30, min_units=2), st.floats(0.01, 1.0), st.data())
     @settings(max_examples=150, deadline=None)
@@ -342,11 +320,16 @@ class TestAgainstReferenceTree:
         schedule = adaptive_schedule(tree, model)
         expected = ref.schedule_rows(model, power_normal_approx)
         assert _schedule_rows(schedule) == expected
+        # the gate prunes with a cut mask on the unpruned tree; the reference
+        # rebuilds the tree without the cut subtrees and schedules that
+        pruned = tree
+        cut = np.zeros(len(tree), dtype=bool)
         for depth_completed in range(1, tree.max_depth):
-            stops = data.draw(st.sets(st.sampled_from(tree.ids)), label="stops")
-            tree, ref = tree.prune_below(stops), ref.prune_below(stops)
-            self.assert_same(tree, ref)
-            schedule = recompute_after_pruning(schedule, tree, depth_completed)
+            stops = data.draw(st.sets(st.sampled_from(pruned.ids)), label="stops")
+            pruned, ref = pruned.prune_below(stops), ref.prune_below(stops)
+            self.assert_same(pruned, ref)
+            cut[[tree.index_of(nid) for nid in stops]] = True
+            schedule = recompute_after_pruning(schedule, tree, cut, depth_completed)
             kept = {row[0]: row[5] for row in expected}
             expected = [
                 (*row[:5], kept[row[0]]) if row[0] <= depth_completed else row
