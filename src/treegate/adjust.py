@@ -3,11 +3,17 @@
 Used both as bottom-up baselines over all leaves and as local corrections
 within a sibling group inside the gated procedure.  All functions return a
 new array aligned with the input order; adjusted values are clamped to 1.
+``hommel_rows`` and ``bh_rows`` adjust each row of a 2-d array at once; the
+1-d functions are the same kernels on a single row.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Elements in one temporary of the Hommel kernel.  A call on any number of
+# rows of any length m holds a few arrays of this size, never rows * m * m.
+_HOMMEL_CHUNK = 1 << 14
 
 
 def _as_pvalues(p) -> np.ndarray:
@@ -19,9 +25,64 @@ def _as_pvalues(p) -> np.ndarray:
     return arr
 
 
-def _stable_order(arr: np.ndarray) -> np.ndarray:
+def _sorted_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ties broken by original index so repeated values adjust deterministically
-    return np.argsort(arr, kind="stable")
+    order = np.argsort(arr, axis=-1, kind="stable")
+    return order, np.take_along_axis(arr, order, axis=-1)
+
+
+def _unsorted_rows(order: np.ndarray, adjusted: np.ndarray) -> np.ndarray:
+    out = np.empty_like(adjusted)
+    np.put_along_axis(out, order, np.minimum(adjusted, 1.0), axis=-1)
+    return out
+
+
+def bh_rows(p: np.ndarray) -> np.ndarray:
+    """Benjamini-Hochberg adjusted p-values of each row of a (rows, m)
+    array of valid p-values."""
+    order, ps = _sorted_rows(p)
+    m = ps.shape[-1]
+    ranked = (m * ps) / np.arange(1, m + 1)
+    adjusted = np.minimum.accumulate(ranked[..., ::-1], axis=-1)[..., ::-1]
+    return _unsorted_rows(order, adjusted)
+
+
+def hommel_rows(p: np.ndarray) -> np.ndarray:
+    """Hommel adjusted p-values of each row of a (rows, m) array of valid
+    p-values.
+
+    With the row sorted ascending, the Simes minimum of the subset of the
+    ``s`` largest values is ``C_s = min_r (s * p_(m-s+r)) / r``, and sorted
+    position ``j`` adjusts to ``max(p_j, max_s min(s * p_j, C_s))`` over
+    ``s = 2..m``; on the ``s`` largest values that minimum is ``C_s``
+    itself, since ``C_s <= s * p_j`` there.  Every size is evaluated at
+    once, in chunks of sizes and rows that keep each temporary at
+    ``_HOMMEL_CHUNK`` elements.
+    """
+    order, ps = _sorted_rows(p)
+    rows, m = ps.shape
+    adjusted = ps.copy()
+    sizes = np.arange(2, m + 1, dtype=float)
+    per_rows = max(1, _HOMMEL_CHUNK // m)
+    n_sizes = max(1, min(m - 1, per_rows))
+    n_rows = max(1, per_rows // n_sizes)
+    position = np.arange(m)
+    for lo in range(0, rows, n_rows):
+        block = ps[lo : lo + n_rows, None, :]
+        best = adjusted[lo : lo + n_rows]
+        for start in range(0, m - 1, n_sizes):
+            s = sizes[start : start + n_sizes, None]
+            # rank of sorted position j within the subset of the s largest
+            rank = position - (m - s) + 1
+            # Simes terms are written (size * p) / rank so they match a subset
+            # oracle computing the identical expression float-for-float.
+            scaled = s * block
+            simes = np.divide(
+                scaled, rank, out=np.full(scaled.shape, np.inf), where=rank >= 1
+            ).min(axis=-1)
+            np.minimum(scaled, simes[..., None], out=scaled)
+            np.maximum(best, scaled.max(axis=1), out=best)
+    return _unsorted_rows(order, adjusted)
 
 
 def adjust_bh(p) -> np.ndarray:
@@ -30,14 +91,7 @@ def adjust_bh(p) -> np.ndarray:
     Sort ascending, compute ``m * p_(i) / i``, enforce monotonicity from the
     largest rank down, and restore the original order.
     """
-    arr = _as_pvalues(p)
-    m = arr.size
-    order = _stable_order(arr)
-    ranked = (m * arr[order]) / np.arange(1, m + 1)
-    adjusted = np.minimum.accumulate(ranked[::-1])[::-1]
-    out = np.empty(m)
-    out[order] = np.minimum(adjusted, 1.0)
-    return out
+    return bh_rows(_as_pvalues(p)[None, :])[0]
 
 
 def adjust_hommel(p) -> np.ndarray:
@@ -48,25 +102,4 @@ def adjust_hommel(p) -> np.ndarray:
     Simes p-value over subsets containing ``i``.  Computed in O(m^2) without
     enumerating subsets.
     """
-    arr = _as_pvalues(p)
-    m = arr.size
-    if m == 1:
-        return arr.copy()
-    order = _stable_order(arr)
-    ps = arr[order]
-    adjusted = ps.copy()
-    for size in range(m, 1, -1):
-        tail = ps[m - size :]
-        # Simes terms are written (size * p) / rank so they match a subset
-        # oracle computing the identical expression float-for-float.
-        cim = np.min((size * tail) / np.arange(1, size + 1))
-        adjusted[m - size :] = np.maximum(adjusted[m - size :], cim)
-        head = ps[: m - size]
-        if head.size:
-            adjusted[: m - size] = np.maximum(
-                adjusted[: m - size], np.minimum(size * head, cim)
-            )
-    out = np.empty(m)
-    out[order] = np.minimum(adjusted, 1.0)
-    return out
-
+    return hommel_rows(_as_pvalues(p)[None, :])[0]

@@ -130,22 +130,43 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     return _schedule(tree, model, None)
 
 
+def theta_and_reach(tree: HypothesisTree, model: PowerModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the power model's theta at its unit count, and its reach:
+    the product of theta over its strict ancestors, multiplied from the
+    root down."""
+    theta = power_normal_approx(model, tree.n_units)
+    reach = np.ones(len(tree))
+    for level in tree.levels[1:]:
+        up = tree.parent[level]
+        reach[level] = reach[up] * theta[up]
+    return theta, reach
+
+
+def depth_threshold(alpha: float, gating, depth: int, exposure):
+    """The adjusted threshold of one depth: ``alpha`` when the total error
+    load is at most 1 (``gating``), at the root, or when nothing is exposed;
+    otherwise ``alpha / exposure``, capped at alpha.
+
+    Takes scalars, or arrays of ``gating`` and ``exposure`` with one entry
+    per replicate, and returns an array of their shape.
+    """
+    keep = gating | (depth == 1) | (exposure <= 0)
+    return np.where(keep, alpha, np.minimum(alpha, alpha / np.where(keep, 1.0, exposure)))
+
+
 def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray | None) -> AlphaSchedule:
     # Sums over the nodes with no cut strict ancestor (every node when
     # ``cut`` is None); depths with none of them get no row.
-    theta = power_normal_approx(model, tree.n_units)
-    reach = np.ones(len(tree))
+    theta, reach = theta_and_reach(tree, model)
     alive = None if cut is None else np.ones(len(tree), dtype=bool)
     sums = []  # per depth: node count, exposure, error load, mean theta
     for level in tree.levels:
-        if sums:  # below the root: the parent's reach times the parent's theta
+        if sums and alive is not None:
             up = tree.parent[level]
-            reach[level] = reach[up] * theta[up]
-            if alive is not None:
-                alive[level] = alive[up] & ~cut[up]
-                level = level[alive[level]]
-                if not level.size:
-                    break
+            alive[level] = alive[up] & ~cut[up]
+            level = level[alive[level]]
+            if not level.size:
+                break
         # Python sums add left to right, as the depth's nodes come in index
         # order; numpy's pairwise sum rounds differently beyond eight terms
         here, t = reach[level], theta[level]
@@ -160,7 +181,7 @@ def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray | None) -
             theta_mean,
             exposure,
             load,
-            alpha if gating or depth == 1 or exposure <= 0 else min(alpha, alpha / exposure),
+            float(depth_threshold(alpha, gating, depth, exposure)),
         )
         for depth, (count, exposure, load, theta_mean) in enumerate(sums, start=1)
     )

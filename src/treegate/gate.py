@@ -6,6 +6,12 @@ non-rejection prunes its whole branch.  Thresholds come either from a fixed
 nominal alpha or from an adaptive per-depth schedule, optionally recomputed
 over the surviving nodes after each completed depth; p-values within a
 sibling group can additionally be adjusted before comparison.
+
+Two engines run the same procedure.  ``run_topdown`` walks one replicate
+and asks a p-value source only for the nodes it reaches, so lazy sources
+(fresh draws on huge trees, permutation tests) cost only what is tested.
+``run_topdown_batch`` walks a whole (replicates, nodes) matrix of p-values
+depth by depth with boolean masks, and gives the same decisions row by row.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import adjust
-from .errorload import AlphaSchedule, recompute_after_pruning
+from .errorload import AlphaSchedule, depth_threshold, recompute_after_pruning, theta_and_reach
 from .tree import HypothesisTree
 
 
@@ -50,6 +56,9 @@ VARIANTS: dict[str, GateVariant] = {
 }
 
 _LOCAL_ADJUSTERS = {"hommel": adjust.adjust_hommel, "bh": adjust.adjust_bh}
+# the same adjustments on each row of a stack of equal-size groups
+_ROW_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
+_BOTTOM_UP_ROWS = {"bu_hommel": adjust.hommel_rows, "bu_bh": adjust.bh_rows}
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +94,21 @@ class ResultTree:
         return [nid for nid, o in self.outcomes.items() if o.rejected]
 
 
+def _check_thresholds(
+    tree: HypothesisTree, variant: GateVariant, alpha: float, schedule: AlphaSchedule | None
+) -> bool:
+    """Check the threshold arguments of a walk; return whether it is adaptive."""
+    if not 0.0 <= alpha <= 1.0:
+        raise GateError("alpha must lie in [0, 1]")
+    adaptive = variant.thresholds == "adaptive"
+    if adaptive:
+        if schedule is None:
+            raise GateError(f"variant {variant.name!r} requires an alpha schedule")
+        if schedule.max_depth() < tree.max_depth:
+            raise GateError("schedule is shorter than the tree is deep")
+    return adaptive
+
+
 def _validated_p(p_source: PSource, node_id: str) -> float:
     try:
         p = float(p_source(node_id))
@@ -111,15 +135,7 @@ def run_topdown(
     over the surviving nodes after each completed depth, marking the
     non-rejected internal nodes in a cut mask on the same tree.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise GateError("alpha must lie in [0, 1]")
-    adaptive = variant.thresholds == "adaptive"
-    if adaptive:
-        if schedule is None:
-            raise GateError(f"variant {variant.name!r} requires an alpha schedule")
-        if schedule.max_depth() < tree.max_depth:
-            raise GateError("schedule is shorter than the tree is deep")
-
+    adaptive = _check_thresholds(tree, variant, alpha, schedule)
     outcomes: dict[str, NodeOutcome] = {}
     tested: list[int] = []
     ids, offsets, children = tree.ids, tree.child_offsets, tree.children
@@ -159,6 +175,112 @@ def run_topdown(
     return result
 
 
+def run_topdown_batch(
+    tree: HypothesisTree,
+    P: np.ndarray,
+    variant: GateVariant = UNADJUSTED,
+    *,
+    alpha: float = 0.05,
+    schedule: AlphaSchedule | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the gated procedure on every row of a p-value matrix at once.
+
+    ``P[r, i]`` is replicate r's p-value at node index i; every entry must
+    lie in [0, 1].  Returns ``(tested, rejected)``, bool arrays shaped like
+    ``P``: row r holds the nodes ``run_topdown`` tests and rejects on the
+    source ``lambda nid: P[r, tree.index_of(nid)]``, with the same
+    thresholds.  The walk goes depth by depth; a depth's sibling groups of
+    equal size are adjusted as one stacked call, and the pruning variant
+    keeps one threshold per replicate, recomputed after each depth over the
+    nodes that replicate can still reach.
+    """
+    adaptive = _check_thresholds(tree, variant, alpha, schedule)
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != len(tree):
+        raise GateError(f"p-value matrix of shape {P.shape} does not match {len(tree)} nodes")
+    if not ((P >= 0.0) & (P <= 1.0)).all():  # NaN fails the comparison too
+        raise GateError("p-value matrix has entries outside [0, 1]")
+    if variant.prune:
+        if schedule.model is None:
+            raise GateError("the pruning variant needs a schedule with a power model")
+        theta, reach = theta_and_reach(tree, schedule.model)
+        load = reach * theta
+    adjuster = _ROW_ADJUSTERS[variant.local_adjust] if variant.local_adjust else None
+    tested = np.zeros(P.shape, dtype=bool)
+    rejected = np.zeros(P.shape, dtype=bool)
+    levels, parent = tree.levels, tree.parent
+    threshold = schedule.alpha_at(1) if adaptive else alpha
+    tested[:, tree.root_index] = True
+    for depth, level in enumerate(levels, start=1):
+        if depth > 1:
+            tested[:, level] = rejected[:, parent[level]]
+            if not tested[:, level].any():
+                break
+            if variant.prune:  # one threshold per replicate
+                threshold = _pruned_threshold(
+                    tree, tested, depth, reach, load, schedule.model.alpha
+                )[:, None]
+            elif adaptive:
+                threshold = schedule.alpha_at(depth)
+        rejected[:, level] = tested[:, level] & (P[:, level] <= threshold)
+        if adjuster is None or depth == 1:
+            continue
+        for parents, kids in _sibling_groups(tree, levels[depth - 2]):
+            rows, group = np.nonzero(rejected[:, parents])
+            kids = kids[group]
+            limit = threshold if np.ndim(threshold) == 0 else threshold[rows]
+            rejected[rows[:, None], kids] = adjuster(P[rows[:, None], kids]) <= limit
+
+    below = np.flatnonzero(parent >= 0)
+    if (tested[:, below] & ~rejected[:, parent[below]]).any():
+        raise AssertionError("gating violated: a node was tested under a non-rejected parent")
+    return tested, rejected
+
+
+def _sibling_groups(tree: HypothesisTree, level: np.ndarray):
+    """The child groups of the nodes in ``level`` with two or more children,
+    one ``(parents, kids)`` pair per group size: ``kids[g]`` lists the
+    children of ``parents[g]`` in index order."""
+    lo = tree.child_offsets[level]
+    size = tree.child_offsets[level + 1] - lo
+    for s in np.unique(size[size > 1]).tolist():
+        pick = size == s
+        yield level[pick], tree.children[lo[pick][:, None] + np.arange(s)]
+
+
+def _pruned_threshold(
+    tree: HypothesisTree,
+    tested: np.ndarray,
+    depth: int,
+    reach: np.ndarray,
+    load: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Per replicate, the threshold at ``depth`` recomputed over the nodes
+    it can still reach, as ``recompute_after_pruning`` gives it.
+
+    Down to ``depth`` a node is reachable when it was tested; below, when
+    its ancestor at ``depth`` was.  Sums run left to right over masked
+    values, in the node order of ``errorload``'s Python sums, so every
+    threshold is bitwise the scalar walk's.
+    """
+    levels, parent = tree.levels, tree.parent
+    alive = tested.copy()
+    total = 0.0
+    for e, level in enumerate(levels, start=1):
+        if e > depth:
+            alive[:, level] = alive[:, parent[level]]
+        total = total + _row_sums(alive[:, level], load[level])
+    exposure = _row_sums(alive[:, levels[depth - 1]], reach[levels[depth - 1]])
+    return depth_threshold(alpha, total <= 1.0, depth, exposure)
+
+
+def _row_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # np.sum adds pairwise; accumulate adds left to right, and masked-out
+    # zeros leave a positive partial sum unchanged
+    return np.add.accumulate(np.where(mask, values, 0.0), axis=1)[:, -1]
+
+
 def _check_gating(result: ResultTree, tree: HypothesisTree, tested: list[int]) -> None:
     # every tested non-root node must sit under a rejected parent
     rejected = set(result.rejected_ids())
@@ -181,6 +303,14 @@ def run_bottom_up(
         adjust.adjust_hommel(raw) if method == "bu_hommel" else adjust.adjust_bh(raw)
     )
     return {nid for nid, pa in zip(ids, adjusted) if pa <= alpha}
+
+
+def run_bottom_up_batch(leaf_P: np.ndarray, method: str, alpha: float = 0.05) -> np.ndarray:
+    """``run_bottom_up`` on each row of a (replicates, leaves) p-value
+    matrix; returns the bool rejection matrix."""
+    if method not in _BOTTOM_UP_ROWS:
+        raise GateError(f"unknown bottom-up method: {method!r}")
+    return _BOTTOM_UP_ROWS[method](leaf_P) <= alpha
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,3 +397,51 @@ def score_rejections(
         nodes_tested=nodes_tested,
         leaves_tested=leaves_tested,
     )
+
+
+def score_batch(
+    rejected: np.ndarray, tree: HypothesisTree, tested: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """``score_rejections`` on each row of a (replicates, nodes) rejection
+    matrix, as one float array per ``RunScore`` attribute and property.
+
+    ``tested`` gives each row's tested nodes; None scores a bottom-up run,
+    which tests every leaf.
+    """
+    null = tree.is_null
+    if null is None:
+        raise GateError("tree is not truth-labeled")
+    leaf = tree.is_leaf
+
+    def count(mask, of):
+        return np.count_nonzero(mask & of, axis=1)
+
+    fn, fl = count(rejected, null), count(rejected, null & leaf)
+    tn, tl = count(rejected, ~null), count(rejected, ~null & leaf)
+    n_null, n_null_leaves = int(null.sum()), int((null & leaf).sum())
+    n_non_null, n_non_null_leaves = len(tree) - n_null, int(leaf.sum()) - n_null_leaves
+    if tested is None:
+        nodes_tested = leaves_tested = np.full(len(rejected), int(leaf.sum()))
+    else:
+        nodes_tested, leaves_tested = tested.sum(axis=1), count(tested, leaf)
+
+    def share(hits, of):
+        return hits / of if of else np.zeros(len(hits))
+
+    return {
+        name: np.asarray(value, dtype=float)
+        for name, value in (
+            ("any_false_rejection_node", fn > 0),
+            ("any_false_rejection_leaf", fl > 0),
+            ("true_rejections_node", tn),
+            ("true_rejections_leaf", tl),
+            ("false_rejections_node", fn),
+            ("false_rejections_leaf", fl),
+            ("power_node", share(tn, n_non_null)),
+            ("power_leaf", share(tl, n_non_null_leaves)),
+            ("false_rejection_prop_node", share(fn, n_null)),
+            ("false_rejection_prop_leaf", share(fl, n_null_leaves)),
+            ("nodes_tested", nodes_tested),
+            ("leaves_tested", leaves_tested),
+        )
+    }

@@ -43,12 +43,14 @@ class Block:
     outcome: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.treatment, dtype=np.int8)
+        t = np.asarray(self.treatment)
         y = np.asarray(self.outcome, dtype=float)
         if t.shape != y.shape or t.ndim != 1:
             raise PermTestError(f"block {self.block_id!r}: shape mismatch")
-        if not np.isin(t, (0, 1)).all():
+        # checked before the int8 cast, which truncates 1.9 and wraps 257
+        if not ((t == 0) | (t == 1)).all():
             raise PermTestError(f"block {self.block_id!r}: treatment must be 0/1")
+        t = t.astype(np.int8, copy=False)
         if not np.isfinite(y).all():
             raise PermTestError(f"block {self.block_id!r}: non-finite outcome")
         object.__setattr__(self, "treatment", t)

@@ -28,7 +28,16 @@ import numpy as np
 
 from . import gate
 from .errorload import PowerModel, adaptive_schedule, power_normal_approx
-from .gate import GateVariant, run_bottom_up, run_topdown, score_rejections, score_result
+from .gate import (
+    GateVariant,
+    run_bottom_up,
+    run_bottom_up_batch,
+    run_topdown,
+    run_topdown_batch,
+    score_batch,
+    score_rejections,
+    score_result,
+)
 from .permtest import (
     Block,
     DegenerateBlockError,
@@ -352,11 +361,19 @@ def _pool(methods, per_rep, replicates: int) -> dict[str, MethodSummary]:
     return {m: _summarize(m, accum[m], replicates) for m in methods}
 
 
+# Replicates per block of ``simulate_strong`` hold about this many node
+# p-values, so a study's memory does not grow with its replicate count.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def simulate_strong(config: ScenarioConfig) -> SimSummary:
     """Run one p-value-draw scenario for every configured method.
 
     All top-down variants and the bottom-up baselines see the same p-value
-    draws within a replicate, so method comparisons are paired.
+    draws within a replicate, so method comparisons are paired.  Replicates
+    run in blocks: a block's (replicates, nodes) p-value matrix goes through
+    ``run_topdown_batch`` once per method, and score sums are added in
+    replicate order.
     """
     tree = build_regular(config.k, config.L, config.units_per_leaf)
     non_null = _non_null_leaves(
@@ -367,15 +384,35 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     model = PowerModel(d_hat=d_plan, alpha=config.alpha)
     schedule = adaptive_schedule(tree, model)
     exponents = _beta_inverse_exponents(labeled, config, model)
+    leaves = np.flatnonzero(tree.is_leaf)
 
-    def replicate(rep: int) -> dict[str, tuple]:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
-        p_by_node = dict(zip(tree.ids, rng.random(len(tree)) ** exponents))
-        return _score_methods(
-            config.methods, tree, labeled, p_by_node.__getitem__, config.alpha, schedule
-        )
+    sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
+    per_block = max(1, _BLOCK_ELEMENTS // len(tree))
+    for start in range(0, config.replicates, per_block):
+        reps = range(start, min(start + per_block, config.replicates))
+        P = np.empty((len(reps), len(tree)))
+        for row, rep in zip(P, reps):
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
+            row[:] = rng.random(len(tree))
+        P **= exponents
+        for method in config.methods:
+            if method in TD_METHODS:
+                tested, rejected = run_topdown_batch(
+                    tree, P, TD_METHODS[method], alpha=config.alpha, schedule=schedule
+                )
+            else:
+                tested = None
+                rejected = np.zeros(P.shape, dtype=bool)
+                rejected[:, leaves] = run_bottom_up_batch(P[:, leaves], method, config.alpha)
+            scores = score_batch(rejected, labeled, tested)
+            block = np.column_stack([scores[attr] for attr in _SCORE_FIELDS.values()])
+            # left to right, continuing from the previous blocks' sums
+            sums[method] = np.add.accumulate(np.vstack([sums[method], block]))[-1]
 
-    methods = _pool(config.methods, map(replicate, range(config.replicates)), config.replicates)
+    methods = {
+        m: _summarize(m, dict(zip(_SCORE_KEYS, sums[m].tolist())), config.replicates)
+        for m in config.methods
+    }
     params = {
         "k": config.k,
         "L": config.L,

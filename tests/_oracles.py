@@ -7,7 +7,11 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from treegate import sim
+from treegate.errorload import PowerModel, adaptive_schedule
+from treegate.gate import run_bottom_up, run_topdown, score_rejections, score_result
 from treegate.permtest import DegenerateBlockError, energy_scores
+from treegate.tree import build_regular
 
 
 def simes_pvalue(pvals) -> float:
@@ -39,6 +43,32 @@ def closed_testing_hommel(pvals) -> np.ndarray:
             if simes > adjusted[i]:
                 adjusted[i] = simes
     return np.array(adjusted)
+
+
+def hommel_loop(pvals) -> np.ndarray:
+    """Hommel adjusted p-values, one pass per subset size from m down to 2.
+
+    For each size, the Simes minimum of the largest ``size`` sorted values
+    raises those values to at least it, and every smaller value to at least
+    ``min(size * p, Simes minimum)``.
+    """
+    arr = np.asarray(pvals, dtype=float)
+    m = arr.size
+    if m == 1:
+        return arr.copy()
+    order = np.argsort(arr, kind="stable")
+    ps = arr[order]
+    adjusted = ps.copy()
+    for size in range(m, 1, -1):
+        tail = ps[m - size :]
+        cim = np.min((size * tail) / np.arange(1, size + 1))
+        adjusted[m - size :] = np.maximum(adjusted[m - size :], cim)
+        head = ps[: m - size]
+        if head.size:
+            adjusted[: m - size] = np.maximum(adjusted[: m - size], np.minimum(size * head, cim))
+    out = np.empty(m)
+    out[order] = np.minimum(adjusted, 1.0)
+    return out
 
 
 def bh_stepup_reject(pvals, alpha) -> set[int]:
@@ -190,3 +220,54 @@ def shuffled_trees(max_nodes=40, min_units=1):
         st.permutations(range(n)),
         st.lists(st.integers(min_units, 9), min_size=n, max_size=n),
     )).map(arguments)
+
+
+def simulate_strong_per_replicate(config) -> "sim.SimSummary":
+    """``simulate_strong`` written as one scalar walk per replicate and
+    method: each replicate draws its node p-values into a dict, every
+    top-down method runs ``run_topdown`` on it, the bottom-up baselines run
+    ``run_bottom_up`` on its leaves, and each score is added to the method's
+    sums in replicate order."""
+    tree = build_regular(config.k, config.L, config.units_per_leaf)
+    non_null = sim._non_null_leaves(tree.leaves, config.null_proportion, config.placement)
+    labeled = tree.label_truth(non_null)
+    d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
+    model = PowerModel(d_hat=d_plan, alpha=config.alpha)
+    schedule = adaptive_schedule(tree, model)
+    exponents = sim._beta_inverse_exponents(labeled, config, model)
+
+    sums = {m: dict.fromkeys(sim._SCORE_FIELDS, 0.0) for m in config.methods}
+    for rep in range(config.replicates):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
+        p_by_node = dict(zip(tree.ids, rng.random(len(tree)) ** exponents))
+        leaf_p = {nid: p_by_node[nid] for nid in tree.leaves}
+        for method in config.methods:
+            if method in sim.TD_METHODS:
+                result = run_topdown(
+                    tree, p_by_node.__getitem__, sim.TD_METHODS[method],
+                    alpha=config.alpha, schedule=schedule,
+                )
+                score = score_result(result, labeled)
+            else:
+                rejected = run_bottom_up(leaf_p, method, config.alpha)
+                score = score_rejections(rejected, labeled, len(leaf_p), len(leaf_p))
+            for key, attr in sim._SCORE_FIELDS.items():
+                sums[method][key] += float(getattr(score, attr))
+
+    params = {
+        "k": config.k,
+        "L": config.L,
+        "units_per_leaf": config.units_per_leaf,
+        "d": config.d,
+        "d_hat": d_plan,
+        "null_proportion": config.null_proportion,
+        "placement": config.placement,
+        "internal_power": config.internal_power,
+        "alpha": config.alpha,
+        "replicates": config.replicates,
+        "seed": config.seed,
+        "sum_error_load": schedule.total_error_load,
+        "n_non_null_leaves": len(non_null),
+    }
+    methods = {m: sim._summarize(m, sums[m], config.replicates) for m in config.methods}
+    return sim.SimSummary(kind="strong", params=params, methods=methods)

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegate.adjust import adjust_bh, adjust_hommel
+from treegate.adjust import adjust_bh, adjust_hommel, bh_rows, hommel_rows
 
-from _oracles import bh_stepup_reject, closed_testing_hommel
+from _oracles import bh_stepup_reject, closed_testing_hommel, hommel_loop
 
 grid_pvalues = st.lists(
     st.integers(1, 100).map(lambda i: i / 100.0), min_size=1, max_size=8
@@ -81,3 +83,46 @@ def test_bh_adjusted_reproduces_stepup_rule(pvals, alpha):
     assert {i for i, p in enumerate(adjusted) if p <= alpha} == bh_stepup_reject(
         pvals, alpha
     )
+
+
+# values on a coarse grid tie often; free floats and exact 0 and 1 do not
+tied_or_free = st.one_of(
+    st.integers(0, 20).map(lambda i: i / 20.0), st.floats(0, 1, allow_nan=False)
+)
+
+
+@given(st.lists(tied_or_free, min_size=1, max_size=400))
+@settings(max_examples=200, deadline=None)
+def test_hommel_equals_the_per_size_loop_bitwise(pvals):
+    np.testing.assert_array_equal(adjust_hommel(pvals), hommel_loop(pvals))
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda m: st.lists(st.lists(tied_or_free, min_size=m, max_size=m), min_size=1, max_size=30)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_rows_of_a_2d_call_equal_1d_calls(rows):
+    P = np.array(rows)
+    for kernel, one in ((hommel_rows, adjust_hommel), (bh_rows, adjust_bh)):
+        np.testing.assert_array_equal(kernel(P), np.array([one(row) for row in rows]))
+
+
+def test_hommel_rows_spanning_several_chunks_equal_the_loop():
+    # 300 rows of 64 need many row chunks, and m = 700 needs size chunks
+    rng = np.random.default_rng(3)
+    for P in (rng.random((300, 64)), rng.integers(0, 50, (3, 700)) / 49.0):
+        np.testing.assert_array_equal(hommel_rows(P), [hommel_loop(row) for row in P])
+
+
+def test_hommel_memory_is_bounded_at_large_m():
+    # an unchunked m = 5000 call would hold m * m floats, 200 MB
+    p = np.random.default_rng(5).random(5000)
+    tracemalloc.start()
+    try:
+        adjust_hommel(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -8,12 +8,16 @@ from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptiv
 from treegate.gate import (
     ADAPTIVE,
     ADAPTIVE_PRUNED,
+    VARIANTS,
     GateError,
     LOCAL_BH,
     LOCAL_HOMMEL,
     UNADJUSTED,
     run_bottom_up,
+    run_bottom_up_batch,
     run_topdown,
+    run_topdown_batch,
+    score_batch,
     score_rejections,
     score_result,
 )
@@ -223,6 +227,178 @@ class TestPrunedAgainstRebuiltTree:
         rejected, applied = rebuilt_pruned_walk(tree, pvals, schedule)
         assert set(result.rejected_ids()) == rejected
         assert {nid: o.alpha_applied for nid, o in result.outcomes.items()} == applied
+
+
+def scalar_rows(tree, P, variant, schedule):
+    """``run_topdown`` on each row of ``P``: per row, the tested ids, the
+    rejected ids and the result."""
+    out = []
+    for row in P:
+        p_of = dict(zip(tree.ids, row.tolist())).__getitem__
+        result = run_topdown(tree, p_of, variant, schedule=schedule)
+        out.append((set(result.outcomes), set(result.rejected_ids()), result))
+    return out
+
+
+def pin_thresholds(tree, P, schedule):
+    """Set each p-value the pruning variant rejects to the threshold it was
+    compared with, in place; the scalar walks keep their decisions."""
+    for r, (_, rejected, result) in enumerate(scalar_rows(tree, P, ADAPTIVE_PRUNED, schedule)):
+        for nid in rejected:
+            P[r, tree.index_of(nid)] = result.outcome(nid).alpha_applied
+
+
+def ids_of(tree, mask):
+    return {tree.ids[i] for i in np.flatnonzero(mask).tolist()}
+
+
+def wide_tree(fanouts, units):
+    """``from_parents`` arguments of a three-level tree: group g under the
+    root holds ``fanouts[g]`` leaves, and node i's unit count is
+    ``units[i]``.  Twelve groups of twelve leaves make a depth's sums run
+    past the eight-term blocks of numpy's pairwise sum."""
+    parent = [-1] + [0] * len(fanouts)
+    parent += [1 + g for g, fanout in enumerate(fanouts) for _ in range(fanout)]
+    groups = set(parent)
+    return (
+        [f"n{i}" for i in range(len(parent))],
+        parent,
+        [None if i in groups else u for i, u in enumerate(units)],
+    )
+
+
+def wide_trees():
+    """Strategy for ``wide_tree`` arguments with up to 12 groups of up to
+    12 leaves."""
+    return st.lists(st.integers(0, 12), min_size=2, max_size=12).flatmap(
+        lambda fanouts: st.lists(
+            st.integers(2, 9), min_size=1 + len(fanouts) + sum(fanouts),
+            max_size=1 + len(fanouts) + sum(fanouts),
+        ).map(lambda units: wide_tree(fanouts, units))
+    )
+
+
+class TestBatchAgainstScalar:
+    @given(
+        st.one_of(shuffled_trees(max_nodes=40, min_units=2), wide_trees()),
+        st.integers(1, 300),
+        st.floats(0.05, 1.0),
+        st.integers(1, 6),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_variant_and_baseline_matches_row_by_row(self, args, scale, d_hat, rows, data):
+        ids, parent, units = args
+        tree = from_parents(ids, parent, [None if u is None else u * scale for u in units])
+        schedule = adaptive_schedule(tree, PowerModel(d_hat=d_hat))
+        # ties from a coarse grid, values that pass deep thresholds, values
+        # near the nominal alpha, and anything
+        p = st.one_of(
+            st.integers(0, 20).map(lambda i: i / 20.0),
+            st.floats(0.0, 1e-3),
+            st.floats(0.0, 0.06),
+            st.floats(0.0, 1.0),
+        )
+        P = np.array(data.draw(
+            st.lists(st.lists(p, min_size=len(tree), max_size=len(tree)), min_size=rows, max_size=rows),
+            label="P",
+        ))
+        # Put p-values exactly on thresholds the scalar walks apply.  Each
+        # node the pruning variant rejects gets its own recomputed threshold,
+        # which leaves that walk as it was; a threshold one ulp lower would
+        # then flip a decision.
+        pin_thresholds(tree, P, schedule)
+        applied = sorted({
+            o.alpha_applied
+            for variant in VARIANTS.values()
+            for *_, result in scalar_rows(tree, P, variant, schedule)
+            for o in result.outcomes.values()
+        })
+        on_threshold = data.draw(
+            st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, len(tree) - 1),
+                               st.sampled_from(applied)), max_size=len(tree)),
+            label="on_threshold",
+        )
+        for r, i, a in on_threshold:
+            P[r, i] = a
+
+        for variant in VARIANTS.values():
+            tested, rejected = run_topdown_batch(tree, P, variant, schedule=schedule)
+            for r, (want_tested, want_rejected, _) in enumerate(scalar_rows(tree, P, variant, schedule)):
+                assert ids_of(tree, tested[r]) == want_tested, (variant.name, r)
+                assert ids_of(tree, rejected[r]) == want_rejected, (variant.name, r)
+
+        leaves = np.flatnonzero(tree.is_leaf)
+        for method in ("bu_hommel", "bu_bh"):
+            batch = run_bottom_up_batch(P[:, leaves], method)
+            for r, row in enumerate(P):
+                leaf_p = {tree.ids[i]: row[i] for i in leaves.tolist()}
+                assert {tree.ids[i] for i in leaves[batch[r]].tolist()} == run_bottom_up(leaf_p, method)
+
+    def test_pruned_variant_on_seeded_wide_trees(self):
+        # mid-range thetas make reach vary along a depth, so a sum that is
+        # not left to right moves some recomputed threshold by an ulp
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            fanouts = rng.integers(0, 13, rng.integers(2, 13)).tolist()
+            units = rng.integers(2, 10, 1 + len(fanouts) + sum(fanouts)) * rng.integers(1, 50)
+            tree = from_parents(*wide_tree(fanouts, units.tolist()))
+            schedule = adaptive_schedule(tree, PowerModel(d_hat=float(rng.uniform(0.05, 0.5))))
+            P = rng.random((6, len(tree))) ** 4
+            pin_thresholds(tree, P, schedule)
+            _, rejected = run_topdown_batch(tree, P, ADAPTIVE_PRUNED, schedule=schedule)
+            for r, (_, want, _) in enumerate(scalar_rows(tree, P, ADAPTIVE_PRUNED, schedule)):
+                assert ids_of(tree, rejected[r]) == want
+
+    @given(shuffled_trees(max_nodes=30), st.integers(0, 2**31), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scores_match_score_rejections(self, args, seed, data):
+        tree = from_parents(*args)
+        non_null = data.draw(st.sets(st.sampled_from(tree.leaves)), label="non_null")
+        labeled = tree.label_truth(non_null)
+        P = np.random.default_rng(seed).random((4, len(tree))) ** 3
+        tested, rejected = run_topdown_batch(tree, P, UNADJUSTED, alpha=0.2)
+        batch = score_batch(rejected, labeled, tested)
+        bottom_up = score_batch(rejected, labeled)
+        n_leaves = len(tree.leaves)
+        for r in range(len(P)):
+            want = score_rejections(
+                ids_of(tree, rejected[r]), labeled, int(tested[r].sum()),
+                int((tested[r] & tree.is_leaf).sum()),
+            )
+            want_bu = score_rejections(ids_of(tree, rejected[r]), labeled, n_leaves, n_leaves)
+            for name in batch:
+                assert batch[name][r] == float(getattr(want, name)), name
+                assert bottom_up[name][r] == float(getattr(want_bu, name)), name
+
+
+class TestBatchChecks:
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_out_of_range_pvalue_raises(self, k3l3, bad):
+        P = np.full((3, len(k3l3)), 0.5)
+        P[2, 7] = bad
+        with pytest.raises(GateError, match="outside"):
+            run_topdown_batch(k3l3, P)
+
+    @pytest.mark.parametrize("shape", [(13,), (2, 12), (2, 14)])
+    def test_matrix_of_another_shape_raises(self, k3l3, shape):
+        with pytest.raises(GateError, match="shape"):
+            run_topdown_batch(k3l3, np.full(shape, 0.5))
+
+    def test_adaptive_requires_schedule(self, k3l3):
+        with pytest.raises(GateError, match="schedule"):
+            run_topdown_batch(k3l3, np.full((1, 13), 0.5), ADAPTIVE)
+
+    def test_unknown_bottom_up_method(self):
+        with pytest.raises(GateError):
+            run_bottom_up_batch(np.full((1, 2), 0.5), "holm")
+
+    def test_reference_trace(self, k3l3):
+        P = np.array([[FIG_PVALUES.get(nid, 0.9) for nid in k3l3.ids]] * 2)
+        tested, rejected = run_topdown_batch(k3l3, P)
+        for r in range(2):
+            assert ids_of(k3l3, tested[r]) == {"1", "2", "3", "4", "5", "6", "7"}
+            assert ids_of(k3l3, rejected[r]) == {"1", "2", "5"}
 
 
 class TestWeakControlProperty:

@@ -381,6 +381,24 @@ class TestEnergyPvalue:
         assert 0.0 < p <= 1.0
 
 
+@pytest.mark.parametrize(
+    "treatment",
+    [np.array([0.7, 1.2, 0.0, 1.9]), np.array([256, 1, 0, 257], dtype=np.int64)],
+    ids=["fractional", "wraps_in_int8"],
+)
+def test_block_rejects_treatment_that_casts_to_0_1(treatment):
+    # both inputs read [0, 1, 0, 1] after an int8 cast
+    with pytest.raises(PermTestError, match="treatment must be 0/1"):
+        Block("b", treatment, np.arange(4.0))
+
+
+def test_block_accepts_0_1_of_any_dtype():
+    for treatment in ([0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False]):
+        block = Block("b", np.array(treatment), np.arange(4.0))
+        assert block.treatment.dtype == np.int8
+        assert block.treatment.tolist() == [0, 1, 1, 0]
+
+
 def test_spec_validation():
     with pytest.raises(PermTestError):
         TestSpec(statistic="median")

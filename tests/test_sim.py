@@ -1,9 +1,12 @@
+import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from treegate import sim
 from treegate.cli import read_dataset
 from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
@@ -19,7 +22,9 @@ from treegate.sim import (
     simulate_weak,
     worker_count,
 )
-from treegate.tree import build_from_paths
+from treegate.tree import build_from_paths, build_regular
+
+from _oracles import simulate_strong_per_replicate
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -149,6 +154,37 @@ class TestSimulateStrong:
     def test_summary_params_include_error_load(self):
         summary = simulate_strong(self.small())
         assert summary.params["sum_error_load"] > 0
+
+
+ALL_METHODS = tuple(sim.TD_METHODS) + sim.BU_METHODS
+
+
+class TestStrongAgainstPerReplicateWalks:
+    """The batch study equals one scalar walk per replicate and method,
+    byte for byte, across replicate blocks."""
+
+    @pytest.mark.parametrize(
+        "config, block_rows",
+        [
+            (dict(k=4, L=4, units_per_leaf=32, d=0.15, null_proportion=0.8,
+                  placement="scattered", replicates=150), 40),
+            (dict(k=2, L=5, units_per_leaf=64, d=0.2, null_proportion=0.5,
+                  placement="contiguous", replicates=130, internal_power="diluted"), 64),
+            (dict(k=3, L=4, units_per_leaf=20, d=0.3, null_proportion=0.6,
+                  placement="scattered", replicates=120, d_hat=0.6), 50),
+            (dict(k=5, L=3, units_per_leaf=50, d=0.1, null_proportion=1.0,
+                  replicates=110, seed=7), 1),
+        ],
+        ids=["binding_cell", "contiguous_diluted", "d_hat", "all_null_one_row_blocks"],
+    )
+    def test_summary_equals_scalar_walks(self, monkeypatch, config, block_rows):
+        config = ScenarioConfig(methods=ALL_METHODS, **config)
+        tree_nodes = len(build_regular(config.k, config.L))
+        # blocks of ``block_rows`` replicates, so every study spans several
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", block_rows * tree_nodes)
+        got = json.dumps(asdict(simulate_strong(config)), sort_keys=True)
+        want = json.dumps(asdict(simulate_strong_per_replicate(config)), sort_keys=True)
+        assert got == want
 
 
 class TestGenerateDppData:
