@@ -2,8 +2,9 @@
 """Strong-control grid: gated variants vs bottom-up baselines on p-value draws.
 
 Crosses tree width with effect size and null proportion (plus two all-null
-rows), printing per-method FWER and the true-discovery comparison between
-the pruned adaptive gate and bottom-up Hommel.
+rows), printing per-method FWER with its standard error and the
+true-discovery comparison between the pruned adaptive gate and bottom-up
+Hommel.
 """
 
 import argparse
@@ -54,6 +55,7 @@ def main(argv=None) -> int:
         }
         for method, ms in summary.methods.items():
             row[f"fwer_{method}"] = round(ms.fwer_node, 4)
+            row[f"fwer_{method}_se"] = round(ms.fwer_node_se, 4)
         pruned = summary.methods["td_adapt_pruned"].true_rejections_node
         adapt = summary.methods["td_adapt"].true_rejections_node
         bu = summary.methods["bu_hommel"].true_rejections_leaf

@@ -540,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", default="unadjusted", choices=sorted(gate.VARIANTS))
     t.add_argument("--statistic", default="rank", choices=("mean_diff", "rank", "energy"))
     t.add_argument("--alpha", type=float, default=0.05)
-    t.add_argument("--d-hat", type=float, default=None, help="planning effect size for adaptive variants")
+    t.add_argument("--d-hat", type=float, default=None,
+                   help="planning effect size for adaptive variants; their thresholds are "
+                        "only valid when d_hat is not below the true effect")
     t.add_argument("--n-perms", type=int, default=1000)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--format", default="json", choices=("json", "dot", "csv"))
@@ -551,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("alpha-schedule", help="adaptive thresholds for a node size table")
     a.add_argument("sizes", help="CSV with node_id, parent_id, n_units")
-    a.add_argument("--d-hat", type=float, required=True)
+    a.add_argument("--d-hat", type=float, required=True,
+                   help="planning effect size; gating_sufficient and the thresholds are "
+                        "only valid when d_hat is not below the true effect")
     a.add_argument("--alpha", type=float, default=0.05)
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_alpha_schedule)

@@ -154,36 +154,41 @@ def depth_threshold(alpha: float, gating, depth: int, exposure):
     return np.where(keep, alpha, np.minimum(alpha, alpha / np.where(keep, 1.0, exposure)))
 
 
+def level_sums(values: np.ndarray, alive: np.ndarray, levels) -> list[np.ndarray]:
+    """Per level, and per row of the bool (rows, nodes) mask ``alive``, the
+    sum of ``values`` over the row's alive nodes of that level.
+
+    Each sum adds the level's values left to right in index order, and a
+    masked-out zero leaves a positive partial sum unchanged, so every sum is
+    bitwise Python's ``sum`` over the alive values; numpy's pairwise
+    ``np.sum`` rounds differently beyond eight terms.
+    """
+    return [
+        np.add.accumulate(np.where(alive[:, level], values[level], 0.0), axis=1)[:, -1]
+        for level in levels
+    ]
+
+
 def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray | None) -> AlphaSchedule:
     # Sums over the nodes with no cut strict ancestor (every node when
     # ``cut`` is None); depths with none of them get no row.
     theta, reach = theta_and_reach(tree, model)
-    alive = None if cut is None else np.ones(len(tree), dtype=bool)
-    sums = []  # per depth: node count, exposure, error load, mean theta
-    for level in tree.levels:
-        if sums and alive is not None:
+    alive = np.ones((1, len(tree)), dtype=bool)
+    if cut is not None:
+        for level in tree.levels[1:]:
             up = tree.parent[level]
-            alive[level] = alive[up] & ~cut[up]
-            level = level[alive[level]]
-            if not level.size:
-                break
-        # Python sums add left to right, as the depth's nodes come in index
-        # order; numpy's pairwise sum rounds differently beyond eight terms
-        here, t = reach[level], theta[level]
-        load = sum((here * t).tolist())
-        sums.append((len(level), sum(here.tolist()), load, sum(t.tolist()) / len(level)))
+            alive[0, level] = alive[0, up] & ~cut[up]
+    theta_sum, exposure, load = (
+        [row_sum.item() for row_sum in level_sums(values, alive, tree.levels)]
+        for values in (theta, reach, reach * theta)
+    )
+    counts = [int(alive[0, level].sum()) for level in tree.levels]
     alpha = model.alpha
-    gating = sum(load for _, _, load, _ in sums) <= 1.0
+    gating = sum(load) <= 1.0
     rows = tuple(
-        DepthSchedule(
-            depth,
-            count,
-            theta_mean,
-            exposure,
-            load,
-            float(depth_threshold(alpha, gating, depth, exposure)),
-        )
-        for depth, (count, exposure, load, theta_mean) in enumerate(sums, start=1)
+        DepthSchedule(depth, n, t / n, e, g, float(depth_threshold(alpha, gating, depth, e)))
+        for depth, (n, t, e, g) in enumerate(zip(counts, theta_sum, exposure, load), start=1)
+        if n
     )
     return AlphaSchedule(alpha, rows, model)
 

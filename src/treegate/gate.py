@@ -1,28 +1,32 @@
 """Top-down gated testing over a hypothesis tree, plus bottom-up baselines.
 
-The engine walks the tree breadth-first: the root is tested first and a
+The gate walks the tree breadth-first: the root is tested first and a
 node's children are tested only when the node is rejected, so every
 non-rejection prunes its whole branch.  Thresholds come either from a fixed
 nominal alpha or from an adaptive per-depth schedule, optionally recomputed
-over the surviving nodes after each completed depth; p-values within a
-sibling group can additionally be adjusted before comparison.
+after each completed depth over the nodes still reachable; p-values within
+a sibling group can additionally be adjusted before comparison.
 
-Two engines run the same procedure.  ``run_topdown`` walks one replicate
-and asks a p-value source only for the nodes it reaches, so lazy sources
-(fresh draws on huge trees, permutation tests) cost only what is tested.
-``run_topdown_batch`` walks a whole (replicates, nodes) matrix of p-values
-depth by depth with boolean masks, and gives the same decisions row by row.
+One engine, ``walk``, runs the procedure on any number of rows (replicates)
+at once.  Its frontier is the sparse list of (row, node) pairs tested at
+the current depth, and it asks a p-value source for exactly those pairs, so
+a lazy source (fresh draws on a huge tree, permutation tests) costs only
+what is tested.  ``run_topdown`` is its one-row form over a per-node
+source, and ``run_topdown_batch`` its form over a dense (rows, nodes)
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import adjust
-from .errorload import AlphaSchedule, depth_threshold, recompute_after_pruning, theta_and_reach
+from .errorload import AlphaSchedule, depth_threshold, level_sums, theta_and_reach
+# unused here; the benchmark tracer binds it on this module until its next change
+from .errorload import recompute_after_pruning  # noqa: F401
 from .tree import HypothesisTree
 
 
@@ -31,6 +35,8 @@ class GateError(ValueError):
 
 
 PSource = Callable[[str], float]
+# (row indices, node indices) of the pairs tested at one depth -> their p-values
+PairSource = Callable[[np.ndarray, np.ndarray], "np.ndarray | Sequence[float]"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +61,8 @@ VARIANTS: dict[str, GateVariant] = {
     for v in (UNADJUSTED, LOCAL_HOMMEL, LOCAL_BH, ADAPTIVE, ADAPTIVE_HOMMEL, ADAPTIVE_PRUNED)
 }
 
-_LOCAL_ADJUSTERS = {"hommel": adjust.adjust_hommel, "bh": adjust.adjust_bh}
-# the same adjustments on each row of a stack of equal-size groups
-_ROW_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
+# each adjusts every row of a stack of equal-size sibling groups
+_LOCAL_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
 _BOTTOM_UP_ROWS = {"bu_hommel": adjust.hommel_rows, "bu_bh": adjust.bh_rows}
 
 
@@ -94,6 +99,26 @@ class ResultTree:
         return [nid for nid, o in self.outcomes.items() if o.rejected]
 
 
+@dataclass(frozen=True)
+class Walk:
+    """Every (row, node) pair a run over ``rows`` rows tested.
+
+    Pair j is row ``row[j]``'s test of node index ``node[j]``, with its
+    p-value ``p[j]``, its value after sibling-group adjustment
+    ``p_adjusted[j]``, the threshold ``alpha_applied[j]`` and the decision
+    ``rejected[j]``.  A gated walk lists its pairs depth by depth, and each
+    row's pairs of a depth in the order a one-row walk tests them.
+    """
+
+    rows: int
+    row: np.ndarray
+    node: np.ndarray
+    p: np.ndarray
+    p_adjusted: np.ndarray
+    alpha_applied: np.ndarray
+    rejected: np.ndarray
+
+
 def _check_thresholds(
     tree: HypothesisTree, variant: GateVariant, alpha: float, schedule: AlphaSchedule | None
 ) -> bool:
@@ -106,17 +131,98 @@ def _check_thresholds(
             raise GateError(f"variant {variant.name!r} requires an alpha schedule")
         if schedule.max_depth() < tree.max_depth:
             raise GateError("schedule is shorter than the tree is deep")
+        if variant.prune and schedule.model is None:
+            raise GateError("the pruning variant needs a schedule with a power model")
     return adaptive
 
 
-def _validated_p(p_source: PSource, node_id: str) -> float:
-    try:
-        p = float(p_source(node_id))
-    except KeyError:
-        raise GateError(f"p-value source has no value for reachable node {node_id!r}")
-    if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
-        raise GateError(f"p-value for node {node_id!r} outside [0, 1]: {p}")
-    return p
+def walk(
+    tree: HypothesisTree,
+    source: PairSource,
+    rows: int,
+    variant: GateVariant = UNADJUSTED,
+    *,
+    alpha: float = 0.05,
+    schedule: AlphaSchedule | None = None,
+) -> Walk:
+    """Run the gated procedure on ``rows`` rows at once.
+
+    At each depth ``source(row, node)`` gets two equal-length index arrays,
+    the pairs tested there, and returns their p-values, each in [0, 1].
+    Within a row, a depth's pairs come in sibling groups, each group's
+    children in index order, following their parents' order.  The sibling
+    groups of one size are adjusted by one call to the row kernel.  Adaptive
+    variants require a schedule covering the tree's depth; the pruning
+    variant keeps one threshold per row, recomputed after each depth over
+    the nodes that row can still reach.
+    """
+    adaptive = _check_thresholds(tree, variant, alpha, schedule)
+    if variant.prune:
+        theta, reach = theta_and_reach(tree, schedule.model)
+        # the one dense (rows, nodes) array; every other step is sparse
+        tested = np.zeros((rows, len(tree)), dtype=bool)
+    offsets, children = tree.child_offsets, tree.children
+    row = np.arange(rows)
+    node = np.full(rows, tree.root_index)
+    size = np.ones(rows, dtype=np.int64)  # sibling group sizes, in frontier order
+    columns = []
+    depth = 1
+    while True:  # once even on zero rows, so every column has an array
+        p = np.asarray(source(row, node), dtype=float)
+        outside = ~((p >= 0.0) & (p <= 1.0))  # NaN fails the comparison too
+        if outside.any():
+            j = int(outside.argmax())
+            raise GateError(f"p-value for node {tree.ids[node[j]]!r} outside [0, 1]: {p[j]}")
+        threshold = np.full(row.size, schedule.alpha_at(depth) if adaptive else alpha)
+        if variant.prune:
+            tested[row, node] = True
+            if depth > 1:
+                threshold = _pruned_threshold(
+                    tree, tested, depth, theta, reach, schedule.model.alpha
+                )[row]
+        adjusted = p.copy()
+        if variant.local_adjust is not None:
+            start = np.cumsum(size) - size
+            for s in np.unique(size[size > 1]).tolist():
+                # the groups of s siblings, stacked as the rows of one call
+                at = start[size == s][:, None] + np.arange(s)
+                adjusted[at] = _LOCAL_ADJUSTERS[variant.local_adjust](p[at])
+        rejected = adjusted <= threshold
+        columns.append((row, node, p, adjusted, threshold, rejected))
+
+        lo = offsets[node[rejected]]
+        size = offsets[node[rejected] + 1] - lo
+        row = np.repeat(row[rejected], size)
+        # positions of each rejected node's child slice, concatenated
+        node = children[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+        size = size[size > 0]
+        depth += 1
+        if not row.size:
+            return Walk(rows, *map(np.concatenate, zip(*columns)))
+
+
+def _pruned_threshold(
+    tree: HypothesisTree,
+    tested: np.ndarray,
+    depth: int,
+    theta: np.ndarray,
+    reach: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Per row, the threshold at ``depth`` recomputed over the nodes it can
+    still reach, as ``errorload.recompute_after_pruning`` gives it.
+
+    Down to ``depth`` a node is reachable when it was tested; below, when
+    its ancestor at ``depth`` was.  The sums are ``level_sums``, which the
+    schedule's own sums use, so every threshold is bitwise the schedule's.
+    """
+    levels, parent = tree.levels, tree.parent
+    alive = tested.copy()
+    for level in levels[depth:]:
+        alive[:, level] = alive[:, parent[level]]
+    total = sum(level_sums(reach * theta, alive, levels))  # in depth order, as the schedule adds
+    (exposure,) = level_sums(reach, alive, levels[depth - 1 : depth])
+    return depth_threshold(alpha, total <= 1.0, depth, exposure)
 
 
 def run_topdown(
@@ -127,52 +233,41 @@ def run_topdown(
     alpha: float = 0.05,
     schedule: AlphaSchedule | None = None,
 ) -> ResultTree:
-    """Run the gated procedure and return per-node outcomes.
+    """Run the gated procedure on one replicate and return per-node outcomes.
 
     ``p_source`` maps a node id to its p-value and is consulted lazily, only
-    for nodes whose every ancestor was rejected.  Adaptive variants require
-    a schedule covering the tree's depth; the pruning variant recomputes it
-    over the surviving nodes after each completed depth, marking the
-    non-rejected internal nodes in a cut mask on the same tree.
+    for nodes whose every ancestor was rejected.  This is ``walk`` on one
+    row.
     """
-    adaptive = _check_thresholds(tree, variant, alpha, schedule)
-    outcomes: dict[str, NodeOutcome] = {}
-    tested: list[int] = []
-    ids, offsets, children = tree.ids, tree.child_offsets, tree.children
-    sched = schedule
-    # non-rejected internal nodes, whose subtrees go untested
-    cut = np.zeros(len(tree), dtype=bool) if variant.prune else None
-    groups = [[tree.root_index]]  # sibling groups of node indices at this depth
-    depth = 1
-    while groups:
-        threshold = sched.alpha_at(depth) if adaptive else alpha
-        next_groups: list[list[int]] = []
-        for group in groups:
-            tested.extend(group)
-            raw = [_validated_p(p_source, ids[i]) for i in group]
-            if variant.local_adjust is None or len(group) == 1:
-                adjusted = raw
-            else:
-                adjusted = [float(pa) for pa in _LOCAL_ADJUSTERS[variant.local_adjust](raw)]
-            for i, p, pa in zip(group, raw, adjusted):
-                nid = ids[i]
-                rejected = bool(pa <= threshold)
-                outcomes[nid] = NodeOutcome(nid, True, p, pa, threshold, rejected)
-                lo, hi = offsets[i], offsets[i + 1]
-                if lo == hi:
-                    continue
-                if rejected:
-                    next_groups.append(children[lo:hi].tolist())
-                elif cut is not None:
-                    cut[i] = True
-        if cut is not None and next_groups:
-            sched = recompute_after_pruning(sched, tree, cut, depth)
-        depth += 1
-        groups = next_groups
+    ids = tree.ids
 
-    result = ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
-    _check_gating(result, tree, tested)
-    return result
+    def one_row(_, node):
+        out = []
+        for i in node.tolist():
+            try:
+                out.append(float(p_source(ids[i])))
+            except KeyError:
+                raise GateError(
+                    f"p-value source has no value for reachable node {ids[i]!r}"
+                ) from None
+        return out
+
+    w = walk(tree, one_row, 1, variant, alpha=alpha, schedule=schedule)
+    columns = (w.node, w.p, w.p_adjusted, w.alpha_applied, w.rejected)
+    outcomes = {
+        ids[i]: NodeOutcome(ids[i], True, *values)
+        for i, *values in zip(*(c.tolist() for c in columns))
+    }
+    return ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
+
+
+def _dense(tree: HypothesisTree, P) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != len(tree):
+        raise GateError(f"p-value matrix of shape {P.shape} does not match {len(tree)} nodes")
+    if not ((P >= 0.0) & (P <= 1.0)).all():  # NaN fails the comparison too
+        raise GateError("p-value matrix has entries outside [0, 1]")
+    return P
 
 
 def run_topdown_batch(
@@ -182,113 +277,13 @@ def run_topdown_batch(
     *,
     alpha: float = 0.05,
     schedule: AlphaSchedule | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the gated procedure on every row of a p-value matrix at once.
-
-    ``P[r, i]`` is replicate r's p-value at node index i; every entry must
-    lie in [0, 1].  Returns ``(tested, rejected)``, bool arrays shaped like
-    ``P``: row r holds the nodes ``run_topdown`` tests and rejects on the
-    source ``lambda nid: P[r, tree.index_of(nid)]``, with the same
-    thresholds.  The walk goes depth by depth; a depth's sibling groups of
-    equal size are adjusted as one stacked call, and the pruning variant
-    keeps one threshold per replicate, recomputed after each depth over the
-    nodes that replicate can still reach.
-    """
-    adaptive = _check_thresholds(tree, variant, alpha, schedule)
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[1] != len(tree):
-        raise GateError(f"p-value matrix of shape {P.shape} does not match {len(tree)} nodes")
-    if not ((P >= 0.0) & (P <= 1.0)).all():  # NaN fails the comparison too
-        raise GateError("p-value matrix has entries outside [0, 1]")
-    if variant.prune:
-        if schedule.model is None:
-            raise GateError("the pruning variant needs a schedule with a power model")
-        theta, reach = theta_and_reach(tree, schedule.model)
-        load = reach * theta
-    adjuster = _ROW_ADJUSTERS[variant.local_adjust] if variant.local_adjust else None
-    tested = np.zeros(P.shape, dtype=bool)
-    rejected = np.zeros(P.shape, dtype=bool)
-    levels, parent = tree.levels, tree.parent
-    threshold = schedule.alpha_at(1) if adaptive else alpha
-    tested[:, tree.root_index] = True
-    for depth, level in enumerate(levels, start=1):
-        if depth > 1:
-            tested[:, level] = rejected[:, parent[level]]
-            if not tested[:, level].any():
-                break
-            if variant.prune:  # one threshold per replicate
-                threshold = _pruned_threshold(
-                    tree, tested, depth, reach, load, schedule.model.alpha
-                )[:, None]
-            elif adaptive:
-                threshold = schedule.alpha_at(depth)
-        rejected[:, level] = tested[:, level] & (P[:, level] <= threshold)
-        if adjuster is None or depth == 1:
-            continue
-        for parents, kids in _sibling_groups(tree, levels[depth - 2]):
-            rows, group = np.nonzero(rejected[:, parents])
-            kids = kids[group]
-            limit = threshold if np.ndim(threshold) == 0 else threshold[rows]
-            rejected[rows[:, None], kids] = adjuster(P[rows[:, None], kids]) <= limit
-
-    below = np.flatnonzero(parent >= 0)
-    if (tested[:, below] & ~rejected[:, parent[below]]).any():
-        raise AssertionError("gating violated: a node was tested under a non-rejected parent")
-    return tested, rejected
-
-
-def _sibling_groups(tree: HypothesisTree, level: np.ndarray):
-    """The child groups of the nodes in ``level`` with two or more children,
-    one ``(parents, kids)`` pair per group size: ``kids[g]`` lists the
-    children of ``parents[g]`` in index order."""
-    lo = tree.child_offsets[level]
-    size = tree.child_offsets[level + 1] - lo
-    for s in np.unique(size[size > 1]).tolist():
-        pick = size == s
-        yield level[pick], tree.children[lo[pick][:, None] + np.arange(s)]
-
-
-def _pruned_threshold(
-    tree: HypothesisTree,
-    tested: np.ndarray,
-    depth: int,
-    reach: np.ndarray,
-    load: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Per replicate, the threshold at ``depth`` recomputed over the nodes
-    it can still reach, as ``recompute_after_pruning`` gives it.
-
-    Down to ``depth`` a node is reachable when it was tested; below, when
-    its ancestor at ``depth`` was.  Sums run left to right over masked
-    values, in the node order of ``errorload``'s Python sums, so every
-    threshold is bitwise the scalar walk's.
-    """
-    levels, parent = tree.levels, tree.parent
-    alive = tested.copy()
-    total = 0.0
-    for e, level in enumerate(levels, start=1):
-        if e > depth:
-            alive[:, level] = alive[:, parent[level]]
-        total = total + _row_sums(alive[:, level], load[level])
-    exposure = _row_sums(alive[:, levels[depth - 1]], reach[levels[depth - 1]])
-    return depth_threshold(alpha, total <= 1.0, depth, exposure)
-
-
-def _row_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # np.sum adds pairwise; accumulate adds left to right, and masked-out
-    # zeros leave a positive partial sum unchanged
-    return np.add.accumulate(np.where(mask, values, 0.0), axis=1)[:, -1]
-
-
-def _check_gating(result: ResultTree, tree: HypothesisTree, tested: list[int]) -> None:
-    # every tested non-root node must sit under a rejected parent
-    rejected = set(result.rejected_ids())
-    for i, parent in zip(tested, tree.parent[tested].tolist()):
-        if parent >= 0 and tree.ids[parent] not in rejected:
-            raise AssertionError(
-                f"gating violated: {tree.ids[i]!r} tested under non-rejected parent"
-            )
+) -> Walk:
+    """``walk`` on every row of a p-value matrix: ``P[r, i]`` is row r's
+    p-value at node index i, and every entry must lie in [0, 1]."""
+    P = _dense(tree, P)
+    return walk(
+        tree, lambda row, node: P[row, node], len(P), variant, alpha=alpha, schedule=schedule
+    )
 
 
 def run_bottom_up(
@@ -305,12 +300,22 @@ def run_bottom_up(
     return {nid for nid, pa in zip(ids, adjusted) if pa <= alpha}
 
 
-def run_bottom_up_batch(leaf_P: np.ndarray, method: str, alpha: float = 0.05) -> np.ndarray:
-    """``run_bottom_up`` on each row of a (replicates, leaves) p-value
-    matrix; returns the bool rejection matrix."""
+def run_bottom_up_batch(
+    tree: HypothesisTree, P: np.ndarray, method: str, alpha: float = 0.05
+) -> Walk:
+    """``run_bottom_up`` on the leaves of each row of a (rows, nodes)
+    p-value matrix, as a walk that tests every leaf of every row."""
     if method not in _BOTTOM_UP_ROWS:
         raise GateError(f"unknown bottom-up method: {method!r}")
-    return _BOTTOM_UP_ROWS[method](leaf_P) <= alpha
+    leaves = np.flatnonzero(tree.is_leaf)
+    p = _dense(tree, P)[:, leaves]
+    adjusted = _BOTTOM_UP_ROWS[method](p)
+    row, column = np.indices(p.shape).reshape(2, -1)
+    alpha_applied = np.full(p.size, float(alpha))
+    return Walk(
+        len(p), row, leaves[column], p.ravel(), adjusted.ravel(), alpha_applied,
+        (adjusted <= alpha).ravel(),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,31 +404,23 @@ def score_rejections(
     )
 
 
-def score_batch(
-    rejected: np.ndarray, tree: HypothesisTree, tested: np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """``score_rejections`` on each row of a (replicates, nodes) rejection
-    matrix, as one float array per ``RunScore`` attribute and property.
-
-    ``tested`` gives each row's tested nodes; None scores a bottom-up run,
-    which tests every leaf.
-    """
+def score_batch(walk: Walk, tree: HypothesisTree) -> dict[str, np.ndarray]:
+    """``score_rejections`` on each row of a walk, as one float array per
+    ``RunScore`` attribute and property; a row's tested nodes are its
+    pairs."""
     null = tree.is_null
     if null is None:
         raise GateError("tree is not truth-labeled")
     leaf = tree.is_leaf
+    hit, at_null, at_leaf = walk.rejected, null[walk.node], leaf[walk.node]
 
-    def count(mask, of):
-        return np.count_nonzero(mask & of, axis=1)
+    def count(mask):
+        return np.bincount(walk.row[mask], minlength=walk.rows)
 
-    fn, fl = count(rejected, null), count(rejected, null & leaf)
-    tn, tl = count(rejected, ~null), count(rejected, ~null & leaf)
+    fn, fl = count(hit & at_null), count(hit & at_null & at_leaf)
+    tn, tl = count(hit & ~at_null), count(hit & ~at_null & at_leaf)
     n_null, n_null_leaves = int(null.sum()), int((null & leaf).sum())
     n_non_null, n_non_null_leaves = len(tree) - n_null, int(leaf.sum()) - n_null_leaves
-    if tested is None:
-        nodes_tested = leaves_tested = np.full(len(rejected), int(leaf.sum()))
-    else:
-        nodes_tested, leaves_tested = tested.sum(axis=1), count(tested, leaf)
 
     def share(hits, of):
         return hits / of if of else np.zeros(len(hits))
@@ -441,7 +438,7 @@ def score_batch(
             ("power_leaf", share(tl, n_non_null_leaves)),
             ("false_rejection_prop_node", share(fn, n_null)),
             ("false_rejection_prop_leaf", share(fl, n_null_leaves)),
-            ("nodes_tested", nodes_tested),
-            ("leaves_tested", leaves_tested),
+            ("nodes_tested", np.bincount(walk.row, minlength=walk.rows)),
+            ("leaves_tested", count(at_leaf)),
         )
     }

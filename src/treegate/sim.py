@@ -28,16 +28,9 @@ import numpy as np
 
 from . import gate
 from .errorload import PowerModel, adaptive_schedule, power_normal_approx
-from .gate import (
-    GateVariant,
-    run_bottom_up,
-    run_bottom_up_batch,
-    run_topdown,
-    run_topdown_batch,
-    score_batch,
-    score_rejections,
-    score_result,
-)
+from .gate import GateVariant, run_bottom_up_batch, run_topdown_batch, score_batch, walk
+# unused here; the benchmark tracer binds these names on this module until its next change
+from .gate import run_bottom_up, run_topdown, score_rejections, score_result  # noqa: F401
 from .permtest import (
     Block,
     DegenerateBlockError,
@@ -141,27 +134,17 @@ def simulate_weak(
 
     P-values are independent uniforms drawn lazily, only for nodes whose
     ancestors were all rejected, so enormous trees cost almost nothing per
-    replicate.
+    replicate.  All replicates are walked at once.
     """
     if replicates < 100:
         raise SimError("replicates must be at least 100")
     if seed < 0:
         raise SimError("seed must be non-negative")
     tree = build_regular(k, L)
-    fwer_hits = 0
-    tests_sum = 0.0
-    tested_sum = 0
-    for rep in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k, L, rep]))
-        result = run_topdown(
-            tree, lambda nid: rng.random(), gate.UNADJUSTED, alpha=alpha
-        )
-        rejections = result.total_rejections
-        root_rejected = result.outcome(tree.root).rejected
-        fwer_hits += rejections > 0
-        tests_sum += 1 + rejections - (1 if root_rejected else 0)
-        tested_sum += result.nodes_tested
-    fwer = fwer_hits / replicates
+    result = walk(tree, _uniform_draws((seed, k, L)), replicates, gate.UNADJUSTED, alpha=alpha)
+    rejections = np.bincount(result.row[result.rejected], minlength=replicates)
+    root_rejections = int(np.count_nonzero(result.rejected & (result.node == tree.root_index)))
+    fwer = int(np.count_nonzero(rejections)) / replicates
     return WeakSummary(
         k=k,
         L=L,
@@ -170,9 +153,33 @@ def simulate_weak(
         seed=seed,
         fwer=fwer,
         fwer_se=_indicator_se(fwer, replicates),
-        mean_tests=tests_sum / replicates,
-        mean_nodes_tested=tested_sum / replicates,
+        mean_tests=(replicates + int(rejections.sum()) - root_rejections) / replicates,
+        mean_nodes_tested=result.row.size / replicates,
     )
+
+
+def _uniform_draws(key: tuple[int, ...]):
+    """A source of independent uniform p-values for ``gate.walk``: row r
+    draws from its own generator, seeded ``(*key, r)``, one value per pair
+    in the order the walk lists them.  A breadth-first walk of one row
+    asks for its nodes in that order, one at a time, and ``random(n)``
+    gives the same values as n calls of ``random()``."""
+    generators: dict[int, np.random.Generator] = {}
+
+    def draw(row: np.ndarray, node: np.ndarray) -> np.ndarray:
+        nonlocal generators
+        reps, counts = np.unique(row, return_counts=True)
+        # a row missing from this depth is never tested again
+        generators = {
+            r: generators[r] if r in generators
+            else np.random.default_rng(np.random.SeedSequence([*key, r]))
+            for r in reps.tolist()
+        }
+        return np.concatenate(
+            [generators[r].random(c) for r, c in zip(reps.tolist(), counts.tolist())]
+        )
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -312,53 +319,34 @@ _SCORE_FIELDS = {
 _SCORE_KEYS = tuple(_SCORE_FIELDS)
 
 
-def _score_to_tuple(score) -> tuple:
-    return tuple(float(getattr(score, attr)) for attr in _SCORE_FIELDS.values())
-
-
-def _summarize(method: str, sums: dict, replicates: int) -> MethodSummary:
-    means = {key: sums[key] / replicates for key in _SCORE_KEYS}
-    return MethodSummary(
-        method=method,
-        replicates=replicates,
-        fwer_node_se=_indicator_se(means["fwer_node"], replicates),
-        fwer_leaf_se=_indicator_se(means["fwer_leaf"], replicates),
-        **means,
-    )
-
-
-def _score_methods(methods, tree, labeled, p_of, alpha, schedule) -> dict[str, tuple]:
-    """Score every method of one replicate on one source of node p-values.
-
-    Top-down variants query ``p_of`` as they walk; the bottom-up baselines
-    share one dict of leaf p-values read from it.
-    """
-    scores: dict[str, tuple] = {}
-    leaf_p = None
-    for method in methods:
+def _add_scores(sums: dict, tree, labeled, P: np.ndarray, alpha: float, schedule) -> None:
+    """Run every method of ``sums`` on the rows of the (replicates, nodes)
+    p-value matrix ``P`` and add each row's scores to the method's sums,
+    left to right in row order."""
+    for method in sums:
         if method in TD_METHODS:
-            result = run_topdown(tree, p_of, TD_METHODS[method], alpha=alpha, schedule=schedule)
-            score = score_result(result, labeled)
+            result = run_topdown_batch(tree, P, TD_METHODS[method], alpha=alpha, schedule=schedule)
         else:
-            if leaf_p is None:
-                leaf_p = {nid: p_of(nid) for nid in tree.leaves}
-            rejected = run_bottom_up(leaf_p, method, alpha)
-            score = score_rejections(
-                rejected, labeled, nodes_tested=len(leaf_p), leaves_tested=len(leaf_p)
-            )
-        scores[method] = _score_to_tuple(score)
-    return scores
+            result = run_bottom_up_batch(tree, P, method, alpha)
+        scores = score_batch(result, labeled)
+        block = np.column_stack([scores[attr] for attr in _SCORE_FIELDS.values()])
+        sums[method] = np.add.accumulate(np.vstack([sums[method], block]))[-1]
 
 
-def _pool(methods, per_rep, replicates: int) -> dict[str, MethodSummary]:
-    """Per-method summaries from per-replicate score tuples, summed in replicate order."""
-    accum = {m: dict.fromkeys(_SCORE_KEYS, 0.0) for m in methods}
-    for rep_scores in per_rep:
-        for method, values in rep_scores.items():
-            sums = accum[method]
-            for key, value in zip(_SCORE_KEYS, values):
-                sums[key] += value
-    return {m: _summarize(m, accum[m], replicates) for m in methods}
+def _summaries(sums: dict, replicates: int) -> dict[str, MethodSummary]:
+    """Per-method summaries from score sums, given per method in the order
+    of ``_SCORE_FIELDS``."""
+    out = {}
+    for method, values in sums.items():
+        means = {key: value / replicates for key, value in zip(_SCORE_KEYS, values.tolist())}
+        out[method] = MethodSummary(
+            method=method,
+            replicates=replicates,
+            fwer_node_se=_indicator_se(means["fwer_node"], replicates),
+            fwer_leaf_se=_indicator_se(means["fwer_leaf"], replicates),
+            **means,
+        )
+    return out
 
 
 # Replicates per block of ``simulate_strong`` hold about this many node
@@ -371,9 +359,8 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
 
     All top-down variants and the bottom-up baselines see the same p-value
     draws within a replicate, so method comparisons are paired.  Replicates
-    run in blocks: a block's (replicates, nodes) p-value matrix goes through
-    ``run_topdown_batch`` once per method, and score sums are added in
-    replicate order.
+    run in blocks: a block's (replicates, nodes) p-value matrix is walked
+    once per method, and score sums are added in replicate order.
     """
     tree = build_regular(config.k, config.L, config.units_per_leaf)
     non_null = _non_null_leaves(
@@ -383,8 +370,8 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
     model = PowerModel(d_hat=d_plan, alpha=config.alpha)
     schedule = adaptive_schedule(tree, model)
-    exponents = _beta_inverse_exponents(labeled, config, model)
-    leaves = np.flatnonzero(tree.is_leaf)
+    # the data follow the true effect d; only the schedule plans with d_hat
+    exponents = _beta_inverse_exponents(labeled, config, replace(model, d_hat=config.d or 0.0))
 
     sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
     per_block = max(1, _BLOCK_ELEMENTS // len(tree))
@@ -395,24 +382,9 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
             row[:] = rng.random(len(tree))
         P **= exponents
-        for method in config.methods:
-            if method in TD_METHODS:
-                tested, rejected = run_topdown_batch(
-                    tree, P, TD_METHODS[method], alpha=config.alpha, schedule=schedule
-                )
-            else:
-                tested = None
-                rejected = np.zeros(P.shape, dtype=bool)
-                rejected[:, leaves] = run_bottom_up_batch(P[:, leaves], method, config.alpha)
-            scores = score_batch(rejected, labeled, tested)
-            block = np.column_stack([scores[attr] for attr in _SCORE_FIELDS.values()])
-            # left to right, continuing from the previous blocks' sums
-            sums[method] = np.add.accumulate(np.vstack([sums[method], block]))[-1]
+        _add_scores(sums, tree, labeled, P, config.alpha, schedule)
 
-    methods = {
-        m: _summarize(m, dict(zip(_SCORE_KEYS, sums[m].tolist())), config.replicates)
-        for m in config.methods
-    }
+    methods = _summaries(sums, config.replicates)
     params = {
         "k": config.k,
         "L": config.L,
@@ -596,61 +568,57 @@ class NodePValues:
         self._cache = cache
 
 
-def _dpp_replicates(config: DppConfig, rep_range) -> list[dict[str, tuple]]:
-    layout = config.layout or dpp_default_layout()
-    rows = _layout_rows(layout, config.students_per_block)
-    tree = build_from_paths(rows)
-    labeled = tree.label_truth(
-        {bid for bid, path, _ in rows if path[0] == "C1"}
-    )
-    model = PowerModel(
-        d_hat=config.d_hat if config.d_hat is not None else config.d,
-        alpha=config.alpha,
-    )
-    schedule = adaptive_schedule(tree, model)
+def _dpp_pvalues(config: DppConfig, rep_range) -> np.ndarray:
+    """Every node's p-value in each of the given replicates, one row each."""
     spec = TestSpec(
         statistic=config.statistic,
         sides=config.sides,
         n_perms=config.n_perms,
         seed=config.seed,
     )
-
-    out = []
+    P = []
     for rep in rep_range:
-        _, blocks, _ = generate_dpp_data(
-            layout,
+        tree, blocks, _ = generate_dpp_data(
+            config.layout,
             config.d,
             config.seed,
             students_per_block=config.students_per_block,
             rep=rep,
         )
         p_source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
-        out.append(
-            _score_methods(config.methods, tree, labeled, p_source, config.alpha, schedule)
-        )
-    return out
+        P.append([p_source(nid) for nid in tree.ids])
+    return np.array(P)
 
 
 def simulate_dpp(config: DppConfig) -> SimSummary:
     """Run the 44-block study; honors TREEGATE_THREADS for replicate workers.
 
-    Every method within a replicate shares one dataset and one cache of
-    node p-values, so method comparisons are paired; results are identical
-    for any worker count.
+    Workers compute each replicate's node p-values, and the replicates are
+    walked together once the rows are in.  Every method within a replicate
+    shares one dataset and its p-values, so method comparisons are paired;
+    results are identical for any worker count.
     """
     workers = worker_count(config.replicates)
     if workers <= 1:
-        per_rep = _dpp_replicates(config, range(config.replicates))
+        P = _dpp_pvalues(config, range(config.replicates))
     else:
         chunks = np.array_split(np.arange(config.replicates), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_dpp_replicates, [config] * len(chunks), [c.tolist() for c in chunks])
-            )
-        per_rep = [rep_scores for part in parts for rep_scores in part]
+            P = np.vstack(list(
+                pool.map(_dpp_pvalues, [config] * len(chunks), [c.tolist() for c in chunks])
+            ))
 
-    methods = _pool(config.methods, per_rep, config.replicates)
     layout = config.layout or dpp_default_layout()
+    rows = _layout_rows(layout, config.students_per_block)
+    tree = build_from_paths(rows)
+    labeled = tree.label_truth({bid for bid, path, _ in rows if path[0] == "C1"})
+    model = PowerModel(
+        d_hat=config.d_hat if config.d_hat is not None else config.d,
+        alpha=config.alpha,
+    )
+    sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
+    _add_scores(sums, tree, labeled, P, config.alpha, adaptive_schedule(tree, model))
+    methods = _summaries(sums, config.replicates)
     params = {
         "d": config.d,
         "d_hat": config.d_hat if config.d_hat is not None else config.d,

@@ -58,9 +58,9 @@ class HypothesisTree:
     the arrays it is given.  Relabeling and pruning return new trees.  On a
     ``prune_below`` result, ``leaves`` and ``leaves_under`` name the
     terminal nodes, which may be groups.  The gate does not prune: its
-    pruning variant marks cut nodes in a mask over this tree's indices
-    (``errorload.recompute_after_pruning``), and ``prune_below`` remains as
-    the reference that mask is tested against.
+    pruning variant sums over a mask of the nodes each replicate can still
+    reach on this tree (``errorload.level_sums``), and ``prune_below``
+    remains as the reference that mask is tested against.
     """
 
     def __init__(

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from treegate import sim
-from treegate.errorload import PowerModel, adaptive_schedule
-from treegate.gate import run_bottom_up, run_topdown, score_rejections, score_result
-from treegate.permtest import DegenerateBlockError, energy_scores
+from treegate.adjust import adjust_bh, adjust_hommel
+from treegate.errorload import PowerModel, adaptive_schedule, recompute_after_pruning
+from treegate.gate import NodeOutcome, ResultTree, run_bottom_up, score_rejections, score_result
+from treegate.permtest import DegenerateBlockError, TestSpec, energy_scores
 from treegate.tree import build_regular
 
 
@@ -69,6 +70,43 @@ def hommel_loop(pvals) -> np.ndarray:
     out = np.empty(m)
     out[order] = np.minimum(adjusted, 1.0)
     return out
+
+
+def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> ResultTree:
+    """The gated walk on one replicate, one node at a time.
+
+    Sibling groups go in a list per depth, each group's children in index
+    order.  A group of two or more is adjusted on its own; the pruning
+    variant marks each non-rejected internal node in a cut mask and, after
+    each depth, recomputes the schedule with ``recompute_after_pruning``.
+    """
+    local = {"hommel": adjust_hommel, "bh": adjust_bh, None: None}[variant.local_adjust]
+    adaptive = variant.thresholds == "adaptive"
+    outcomes = {}
+    ids, offsets, children = tree.ids, tree.child_offsets, tree.children
+    sched = schedule
+    cut = np.zeros(len(tree), dtype=bool)
+    groups = [[tree.root_index]]
+    depth = 1
+    while groups:
+        threshold = sched.alpha_at(depth) if adaptive else alpha
+        next_groups = []
+        for group in groups:
+            raw = [float(p_source(ids[i])) for i in group]
+            adjusted = raw if local is None or len(group) == 1 else local(raw).tolist()
+            for i, p, pa in zip(group, raw, adjusted):
+                rejected = pa <= threshold
+                outcomes[ids[i]] = NodeOutcome(ids[i], True, p, pa, threshold, rejected)
+                lo, hi = offsets[i], offsets[i + 1]
+                if rejected and lo < hi:
+                    next_groups.append(children[lo:hi].tolist())
+                elif not rejected:
+                    cut[i] = lo < hi
+        if variant.prune and next_groups:
+            sched = recompute_after_pruning(sched, tree, cut, depth)
+        depth += 1
+        groups = next_groups
+    return ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
 
 
 def bh_stepup_reject(pvals, alpha) -> set[int]:
@@ -222,37 +260,75 @@ def shuffled_trees(max_nodes=40, min_units=1):
     )).map(arguments)
 
 
+def _score_methods(methods, tree, labeled, p_of, alpha, schedule):
+    """Per method, the score fields of one replicate: top-down methods walk
+    ``topdown_loop`` on ``p_of``, and the bottom-up baselines run
+    ``run_bottom_up`` on its leaves."""
+    leaf_p = {nid: p_of(nid) for nid in tree.leaves}
+    out = {}
+    for method in methods:
+        if method in sim.TD_METHODS:
+            result = topdown_loop(
+                tree, p_of, sim.TD_METHODS[method], alpha=alpha, schedule=schedule
+            )
+            score = score_result(result, labeled)
+        else:
+            rejected = run_bottom_up(leaf_p, method, alpha)
+            score = score_rejections(rejected, labeled, len(leaf_p), len(leaf_p))
+        out[method] = [float(getattr(score, attr)) for attr in sim._SCORE_FIELDS.values()]
+    return out
+
+
+def _pooled(methods, per_replicate, replicates):
+    """Method summaries from per-replicate score fields, each added to its
+    method's sums in replicate order."""
+    sums = {m: [0.0] * len(sim._SCORE_FIELDS) for m in methods}
+    for scores in per_replicate:
+        for method, values in scores.items():
+            sums[method] = [total + v for total, v in zip(sums[method], values)]
+    return sim._summaries({m: np.array(s) for m, s in sums.items()}, replicates)
+
+
+def simulate_weak_per_replicate(k, L, alpha, replicates, seed) -> "sim.WeakSummary":
+    """``simulate_weak`` as one ``topdown_loop`` walk per replicate, each
+    drawing ``rng.random()`` for a node when the walk reaches it."""
+    tree = build_regular(k, L)
+    hits, tests, tested = 0, 0, 0
+    for rep in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k, L, rep]))
+        result = topdown_loop(tree, lambda nid: rng.random(), sim.gate.UNADJUSTED, alpha=alpha)
+        rejections = result.total_rejections
+        hits += rejections > 0
+        tests += 1 + rejections - result.outcome(tree.root).rejected
+        tested += result.nodes_tested
+    fwer = hits / replicates
+    return sim.WeakSummary(
+        k=k, L=L, alpha=alpha, replicates=replicates, seed=seed, fwer=fwer,
+        fwer_se=sim._indicator_se(fwer, replicates), mean_tests=tests / replicates,
+        mean_nodes_tested=tested / replicates,
+    )
+
+
 def simulate_strong_per_replicate(config) -> "sim.SimSummary":
     """``simulate_strong`` written as one scalar walk per replicate and
-    method: each replicate draws its node p-values into a dict, every
-    top-down method runs ``run_topdown`` on it, the bottom-up baselines run
-    ``run_bottom_up`` on its leaves, and each score is added to the method's
-    sums in replicate order."""
+    method: each replicate draws its node p-values into a dict, which every
+    method of ``_score_methods`` reads."""
     tree = build_regular(config.k, config.L, config.units_per_leaf)
     non_null = sim._non_null_leaves(tree.leaves, config.null_proportion, config.placement)
     labeled = tree.label_truth(non_null)
     d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
     model = PowerModel(d_hat=d_plan, alpha=config.alpha)
     schedule = adaptive_schedule(tree, model)
-    exponents = sim._beta_inverse_exponents(labeled, config, model)
+    truth = PowerModel(d_hat=config.d or 0.0, alpha=config.alpha)
+    exponents = sim._beta_inverse_exponents(labeled, config, truth)
 
-    sums = {m: dict.fromkeys(sim._SCORE_FIELDS, 0.0) for m in config.methods}
+    per_replicate = []
     for rep in range(config.replicates):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
         p_by_node = dict(zip(tree.ids, rng.random(len(tree)) ** exponents))
-        leaf_p = {nid: p_by_node[nid] for nid in tree.leaves}
-        for method in config.methods:
-            if method in sim.TD_METHODS:
-                result = run_topdown(
-                    tree, p_by_node.__getitem__, sim.TD_METHODS[method],
-                    alpha=config.alpha, schedule=schedule,
-                )
-                score = score_result(result, labeled)
-            else:
-                rejected = run_bottom_up(leaf_p, method, config.alpha)
-                score = score_rejections(rejected, labeled, len(leaf_p), len(leaf_p))
-            for key, attr in sim._SCORE_FIELDS.items():
-                sums[method][key] += float(getattr(score, attr))
+        per_replicate.append(_score_methods(
+            config.methods, tree, labeled, p_by_node.__getitem__, config.alpha, schedule
+        ))
 
     params = {
         "k": config.k,
@@ -269,5 +345,41 @@ def simulate_strong_per_replicate(config) -> "sim.SimSummary":
         "sum_error_load": schedule.total_error_load,
         "n_non_null_leaves": len(non_null),
     }
-    methods = {m: sim._summarize(m, sums[m], config.replicates) for m in config.methods}
+    methods = _pooled(config.methods, per_replicate, config.replicates)
     return sim.SimSummary(kind="strong", params=params, methods=methods)
+
+
+def simulate_dpp_per_replicate(config) -> "sim.SimSummary":
+    """``simulate_dpp`` as one scalar walk per replicate and method: each
+    replicate's dataset gets its own ``NodePValues``, which every method of
+    ``_score_methods`` reads as it goes."""
+    layout = config.layout or sim.dpp_default_layout()
+    spec = TestSpec(
+        statistic=config.statistic, sides=config.sides, n_perms=config.n_perms, seed=config.seed
+    )
+    d_plan = config.d_hat if config.d_hat is not None else config.d
+    per_replicate = []
+    for rep in range(config.replicates):
+        tree, blocks, non_null = sim.generate_dpp_data(
+            layout, config.d, config.seed,
+            students_per_block=config.students_per_block, rep=rep,
+        )
+        schedule = adaptive_schedule(tree, PowerModel(d_hat=d_plan, alpha=config.alpha))
+        p_of = sim.NodePValues(tree, blocks, spec, prefix=f"{rep}/")
+        per_replicate.append(_score_methods(
+            config.methods, tree, tree.label_truth(non_null), p_of, config.alpha, schedule
+        ))
+    params = {
+        "d": config.d,
+        "d_hat": d_plan,
+        "alpha": config.alpha,
+        "replicates": config.replicates,
+        "seed": config.seed,
+        "n_perms": config.n_perms,
+        "statistic": config.statistic,
+        "sides": config.sides,
+        "blocks": sum(sum(c) for c in layout),
+        "students_per_block": config.students_per_block,
+    }
+    methods = _pooled(config.methods, per_replicate, config.replicates)
+    return sim.SimSummary(kind="dpp", params=params, methods=methods)

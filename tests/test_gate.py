@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import shuffled_trees
+from _oracles import shuffled_trees, topdown_loop
 from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptive_schedule
 from treegate.gate import (
     ADAPTIVE,
@@ -13,6 +13,7 @@ from treegate.gate import (
     LOCAL_BH,
     LOCAL_HOMMEL,
     UNADJUSTED,
+    NodeOutcome,
     run_bottom_up,
     run_bottom_up_batch,
     run_topdown,
@@ -96,13 +97,18 @@ class TestRunTopdown:
         assert a == b
 
     def test_missing_pvalue_raises(self, k3l3):
-        with pytest.raises(GateError, match="no value"):
+        message = r"^p-value source has no value for reachable node '2'$"
+        with pytest.raises(GateError, match=message):
             run_topdown(k3l3, {"1": 0.001}.__getitem__, UNADJUSTED)
 
     @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
     def test_out_of_range_pvalue_raises(self, k3l3, p):
-        with pytest.raises(GateError, match="outside"):
-            run_topdown(k3l3, {"1": p}.__getitem__, UNADJUSTED)
+        for nid in ("1", "3"):  # the root, and a node reached at depth 2
+            pvals = dict.fromkeys(k3l3.ids, 0.01)
+            pvals[nid] = p
+            message = rf"^p-value for node '{nid}' outside \[0, 1\]: {p}$"
+            with pytest.raises(GateError, match=message):
+                run_topdown(k3l3, pvals.__getitem__, UNADJUSTED)
 
 
 class TestLocalAdjustment:
@@ -230,13 +236,27 @@ class TestPrunedAgainstRebuiltTree:
 
 
 def scalar_rows(tree, P, variant, schedule):
-    """``run_topdown`` on each row of ``P``: per row, the tested ids, the
-    rejected ids and the result."""
+    """The scalar oracle walk on each row of ``P``: per row, the tested ids,
+    the rejected ids and the result."""
     out = []
     for row in P:
         p_of = dict(zip(tree.ids, row.tolist())).__getitem__
-        result = run_topdown(tree, p_of, variant, schedule=schedule)
+        result = topdown_loop(tree, p_of, variant, schedule=schedule)
         out.append((set(result.outcomes), set(result.rejected_ids()), result))
+    return out
+
+
+def walk_rows(tree, walk):
+    """Per row of a walk: its tested ids, its rejected ids and its outcomes
+    by id, in the walk's order."""
+    out = [(set(), set(), {}) for _ in range(walk.rows)]
+    columns = (walk.row, walk.node, walk.p, walk.p_adjusted, walk.alpha_applied, walk.rejected)
+    for r, i, p, pa, a, rejected in zip(*(c.tolist() for c in columns)):
+        nid = tree.ids[i]
+        out[r][0].add(nid)
+        if rejected:
+            out[r][1].add(nid)
+        out[r][2][nid] = NodeOutcome(nid, True, p, pa, a, rejected)
     return out
 
 
@@ -246,10 +266,6 @@ def pin_thresholds(tree, P, schedule):
     for r, (_, rejected, result) in enumerate(scalar_rows(tree, P, ADAPTIVE_PRUNED, schedule)):
         for nid in rejected:
             P[r, tree.index_of(nid)] = result.outcome(nid).alpha_applied
-
-
-def ids_of(tree, mask):
-    return {tree.ids[i] for i in np.flatnonzero(mask).tolist()}
 
 
 def wide_tree(fanouts, units):
@@ -323,17 +339,19 @@ class TestBatchAgainstScalar:
             P[r, i] = a
 
         for variant in VARIANTS.values():
-            tested, rejected = run_topdown_batch(tree, P, variant, schedule=schedule)
-            for r, (want_tested, want_rejected, _) in enumerate(scalar_rows(tree, P, variant, schedule)):
-                assert ids_of(tree, tested[r]) == want_tested, (variant.name, r)
-                assert ids_of(tree, rejected[r]) == want_rejected, (variant.name, r)
+            got = walk_rows(tree, run_topdown_batch(tree, P, variant, schedule=schedule))
+            for r, (_, _, want) in enumerate(scalar_rows(tree, P, variant, schedule)):
+                # every tested node's p, adjusted p, threshold and decision,
+                # in the order the scalar walk tests them
+                assert list(got[r][2].items()) == list(want.outcomes.items()), (variant.name, r)
 
         leaves = np.flatnonzero(tree.is_leaf)
         for method in ("bu_hommel", "bu_bh"):
-            batch = run_bottom_up_batch(P[:, leaves], method)
+            got = walk_rows(tree, run_bottom_up_batch(tree, P, method))
             for r, row in enumerate(P):
                 leaf_p = {tree.ids[i]: row[i] for i in leaves.tolist()}
-                assert {tree.ids[i] for i in leaves[batch[r]].tolist()} == run_bottom_up(leaf_p, method)
+                assert got[r][0] == set(tree.leaves)
+                assert got[r][1] == run_bottom_up(leaf_p, method)
 
     def test_pruned_variant_on_seeded_wide_trees(self):
         # mid-range thetas make reach vary along a depth, so a sum that is
@@ -346,9 +364,9 @@ class TestBatchAgainstScalar:
             schedule = adaptive_schedule(tree, PowerModel(d_hat=float(rng.uniform(0.05, 0.5))))
             P = rng.random((6, len(tree))) ** 4
             pin_thresholds(tree, P, schedule)
-            _, rejected = run_topdown_batch(tree, P, ADAPTIVE_PRUNED, schedule=schedule)
+            got = walk_rows(tree, run_topdown_batch(tree, P, ADAPTIVE_PRUNED, schedule=schedule))
             for r, (_, want, _) in enumerate(scalar_rows(tree, P, ADAPTIVE_PRUNED, schedule)):
-                assert ids_of(tree, rejected[r]) == want
+                assert got[r][1] == want
 
     @given(shuffled_trees(max_nodes=30), st.integers(0, 2**31), st.data())
     @settings(max_examples=100, deadline=None)
@@ -357,16 +375,19 @@ class TestBatchAgainstScalar:
         non_null = data.draw(st.sets(st.sampled_from(tree.leaves)), label="non_null")
         labeled = tree.label_truth(non_null)
         P = np.random.default_rng(seed).random((4, len(tree))) ** 3
-        tested, rejected = run_topdown_batch(tree, P, UNADJUSTED, alpha=0.2)
-        batch = score_batch(rejected, labeled, tested)
-        bottom_up = score_batch(rejected, labeled)
+        top_down = run_topdown_batch(tree, P, UNADJUSTED, alpha=0.2)
+        rows = walk_rows(tree, top_down)
+        batch = score_batch(top_down, labeled)
+        bottom_up_walk = run_bottom_up_batch(tree, P, "bu_bh", alpha=0.2)
+        bottom_up = score_batch(bottom_up_walk, labeled)
         n_leaves = len(tree.leaves)
-        for r in range(len(P)):
+        for r, (tested, rejected, _) in enumerate(rows):
             want = score_rejections(
-                ids_of(tree, rejected[r]), labeled, int(tested[r].sum()),
-                int((tested[r] & tree.is_leaf).sum()),
+                rejected, labeled, len(tested), len(set(tree.leaves) & tested)
             )
-            want_bu = score_rejections(ids_of(tree, rejected[r]), labeled, n_leaves, n_leaves)
+            want_bu = score_rejections(
+                walk_rows(tree, bottom_up_walk)[r][1], labeled, n_leaves, n_leaves
+            )
             for name in batch:
                 assert batch[name][r] == float(getattr(want, name)), name
                 assert bottom_up[name][r] == float(getattr(want_bu, name)), name
@@ -389,16 +410,19 @@ class TestBatchChecks:
         with pytest.raises(GateError, match="schedule"):
             run_topdown_batch(k3l3, np.full((1, 13), 0.5), ADAPTIVE)
 
-    def test_unknown_bottom_up_method(self):
+    def test_matrix_without_rows_tests_nothing(self, k3l3):
+        walk = run_topdown_batch(k3l3, np.empty((0, 13)), LOCAL_HOMMEL)
+        assert walk.rows == 0 and walk.node.size == walk.rejected.size == 0
+
+    def test_unknown_bottom_up_method(self, k3l3):
         with pytest.raises(GateError):
-            run_bottom_up_batch(np.full((1, 2), 0.5), "holm")
+            run_bottom_up_batch(k3l3, np.full((1, 13), 0.5), "holm")
 
     def test_reference_trace(self, k3l3):
         P = np.array([[FIG_PVALUES.get(nid, 0.9) for nid in k3l3.ids]] * 2)
-        tested, rejected = run_topdown_batch(k3l3, P)
-        for r in range(2):
-            assert ids_of(k3l3, tested[r]) == {"1", "2", "3", "4", "5", "6", "7"}
-            assert ids_of(k3l3, rejected[r]) == {"1", "2", "5"}
+        for tested, rejected, _ in walk_rows(k3l3, run_topdown_batch(k3l3, P)):
+            assert tested == {"1", "2", "3", "4", "5", "6", "7"}
+            assert rejected == {"1", "2", "5"}
 
 
 class TestWeakControlProperty:

@@ -8,6 +8,7 @@ import pytest
 
 from treegate import sim
 from treegate.cli import read_dataset
+from treegate.gate import UNADJUSTED
 from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
     DppConfig,
@@ -24,7 +25,12 @@ from treegate.sim import (
 )
 from treegate.tree import build_from_paths, build_regular
 
-from _oracles import simulate_strong_per_replicate
+from _oracles import (
+    simulate_dpp_per_replicate,
+    simulate_strong_per_replicate,
+    simulate_weak_per_replicate,
+    topdown_loop,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -71,6 +77,29 @@ class TestSimulateWeak:
     def test_replicate_floor(self):
         with pytest.raises(SimError):
             simulate_weak(2, 3, replicates=10)
+
+    @pytest.mark.parametrize(
+        "k, L, alpha, replicates, seed",
+        [(2, 4, 0.05, 300, 9), (3, 5, 0.5, 200, 1), (4, 3, 0.2, 150, 0)],
+    )
+    def test_equals_per_replicate_walks(self, k, L, alpha, replicates, seed):
+        got = simulate_weak(k, L, alpha=alpha, replicates=replicates, seed=seed)
+        want = simulate_weak_per_replicate(k, L, alpha, replicates, seed)
+        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
+        if alpha == 0.5:
+            # beyond the root and one sibling group: some walks draw at depth 3
+            assert got.mean_nodes_tested > 1 + k
+
+    def test_each_node_draws_what_a_scalar_walk_draws(self):
+        # the summary cannot tell siblings apart; the walk's p-values can
+        tree = build_regular(3, 5)
+        result = sim.walk(tree, sim._uniform_draws((1, 3, 5)), 60, alpha=0.5)
+        for rep in range(60):
+            rng = np.random.default_rng(np.random.SeedSequence([1, 3, 5, rep]))
+            want = topdown_loop(tree, lambda nid: rng.random(), UNADJUSTED, alpha=0.5)
+            mine = result.row == rep
+            got = dict(zip([tree.ids[i] for i in result.node[mine].tolist()], result.p[mine].tolist()))
+            assert got == {nid: o.p_value for nid, o in want.outcomes.items()}, rep
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 20, 50, 100])
     def test_fwer_across_branching_sweep(self, k):
@@ -155,6 +184,23 @@ class TestSimulateStrong:
         summary = simulate_strong(self.small())
         assert summary.params["sum_error_load"] > 0
 
+    def test_true_effect_drives_the_draws(self):
+        # with the planning effect fixed, a larger true effect rejects more
+        methods = ("td", "bu_hommel")
+        small = simulate_strong(self.small(d=0.05, d_hat=0.2, methods=methods))
+        large = simulate_strong(self.small(d=0.4, d_hat=0.2, methods=methods))
+        for m in methods:
+            assert small.methods[m].true_rejections_leaf < large.methods[m].true_rejections_leaf
+
+    def test_planning_effect_moves_only_the_schedule(self):
+        methods = ALL_METHODS
+        low = simulate_strong(self.small(d=0.15, d_hat=0.05, methods=methods))
+        high = simulate_strong(self.small(d=0.15, d_hat=0.4, methods=methods))
+        adaptive = {"td_adapt", "td_adapt_hommel", "td_adapt_pruned"}
+        for m in methods:
+            same = low.methods[m] == high.methods[m]
+            assert same == (m not in adaptive), m
+
 
 ALL_METHODS = tuple(sim.TD_METHODS) + sim.BU_METHODS
 
@@ -184,6 +230,25 @@ class TestStrongAgainstPerReplicateWalks:
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", block_rows * tree_nodes)
         got = json.dumps(asdict(simulate_strong(config)), sort_keys=True)
         want = json.dumps(asdict(simulate_strong_per_replicate(config)), sort_keys=True)
+        assert got == want
+
+
+class TestDppAgainstPerReplicateWalks:
+    """The dpp study equals one scalar walk per replicate and method, byte
+    for byte."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(d=0.4, replicates=100, n_perms=100, seed=2),
+            dict(d=0.8, replicates=100, n_perms=100, statistic="mean_diff", d_hat=0.3),
+        ],
+        ids=["rank", "mean_diff_d_hat"],
+    )
+    def test_summary_equals_scalar_walks(self, config):
+        config = DppConfig(methods=ALL_METHODS, **config)
+        got = json.dumps(asdict(simulate_dpp(config)), sort_keys=True)
+        want = json.dumps(asdict(simulate_dpp_per_replicate(config)), sort_keys=True)
         assert got == want
 
 
