@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,20 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text with line ends kept as they are; a file
+    that cannot be opened or read, or a byte that is not UTF-8, is a
+    CliError naming the path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text")
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}")
+
+
 @dataclass
 class Dataset:
     tree: HypothesisTree
@@ -55,7 +71,7 @@ def read_dataset(path: str) -> Dataset:
     further columns are ordered hierarchy levels, constant within a block;
     without them a star tree over the blocks is used.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -138,7 +154,7 @@ def read_node_sizes(path: str) -> HypothesisTree:
     blank, in which case they are derived from the leaves.  Rows may come
     in any order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -308,8 +324,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"{out}: {exc.strerror}")
 
 
 def cmd_test(args) -> int:
@@ -355,61 +374,31 @@ def cmd_alpha_schedule(args) -> int:
     return 0
 
 
-_CONFIG_TYPES = {
-    "k": int,
-    "L": int,
-    "units_per_leaf": int,
-    "alpha": float,
-    "replicates": int,
-    "seed": int,
-    "d": float,
-    "d_hat": float,
-    "null_proportion": float,
-    "placement": str,
-    "internal_power": str,
-    "methods": str,
-    "n_perms": int,
-    "statistic": str,
-    "sides": str,
-    "students_per_block": int,
-}
+def _comma_list(value: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in value.split(",") if m.strip())
 
-_CONFIG_KEYS = {
-    "weak": ("k", "L", "alpha", "replicates", "seed"),
-    "strong": (
-        "k",
-        "L",
-        "units_per_leaf",
-        "d",
-        "d_hat",
-        "null_proportion",
-        "placement",
-        "internal_power",
-        "alpha",
-        "replicates",
-        "seed",
-        "methods",
-    ),
-    "dpp": (
-        "d",
-        "d_hat",
-        "alpha",
-        "replicates",
-        "seed",
-        "n_perms",
-        "statistic",
-        "sides",
-        "methods",
-        "students_per_block",
-    ),
+
+# a config value's parser, by the annotation of its entry-point parameter; a
+# parameter whose annotation has none (DppConfig.layout) is not a config key
+_PARSERS = {
+    int: int,
+    float: float,
+    float | None: float,
+    str: str,
+    tuple[str, ...]: _comma_list,
 }
 
 
 def read_config(path: str, kind: str) -> dict:
-    """Parse a key=value config file; keys must be valid for the sim kind."""
-    allowed = _CONFIG_KEYS[kind]
+    """Parse a key=value config file; the keys are the parameters of the
+    kind's entry point, and those without a default are required."""
+    entry = _study(kind)[0]
+    allowed = {
+        name: p for name, p in inspect.signature(entry, eval_str=True).parameters.items()
+        if p.annotation in _PARSERS
+    }
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -425,11 +414,12 @@ def read_config(path: str, kind: str) -> dict:
             if key in out:
                 raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                out[key] = _CONFIG_TYPES[key](value)
+                out[key] = _PARSERS[allowed[key].annotation](value)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
-    if "methods" in out:
-        out["methods"] = tuple(m.strip() for m in out["methods"].split(",") if m.strip())
+    for key, p in allowed.items():
+        if p.default is p.empty and key not in out:
+            raise CliError(f"{kind} simulation config requires {key}")
     return out
 
 
@@ -499,27 +489,22 @@ def dpp_summary_csv(summary: sim.SimSummary) -> str:
     return _csv_text(rows)
 
 
+def _study(kind: str):
+    """The study of a ``simulate`` kind: its entry point, whose parameters
+    are the config keys, the study run on what the entry point builds (none
+    for ``simulate_weak``, which runs its own), and the table writer.  Built
+    per call, so a name rebound on ``sim`` is the one that runs."""
+    return {
+        "weak": (sim.simulate_weak, None, weak_summary_csv),
+        "strong": (sim.ScenarioConfig, sim.simulate_strong, strong_summary_csv),
+        "dpp": (sim.DppConfig, sim.simulate_dpp, dpp_summary_csv),
+    }[kind]
+
+
 def cmd_simulate(args) -> int:
-    overrides = read_config(args.config, args.kind) if args.config else {}
-    if args.kind == "weak":
-        for key in ("k", "L"):
-            if key not in overrides:
-                raise CliError(f"weak simulation config requires {key}")
-        summary = sim.simulate_weak(**overrides)
-        _write(weak_summary_csv(summary), args.out)
-    elif args.kind == "strong":
-        for key in ("k", "L", "units_per_leaf", "null_proportion"):
-            if key not in overrides:
-                raise CliError(f"strong simulation config requires {key}")
-        config = sim.ScenarioConfig(**overrides)
-        summary = sim.simulate_strong(config)
-        _write(strong_summary_csv(summary), args.out)
-    else:
-        if "d" not in overrides:
-            raise CliError("dpp simulation config requires d")
-        config = sim.DppConfig(**overrides)
-        summary = sim.simulate_dpp(config)
-        _write(dpp_summary_csv(summary), args.out)
+    entry, study, write_table = _study(args.kind)
+    inputs = entry(**read_config(args.config, args.kind))
+    _write(write_table(study(inputs) if study else inputs), args.out)
     return 0
 
 

@@ -101,6 +101,13 @@ def _check_methods(methods: Sequence[str]) -> None:
         raise SimError("empty method set")
 
 
+def _planning_model(config: ScenarioConfig | DppConfig) -> PowerModel:
+    """The power model a study's adaptive schedule plans with: the
+    config's ``d_hat`` if it gives one, else its true effect ``d``."""
+    d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
+    return PowerModel(d_hat=d_plan, alpha=config.alpha)
+
+
 # ---------------------------------------------------------------------------
 # weak control
 # ---------------------------------------------------------------------------
@@ -259,6 +266,8 @@ class ScenarioConfig:
             raise SimError("an effect size d is required when non-null leaves exist")
         if self.d is not None and not math.isfinite(self.d):
             raise SimError(f"d must be finite: {self.d}")
+        if self.d is not None and self.d < 0:
+            raise SimError(f"d must be non-negative: {self.d}")
         if self.seed < 0:
             raise SimError("seed must be non-negative")
         if self.placement not in ("contiguous", "scattered"):
@@ -266,6 +275,7 @@ class ScenarioConfig:
         if self.internal_power not in ("model", "diluted"):
             raise SimError(f"unknown internal_power: {self.internal_power!r}")
         _check_methods(self.methods)
+        _planning_model(self)
 
 
 def _non_null_leaves(leaf_ids: Sequence[str], null_proportion: float, placement: str):
@@ -367,8 +377,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
         tree.leaves, config.null_proportion, config.placement
     )
     labeled = tree.label_truth(non_null)
-    d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
-    model = PowerModel(d_hat=d_plan, alpha=config.alpha)
+    model = _planning_model(config)
     schedule = adaptive_schedule(tree, model)
     # the data follow the true effect d; only the schedule plans with d_hat
     exponents = _beta_inverse_exponents(labeled, config, replace(model, d_hat=config.d or 0.0))
@@ -390,7 +399,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
         "L": config.L,
         "units_per_leaf": config.units_per_leaf,
         "d": config.d,
-        "d_hat": d_plan,
+        "d_hat": model.d_hat,
         "null_proportion": config.null_proportion,
         "placement": config.placement,
         "internal_power": config.internal_power,
@@ -494,6 +503,7 @@ class DppConfig:
         if not math.isfinite(self.d):
             raise SimError(f"d must be finite: {self.d}")
         _check_methods(self.methods)
+        _planning_model(self)
 
 
 class NodePValues:
@@ -612,16 +622,13 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
     rows = _layout_rows(layout, config.students_per_block)
     tree = build_from_paths(rows)
     labeled = tree.label_truth({bid for bid, path, _ in rows if path[0] == "C1"})
-    model = PowerModel(
-        d_hat=config.d_hat if config.d_hat is not None else config.d,
-        alpha=config.alpha,
-    )
+    model = _planning_model(config)
     sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
     _add_scores(sums, tree, labeled, P, config.alpha, adaptive_schedule(tree, model))
     methods = _summaries(sums, config.replicates)
     params = {
         "d": config.d,
-        "d_hat": config.d_hat if config.d_hat is not None else config.d,
+        "d_hat": model.d_hat,
         "alpha": config.alpha,
         "replicates": config.replicates,
         "seed": config.seed,

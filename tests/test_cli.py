@@ -1,4 +1,6 @@
 import csv
+import glob
+import inspect
 import json
 import os
 import re
@@ -6,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from treegate import cli
+from treegate import cli, sim
 from treegate.cli import (
     CliError,
     main,
@@ -412,6 +414,50 @@ class TestSimulateCommand:
         assert main(["simulate", "weak", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:4: duplicate key 'k'\n"
 
+    def test_keys_are_the_entry_point_parameters(self, tmp_path, capsys):
+        keys = {
+            "weak": "k, L, alpha, replicates, seed",
+            "strong": "k, L, units_per_leaf, null_proportion, d, alpha, replicates, methods, "
+                      "seed, placement, internal_power, d_hat",
+            "dpp": "d, replicates, alpha, seed, n_perms, statistic, sides, methods, d_hat, "
+                   "students_per_block",
+        }
+        cfg = tmp_path / "x.cfg"
+        for kind, allowed in keys.items():
+            # layout has no text form, so it stays a library-only DppConfig field
+            cfg.write_text("layout = 9,9,9,9,8\n")
+            assert main(["simulate", kind, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:1: invalid key 'layout' for kind {kind!r} (allowed: {allowed})\n"
+            )
+
+    @pytest.mark.parametrize(
+        "kind, body, key",
+        [("weak", "k=2\n", "L"),
+         ("strong", "k=2\nL=3\nunits_per_leaf=8\n", "null_proportion"),
+         ("dpp", "d_hat=0.2\n", "d")],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, kind, body, key):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(body)
+        assert main(["simulate", kind, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {kind} simulation config requires {key}\n"
+
+    @pytest.mark.parametrize(
+        "body", ["d=0.2\nd_hat=-1\n", "d=0.2\nalpha=0.6\n", "d=-0.2\n"],
+        ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat"],
+    )
+    def test_bad_dpp_config_fails_before_any_draw(self, tmp_path, capsys, monkeypatch, body):
+        monkeypatch.setenv("TREEGATE_THREADS", "1")  # draws in this process, where they are counted
+        calls = []
+        draws = sim.block_draws
+        monkeypatch.setattr(sim, "block_draws", lambda *a, **kw: calls.append(1) or draws(*a, **kw))
+        cfg = tmp_path / "dpp.cfg"
+        cfg.write_text(body + "replicates=100\nn_perms=100\n")
+        assert main(["simulate", "dpp", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("k=2\n")
@@ -421,6 +467,22 @@ class TestSimulateCommand:
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def test_committed_configs_build_their_studies():
+    """Each committed config parses for its kind and binds to the study's
+    entry point; no study is run."""
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
+    names = [os.path.basename(p) for p in paths]
+    assert names == ["dpp.cfg", "strong.cfg", "strong_audit.cfg", "weak.cfg"]
+    for path, name in zip(paths, names):
+        kind = re.match(r"weak|strong|dpp", name)[0]
+        values = cli.read_config(path, kind)
+        if kind == "weak":
+            inspect.signature(sim.simulate_weak).bind(**values)
+        else:
+            {"strong": sim.ScenarioConfig, "dpp": sim.DppConfig}[kind](**values)
 
 
 @pytest.mark.parametrize(
@@ -444,11 +506,16 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
         (["simulate", "weak", "--config", "{config}"], "k=2\nL=3\nseed=-1\n"),
         (["simulate", "strong", "--config", "{config}"],
          "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=1.0\nseed=-1\n"),
+        (["test", "{missing}"], None),
+        (["simulate", "weak", "--config", "{missing}"], None),
+        (["alpha-schedule", "{valid_sizes}", "--d-hat", "0.3", "--out", "{no_dir}"], None),
+        (["test", "{latin1}"], None),
     ],
     ids=["alpha_above_one", "alpha_above_half", "too_few_perms", "negative_d_hat",
          "strong_few_replicates", "strong_unknown_method", "dpp_unknown_statistic",
          "schedule_one_unit_leaf", "schedule_nan_d_hat", "adaptive_nan_d_hat",
-         "strong_nan_d", "dpp_nan_d", "weak_negative_seed", "strong_negative_seed"],
+         "strong_nan_d", "dpp_nan_d", "weak_negative_seed", "strong_negative_seed",
+         "missing_data", "missing_config", "out_in_missing_dir", "data_not_utf8"],
 )
 def test_package_errors_are_one_line(tmp_path, capsys, argv, config):
     sizes = tmp_path / "sizes.csv"
@@ -457,8 +524,12 @@ def test_package_errors_are_one_line(tmp_path, capsys, argv, config):
     valid_sizes.write_text("node_id,parent_id,n_units\nroot,,\na,root,4\nb,root,5\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config or "")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"unit_id,block_id,treatment,outcome,site\nu1,b1,1,2.0,Sa\xefd\n")
     paths = {"data": os.path.join(GOLDEN, "trial.csv"), "config": str(cfg),
-             "sizes": str(sizes), "valid_sizes": str(valid_sizes)}
+             "sizes": str(sizes), "valid_sizes": str(valid_sizes),
+             "missing": str(tmp_path / "missing.csv"), "latin1": str(latin1),
+             "no_dir": str(tmp_path / "no" / "such" / "dir" / "x.json")}
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -8,6 +8,7 @@ import pytest
 
 from treegate import sim
 from treegate.cli import read_dataset
+from treegate.errorload import ScheduleError
 from treegate.gate import UNADJUSTED
 from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
@@ -129,6 +130,23 @@ class TestScenarioConfig:
     def test_non_finite_effect_rejected(self, d):
         with pytest.raises(SimError, match="d must be finite"):
             ScenarioConfig(k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=d)
+
+    @pytest.mark.parametrize("d_hat", [None, 0.15])
+    def test_negative_effect_rejected_by_name(self, d_hat):
+        with pytest.raises(SimError, match=r"^d must be non-negative: -0\.15$"):
+            ScenarioConfig(
+                k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=-0.15, d_hat=d_hat
+            )
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"d_hat": -1.0}, "d_hat must be finite and non-negative"),
+         ({"alpha": 0.6}, r"alpha must lie in \(0, 0\.5\)")],
+        ids=["negative_d_hat", "alpha_above_half"],
+    )
+    def test_planning_model_checked_at_construction(self, kw, message):
+        with pytest.raises(ScheduleError, match=message):
+            ScenarioConfig(k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=0.2, **kw)
 
     def test_bad_placement_rejected(self):
         with pytest.raises(SimError):
@@ -304,6 +322,20 @@ class TestSimulateDpp:
     def test_non_finite_effect_rejected(self, d):
         with pytest.raises(SimError, match="d must be finite"):
             self.config(d=d)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"d": 0.2, "d_hat": -1.0}, r"d_hat must be finite and non-negative: -1\.0"),
+         ({"d": 0.2, "alpha": 0.6}, r"alpha must lie in \(0, 0\.5\)"),
+         ({"d": -0.2}, r"d_hat must be finite and non-negative: -0\.2")],
+        ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat"],
+    )
+    def test_planning_model_checked_at_construction(self, kw, message):
+        with pytest.raises(ScheduleError, match=message):
+            DppConfig(**kw)
+
+    def test_negative_effect_planned_with_d_hat_accepted(self):
+        assert self.config(d=-0.2, d_hat=0.2).d == -0.2
 
     def test_runs_and_detects_large_effect(self):
         summary = simulate_dpp(self.config())
