@@ -43,6 +43,7 @@ CASES = {
     "simulate_weak.csv": ["simulate", "weak", "--config", "weak.cfg"],
     "simulate_strong.csv": ["simulate", "strong", "--config", "strong.cfg"],
     "simulate_dpp.csv": ["simulate", "dpp", "--config", "dpp.cfg"],
+    "simulate_dpp_small.csv": ["simulate", "dpp", "--config", "dpp_small.cfg"],
 }
 
 
