@@ -43,6 +43,7 @@ from .sim import (
     SimSummary,
     WeakSummary,
     calibrate_beta_shape,
+    dpp_design,
     generate_dpp_data,
     simulate_dpp,
     simulate_strong,

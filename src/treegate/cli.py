@@ -114,6 +114,9 @@ def read_dataset(path: str) -> Dataset:
             if not np.isfinite(y):
                 raise CliError(f"{path}:{lineno}: outcome is not finite")
             levels = tuple(row[i].strip() for i, _ in hierarchy_cols)
+            if "" in levels:
+                name = hierarchy_cols[levels.index("")][1]
+                raise CliError(f"{path}:{lineno}: empty value in hierarchy column {name!r}")
             if bid not in treatment:
                 order.append(bid)
                 treatment[bid] = []
@@ -341,9 +344,10 @@ def cmd_test(args) -> int:
     spec = TestSpec(
         statistic=args.statistic, n_perms=args.n_perms, seed=args.seed
     )
-    p_source = sim.NodePValues(dataset.tree, dataset.blocks, spec)
+    p = sim.node_pvalues(dataset.tree, dataset.blocks, spec)
+    p_of = dict(zip(dataset.tree.ids, p.tolist()))
     result = gate.run_topdown(
-        dataset.tree, p_source, variant, alpha=args.alpha, schedule=schedule
+        dataset.tree, p_of.__getitem__, variant, alpha=args.alpha, schedule=schedule
     )
     extra = {"statistic": args.statistic, "n_perms": args.n_perms, "seed": args.seed}
     if args.format == "json":
@@ -378,8 +382,7 @@ def _comma_list(value: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in value.split(",") if m.strip())
 
 
-# a config value's parser, by the annotation of its entry-point parameter; a
-# parameter whose annotation has none (DppConfig.layout) is not a config key
+# a config value's parser, by the annotation of its entry-point parameter
 _PARSERS = {
     int: int,
     float: float,
@@ -393,10 +396,7 @@ def read_config(path: str, kind: str) -> dict:
     """Parse a key=value config file; the keys are the parameters of the
     kind's entry point, and those without a default are required."""
     entry = _study(kind)[0]
-    allowed = {
-        name: p for name, p in inspect.signature(entry, eval_str=True).parameters.items()
-        if p.annotation in _PARSERS
-    }
+    allowed = inspect.signature(entry, eval_str=True).parameters
     out: dict = {}
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

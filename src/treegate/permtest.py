@@ -258,7 +258,7 @@ def is_exact(blocks: Sequence[Block], spec: TestSpec) -> bool:
 
 
 def permutation_pvalue(
-    blocks: Sequence[Block], spec: TestSpec, stream_key="", *, draws=None
+    blocks: Sequence[Block], spec: TestSpec, stream_key="", *, exact=None, draws=None
 ) -> float:
     """Randomization p-value for the null of no effect in any unit.
 
@@ -279,10 +279,14 @@ def permutation_pvalue(
     randomization distribution, only the p-values of different nodes
     become dependent.  A caller that already holds that sum of
     ``block_draws`` rows may pass it as ``draws``; it is ignored in exact
-    mode.
+    mode.  A caller that has already decided the node's mode with
+    ``is_exact`` passes it as ``exact``, and the blocks are not checked
+    again.
     """
     n_total = sum(b.n for b in blocks)
-    if is_exact(blocks, spec):
+    if exact is None:
+        exact = is_exact(blocks, spec)
+    if exact:
         rows, obs_row = _exact_rows(blocks, spec)
     else:
         if draws is None:

@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .permtest import (
     is_exact,
     permutation_pvalue,
 )
-from .tree import HypothesisTree, build_from_paths, build_regular
+from .tree import HypothesisTree, build_from_paths, build_regular, check_regular_shape
 
 
 class SimError(ValueError):
@@ -258,6 +259,7 @@ class ScenarioConfig:
     d_hat: float | None = None
 
     def __post_init__(self):
+        check_regular_shape(self.k, self.L, self.units_per_leaf)
         if not 0.0 <= self.null_proportion <= 1.0:
             raise SimError("null_proportion must lie in [0, 1]")
         if self.replicates < 100:
@@ -416,69 +418,67 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
 # block-data study (44-block five-site layout)
 # ---------------------------------------------------------------------------
 
-
-def dpp_default_layout() -> tuple[tuple[int, ...], ...]:
-    """Cohort block counts per college: 44 blocks over five colleges.
-
-    The real study's exact cohort composition is not public, so this is a
-    documented surrogate: each college runs three cohorts of at most four
-    blocks, with block totals (9, 9, 9, 9, 8).
-    """
-    return ((4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 3, 1))
+# Cohort block counts per college: 44 blocks over five colleges.  The real
+# study's exact cohort composition is not public, so this is a documented
+# surrogate: each college runs three cohorts of at most four blocks, with
+# block totals (9, 9, 9, 9, 8).  The first college's nine blocks are the
+# non-null ones.
+DPP_LAYOUT = ((4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 3, 1))
+_CONTROL_MEAN, _CONTROL_SD = 10.0, 3.0
 
 
-def _layout_rows(layout, students_per_block: int):
+@dataclass(frozen=True, slots=True)
+class DppDesign:
+    """The 44-block study's tree at one block size: colleges ``C1``..``C5``,
+    their cohorts ``C<c>/Y<y>``, and blocks ``B01``..``B44`` as the leaves,
+    with the first college's blocks as the non-null ones."""
+
+    students_per_block: int
+    tree: HypothesisTree
+    non_null: frozenset[str]
+
+
+def dpp_design(students_per_block: int = 50) -> DppDesign:
+    """The design of ``DPP_LAYOUT`` with ``students_per_block`` students in
+    every block."""
     rows = []
-    block_no = 0
-    for c, cohorts in enumerate(layout, start=1):
+    for c, cohorts in enumerate(DPP_LAYOUT, start=1):
         for y, n_blocks in enumerate(cohorts, start=1):
             for _ in range(n_blocks):
-                block_no += 1
-                block_id = f"B{block_no:02d}"
+                block_id = f"B{len(rows) + 1:02d}"
                 rows.append((block_id, (f"C{c}", f"Y{y}", block_id), students_per_block))
-    return rows
+    non_null = frozenset(bid for bid, path, _ in rows if path[0] == "C1")
+    return DppDesign(students_per_block, build_from_paths(rows), non_null)
 
 
 def generate_dpp_data(
-    layout: Sequence[Sequence[int]] | None,
-    d: float,
-    seed: int,
-    *,
-    students_per_block: int = 50,
-    control_mean: float = 10.0,
-    control_sd: float = 3.0,
-    rep: int = 0,
+    design: DppDesign, d: float, seed: int, *, rep: int = 0
 ) -> tuple[HypothesisTree, list[Block], set[str]]:
-    """Generate one dataset for the 44-block five-site layout.
+    """Draw one dataset on the 44-block design.
 
-    Control potential outcomes are Normal(control_mean, control_sd**2); the
-    nine blocks of the first college receive an additive treatment effect of
-    ``d * control_sd`` and treatment is assigned to exactly half of each
-    block.  Returns the hypothesis tree, the block data, and the set of
-    truly non-null block ids.
+    Control potential outcomes are Normal(10, 3**2); the nine blocks of the
+    first college receive an additive treatment effect of ``3 * d`` and
+    treatment is assigned to exactly half of each block.  Returns the
+    design's tree, the block data, and the set of truly non-null block ids.
     """
-    layout = tuple(tuple(c) for c in (layout or dpp_default_layout()))
-    total_blocks = sum(sum(c) for c in layout)
-    if total_blocks != 44:
-        raise SimError(f"layout holds {total_blocks} blocks, expected 44")
-    if sum(layout[0]) != 9:
-        raise SimError("the first college must hold the 9 non-null blocks")
-    rows = _layout_rows(layout, students_per_block)
-    tree = build_from_paths(rows)
-    non_null = {bid for bid, path, _ in rows if path[0] == "C1"}
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep, 0xDA7A]))
-    tau = d * control_sd
-    m = students_per_block // 2
+    tau = d * _CONTROL_SD
+    n = design.students_per_block
     blocks = []
-    for bid, _, n in rows:
-        y0 = rng.normal(control_mean, control_sd, n)
-        y1 = y0 + (tau if bid in non_null else 0.0)
+    for bid in design.tree.leaves:
+        y0 = rng.normal(_CONTROL_MEAN, _CONTROL_SD, n)
+        y1 = y0 + (tau if bid in design.non_null else 0.0)
         treatment = np.zeros(n, dtype=np.int8)
-        treatment[rng.permutation(n)[:m]] = 1
-        outcome = np.where(treatment == 1, y1, y0)
-        blocks.append(Block(bid, treatment, outcome))
-    return tree, blocks, non_null
+        treatment[rng.permutation(n)[: n // 2]] = 1
+        blocks.append(Block(bid, treatment, np.where(treatment == 1, y1, y0)))
+    return design.tree, blocks, set(design.non_null)
+
+
+def _test_spec(config: DppConfig) -> TestSpec:
+    """The randomization test a dpp study runs at every node."""
+    return TestSpec(
+        statistic=config.statistic, sides=config.sides, n_perms=config.n_perms, seed=config.seed
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,7 +494,6 @@ class DppConfig:
     sides: str = "two"
     methods: tuple[str, ...] = DPP_DEFAULT_METHODS
     d_hat: float | None = None
-    layout: tuple[tuple[int, ...], ...] | None = None
     students_per_block: int = 50
 
     def __post_init__(self):
@@ -502,129 +501,105 @@ class DppConfig:
             raise SimError("replicates must be at least 100")
         if not math.isfinite(self.d):
             raise SimError(f"d must be finite: {self.d}")
+        if self.students_per_block < 2:
+            raise SimError(f"students_per_block must be at least 2: {self.students_per_block}")
         _check_methods(self.methods)
         _planning_model(self)
+        _test_spec(self)
 
 
-class NodePValues:
-    """Randomization p-value source for every node of one dataset.
+def node_pvalues(
+    tree: HypothesisTree, blocks: Sequence[Block], spec: TestSpec, prefix: str = ""
+) -> np.ndarray:
+    """Randomization p-value of every node of one dataset, in node-index order.
 
-    The first call fills the whole cache in one pass over the blocks, in
-    dataset order.  Each block draws its Monte Carlo rows once, from the
-    stream keyed ``(spec.seed, prefix, block_id)``, and adds them into a
-    running sum held by its leaf and by each ancestor tested by Monte
-    Carlo; a node's p-value is computed, and its sum dropped, as soon as
-    its last block is in.  Nodes within ``spec.exact_cap`` are enumerated
-    exactly.  Every node's p-value equals
-    ``permutation_pvalue(node_blocks, spec, prefix)``.
+    Each node's mode is decided once, by ``is_exact``.  Then one pass runs
+    over the blocks, in dataset order.  Each block draws its Monte Carlo
+    rows once, from the stream keyed ``(spec.seed, prefix, block_id)``, and
+    adds them into a running sum held by its leaf and by each ancestor
+    tested by Monte Carlo; a node's p-value is computed, and its sum
+    dropped, as soon as its last block is in.  Nodes within
+    ``spec.exact_cap`` are enumerated exactly.  Entry ``i`` equals
+    ``permutation_pvalue(node_blocks, spec, prefix)`` for node ``i``.
     """
+    leaves = set(tree.leaves)
+    parent = tree.parent.tolist()
+    under: list[list[Block]] = [[] for _ in range(len(tree))]
+    paths = []  # per block: its leaf, then the leaf's ancestors
+    for b in blocks:
+        path = []
+        i = tree.index_of(b.block_id) if b.block_id in leaves else -1
+        while i >= 0:
+            under[i].append(b)
+            path.append(i)
+            i = parent[i]
+        paths.append(path)
 
-    def __init__(
-        self, tree: HypothesisTree, blocks: Sequence[Block], spec: TestSpec, prefix: str = ""
-    ):
-        self.tree = tree
-        self.blocks = blocks
-        self.spec = spec
-        self.prefix = prefix
-        self._cache: dict[str, float] = {}
+    p = np.empty(len(tree))
+    pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
+    for i, node_blocks in enumerate(under):
+        try:
+            exact = is_exact(node_blocks, spec)
+        except DegenerateBlockError as exc:
+            raise PermTestError(
+                f"degenerate blocks under node {tree.ids[i]!r}: {exc.block_ids}"
+            ) from None
+        if exact:
+            p[i] = permutation_pvalue(node_blocks, spec, prefix, exact=True)
+        else:
+            pending[i] = len(node_blocks)
 
-    def __call__(self, nid: str) -> float:
-        if not self._cache:
-            self._fill()
-        return self._cache[nid]
-
-    def _fill(self) -> None:
-        tree, spec, key = self.tree, self.spec, self.prefix
-        leaves = set(tree.leaves)
-        parent = tree.parent.tolist()
-        under: list[list[Block]] = [[] for _ in range(len(tree))]
-        paths = []  # per block: its leaf, then the leaf's ancestors
-        for b in self.blocks:
-            path = []
-            i = tree.index_of(b.block_id) if b.block_id in leaves else -1
-            while i >= 0:
-                under[i].append(b)
-                path.append(i)
-                i = parent[i]
-            paths.append(path)
-
-        cache: dict[str, float] = {}
-        pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
-        for i, node_blocks in enumerate(under):
-            try:
-                exact = is_exact(node_blocks, spec)
-            except DegenerateBlockError as exc:
-                raise PermTestError(
-                    f"degenerate blocks under node {tree.ids[i]!r}: {exc.block_ids}"
-                ) from None
-            if exact:
-                cache[tree.ids[i]] = permutation_pvalue(node_blocks, spec, key)
-            else:
-                pending[i] = len(node_blocks)
-
-        sums: dict[int, np.ndarray] = {}
-        for b, path in zip(self.blocks, paths):
-            summed_into = [i for i in path if i in pending]
-            if not summed_into:
-                continue
-            draws = block_draws(b, spec, key)
-            for i in summed_into:
-                sums[i] = draws if i not in sums else sums[i] + draws
-                pending[i] -= 1
-                if not pending[i]:
-                    cache[tree.ids[i]] = permutation_pvalue(
-                        under[i], spec, key, draws=sums.pop(i)
-                    )
-        self._cache = cache
+    sums: dict[int, np.ndarray] = {}
+    for b, path in zip(blocks, paths):
+        summed_into = [i for i in path if i in pending]
+        if not summed_into:
+            continue
+        draws = block_draws(b, spec, prefix)
+        for i in summed_into:
+            sums[i] = draws if i not in sums else sums[i] + draws
+            pending[i] -= 1
+            if not pending[i]:
+                p[i] = permutation_pvalue(under[i], spec, prefix, exact=False, draws=sums.pop(i))
+    return p
 
 
-def _dpp_pvalues(config: DppConfig, rep_range) -> np.ndarray:
+def _dpp_pvalues(config: DppConfig, design: DppDesign, rep_range) -> np.ndarray:
     """Every node's p-value in each of the given replicates, one row each."""
-    spec = TestSpec(
-        statistic=config.statistic,
-        sides=config.sides,
-        n_perms=config.n_perms,
-        seed=config.seed,
-    )
-    P = []
+    spec = _test_spec(config)
+    rows = []
     for rep in rep_range:
-        tree, blocks, _ = generate_dpp_data(
-            config.layout,
-            config.d,
-            config.seed,
-            students_per_block=config.students_per_block,
-            rep=rep,
-        )
-        p_source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
-        P.append([p_source(nid) for nid in tree.ids])
-    return np.array(P)
+        tree, blocks, _ = generate_dpp_data(design, config.d, config.seed, rep=rep)
+        rows.append(node_pvalues(tree, blocks, spec, prefix=f"{rep}/"))
+    return np.array(rows)
 
 
 def simulate_dpp(config: DppConfig) -> SimSummary:
     """Run the 44-block study; honors TREEGATE_THREADS for replicate workers.
 
-    Workers compute each replicate's node p-values, and the replicates are
-    walked together once the rows are in.  Every method within a replicate
-    shares one dataset and its p-values, so method comparisons are paired;
-    results are identical for any worker count.
+    The design is built once.  Workers compute each replicate's node
+    p-values, and the replicates are walked together once the rows are in.
+    Every method within a replicate shares one dataset and its p-values, so
+    method comparisons are paired; results are identical for any worker
+    count.
     """
+    design = dpp_design(config.students_per_block)
     workers = worker_count(config.replicates)
     if workers <= 1:
-        P = _dpp_pvalues(config, range(config.replicates))
+        P = _dpp_pvalues(config, design, range(config.replicates))
     else:
         chunks = np.array_split(np.arange(config.replicates), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             P = np.vstack(list(
-                pool.map(_dpp_pvalues, [config] * len(chunks), [c.tolist() for c in chunks])
+                pool.map(partial(_dpp_pvalues, config, design), [c.tolist() for c in chunks])
             ))
 
-    layout = config.layout or dpp_default_layout()
-    rows = _layout_rows(layout, config.students_per_block)
-    tree = build_from_paths(rows)
-    labeled = tree.label_truth({bid for bid, path, _ in rows if path[0] == "C1"})
+    tree = design.tree
     model = _planning_model(config)
     sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
-    _add_scores(sums, tree, labeled, P, config.alpha, adaptive_schedule(tree, model))
+    _add_scores(
+        sums, tree, tree.label_truth(design.non_null), P, config.alpha,
+        adaptive_schedule(tree, model),
+    )
     methods = _summaries(sums, config.replicates)
     params = {
         "d": config.d,
@@ -635,7 +610,7 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
         "n_perms": config.n_perms,
         "statistic": config.statistic,
         "sides": config.sides,
-        "blocks": sum(sum(c) for c in layout),
+        "blocks": len(tree.leaves),
         "students_per_block": config.students_per_block,
     }
     return SimSummary(kind="dpp", params=params, methods=methods)

@@ -316,6 +316,17 @@ def from_parents(
     return HypothesisTree(ids, parent, depth, totals, offsets, children)
 
 
+def check_regular_shape(k: int, L: int, units_per_leaf: int = 1) -> None:
+    """Raise TreeError unless ``build_regular(k, L, units_per_leaf)`` has a
+    valid shape; the tree is not built."""
+    if k < 2:
+        raise TreeError("branching factor k must be at least 2")
+    if L < 2:
+        raise TreeError("tree must have at least 2 levels")
+    if units_per_leaf < 1:
+        raise TreeError("units_per_leaf must be at least 1")
+
+
 def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     """Complete k-ary tree with L levels (root at depth 1).
 
@@ -323,12 +334,7 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     one block whose id equals the leaf's node id.  Node ids are the usual
     breadth-first numbering "1", "2", ...
     """
-    if k < 2:
-        raise TreeError("branching factor k must be at least 2")
-    if L < 2:
-        raise TreeError("tree must have at least 2 levels")
-    if units_per_leaf < 1:
-        raise TreeError("units_per_leaf must be at least 1")
+    check_regular_shape(k, L, units_per_leaf)
     n_groups = (k ** (L - 1) - 1) // (k - 1)
     total = n_groups + k ** (L - 1)
     return from_parents(

@@ -351,21 +351,19 @@ def simulate_strong_per_replicate(config) -> "sim.SimSummary":
 
 def simulate_dpp_per_replicate(config) -> "sim.SimSummary":
     """``simulate_dpp`` as one scalar walk per replicate and method: each
-    replicate's dataset gets its own ``NodePValues``, which every method of
-    ``_score_methods`` reads as it goes."""
-    layout = config.layout or sim.dpp_default_layout()
+    replicate's dataset gets its own row of ``node_pvalues``, which every
+    method of ``_score_methods`` reads by node id as it goes."""
+    design = sim.dpp_design(config.students_per_block)
     spec = TestSpec(
         statistic=config.statistic, sides=config.sides, n_perms=config.n_perms, seed=config.seed
     )
     d_plan = config.d_hat if config.d_hat is not None else config.d
     per_replicate = []
     for rep in range(config.replicates):
-        tree, blocks, non_null = sim.generate_dpp_data(
-            layout, config.d, config.seed,
-            students_per_block=config.students_per_block, rep=rep,
-        )
+        tree, blocks, non_null = sim.generate_dpp_data(design, config.d, config.seed, rep=rep)
         schedule = adaptive_schedule(tree, PowerModel(d_hat=d_plan, alpha=config.alpha))
-        p_of = sim.NodePValues(tree, blocks, spec, prefix=f"{rep}/")
+        p_row = sim.node_pvalues(tree, blocks, spec, prefix=f"{rep}/")
+        p_of = dict(zip(tree.ids, p_row.tolist())).__getitem__
         per_replicate.append(_score_methods(
             config.methods, tree, tree.label_truth(non_null), p_of, config.alpha, schedule
         ))
@@ -378,7 +376,7 @@ def simulate_dpp_per_replicate(config) -> "sim.SimSummary":
         "n_perms": config.n_perms,
         "statistic": config.statistic,
         "sides": config.sides,
-        "blocks": sum(sum(c) for c in layout),
+        "blocks": len(blocks),
         "students_per_block": config.students_per_block,
     }
     methods = _pooled(config.methods, per_replicate, config.replicates)

@@ -76,6 +76,13 @@ class TestReadDataset:
         with pytest.raises(CliError, match=r"\['b1'\]"):
             read_dataset(path)
 
+    def test_empty_hierarchy_cell_reports_line(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "A", "A1"), ("u2", "b1", 0, 2.0, "A", "A1"),
+                ("u3", "b2", 1, 1.0, " ", "A1"), ("u4", "b2", 0, 2.0, " ", "A1")]
+        path = write_dataset(tmp_path / "gap.csv", rows)
+        with pytest.raises(CliError, match=r"^.*gap\.csv:4: empty value in hierarchy column 'site'$"):
+            read_dataset(path)
+
     def test_hierarchy_must_be_constant_within_block(self, tmp_path):
         rows = [("u1", "b1", 1, 1.0, "A", "A1"), ("u2", "b1", 0, 1.0, "B", "A1")]
         path = write_dataset(tmp_path / "mix.csv", rows)
@@ -424,7 +431,7 @@ class TestSimulateCommand:
         }
         cfg = tmp_path / "x.cfg"
         for kind, allowed in keys.items():
-            # layout has no text form, so it stays a library-only DppConfig field
+            # a name that is no parameter of any entry point
             cfg.write_text("layout = 9,9,9,9,8\n")
             assert main(["simulate", kind, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == (
@@ -444,18 +451,31 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {kind} simulation config requires {key}\n"
 
     @pytest.mark.parametrize(
-        "body", ["d=0.2\nd_hat=-1\n", "d=0.2\nalpha=0.6\n", "d=-0.2\n"],
-        ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat"],
+        "body, message",
+        [("d=0.2\nd_hat=-1\n", "d_hat must be finite and non-negative: -1.0"),
+         ("d=0.2\nalpha=0.6\n", "alpha must lie in (0, 0.5)"),
+         ("d=-0.2\n", "d_hat must be finite and non-negative: -0.2"),
+         ("d=0.2\nstatistic=median\n", "unknown statistic: 'median'"),
+         ("d=0.2\nsides=left\n", "sides must be 'one' or 'two'"),
+         ("d=0.2\nn_perms=99\n", "n_perms must be at least 100"),
+         ("d=0.2\nstudents_per_block=-1\n", "students_per_block must be at least 2: -1"),
+         ("d=0.2\nstudents_per_block=1\n", "students_per_block must be at least 2: 1")],
+        ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat",
+             "unknown_statistic", "bad_sides", "too_few_perms",
+             "negative_students_per_block", "one_student_per_block"],
     )
-    def test_bad_dpp_config_fails_before_any_draw(self, tmp_path, capsys, monkeypatch, body):
+    def test_bad_dpp_config_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, body, message
+    ):
         monkeypatch.setenv("TREEGATE_THREADS", "1")  # draws in this process, where they are counted
         calls = []
-        draws = sim.block_draws
-        monkeypatch.setattr(sim, "block_draws", lambda *a, **kw: calls.append(1) or draws(*a, **kw))
+        for name in ("generate_dpp_data", "block_draws"):
+            fn = getattr(sim, name)
+            monkeypatch.setattr(sim, name, lambda *a, fn=fn, **kw: calls.append(1) or fn(*a, **kw))
         cfg = tmp_path / "dpp.cfg"
-        cfg.write_text(body + "replicates=100\nn_perms=100\n")
+        cfg.write_text(body + "replicates=100\n")
         assert main(["simulate", "dpp", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
 
     def test_unknown_kind_rejected(self, tmp_path):

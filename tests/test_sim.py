@@ -6,25 +6,26 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from treegate import sim
+from treegate import permtest, sim
 from treegate.cli import read_dataset
 from treegate.errorload import ScheduleError
 from treegate.gate import UNADJUSTED
 from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
+    DPP_LAYOUT,
     DppConfig,
-    NodePValues,
     ScenarioConfig,
     SimError,
     calibrate_beta_shape,
-    dpp_default_layout,
+    dpp_design,
     generate_dpp_data,
+    node_pvalues,
     simulate_dpp,
     simulate_strong,
     simulate_weak,
     worker_count,
 )
-from treegate.tree import build_from_paths, build_regular
+from treegate.tree import TreeError, build_from_paths, build_regular
 
 from _oracles import (
     simulate_dpp_per_replicate,
@@ -147,6 +148,19 @@ class TestScenarioConfig:
     def test_planning_model_checked_at_construction(self, kw, message):
         with pytest.raises(ScheduleError, match=message):
             ScenarioConfig(k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=0.2, **kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"k": 0}, "branching factor k must be at least 2"),
+         ({"L": 1}, "tree must have at least 2 levels"),
+         ({"units_per_leaf": 0}, "units_per_leaf must be at least 1")],
+        ids=["k_zero", "one_level", "empty_leaves"],
+    )
+    def test_tree_shape_checked_at_construction(self, monkeypatch, kw, message):
+        monkeypatch.setattr(sim, "build_regular", lambda *a: pytest.fail("tree built"))
+        base = dict(k=2, L=3, units_per_leaf=10, null_proportion=0.5, d=0.2)
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            ScenarioConfig(**{**base, **kw})
 
     def test_bad_placement_rejected(self):
         with pytest.raises(SimError):
@@ -272,7 +286,7 @@ class TestDppAgainstPerReplicateWalks:
 
 class TestGenerateDppData:
     def test_shape_and_balance(self):
-        tree, blocks, non_null = generate_dpp_data(None, 0.2, seed=0)
+        tree, blocks, non_null = generate_dpp_data(dpp_design(), 0.2, seed=0)
         assert len(blocks) == 44
         assert sum(b.n for b in blocks) == 2200
         assert all(b.n_treated == 25 for b in blocks)
@@ -280,9 +294,9 @@ class TestGenerateDppData:
         assert tree.node(tree.root).n_units == 2200
 
     def test_effect_is_additive_shift(self):
-        _, blocks, non_null = generate_dpp_data(None, 0.2, seed=3)
+        _, blocks, non_null = generate_dpp_data(dpp_design(), 0.2, seed=3)
         # tau = d * sd = 0.6; reconstructable because the same draw with d=0
-        _, blocks0, _ = generate_dpp_data(None, 0.0, seed=3)
+        _, blocks0, _ = generate_dpp_data(dpp_design(), 0.0, seed=3)
         for b, b0 in zip(blocks, blocks0):
             delta = b.outcome - b0.outcome
             treated = b.treatment == 1
@@ -293,23 +307,14 @@ class TestGenerateDppData:
             np.testing.assert_allclose(delta[~treated], 0.0)
 
     def test_null_blocks_have_identical_potentials(self):
-        _, blocks, non_null = generate_dpp_data(None, 0.5, seed=1)
+        _, blocks, non_null = generate_dpp_data(dpp_design(), 0.5, seed=1)
         null_block = next(b for b in blocks if b.block_id not in non_null)
         assert np.isfinite(null_block.outcome).all()
 
-    def test_bad_layout_rejected(self):
-        with pytest.raises(SimError, match="44"):
-            generate_dpp_data(((4, 4), (4, 4)), 0.2, seed=0)
-        with pytest.raises(SimError, match="non-null"):
-            generate_dpp_data(
-                ((4, 4), (4, 4, 2), (4, 4, 1), (4, 4, 1), (4, 3, 1)), 0.2, 0
-            )
-
     def test_default_layout_totals(self):
-        layout = dpp_default_layout()
-        assert sum(sum(c) for c in layout) == 44
-        assert sum(layout[0]) == 9
-        assert all(size <= 4 for college in layout for size in college)
+        assert sum(sum(c) for c in DPP_LAYOUT) == 44
+        assert sum(DPP_LAYOUT[0]) == 9
+        assert all(size <= 4 for college in DPP_LAYOUT for size in college)
 
 
 class TestSimulateDpp:
@@ -333,6 +338,24 @@ class TestSimulateDpp:
     def test_planning_model_checked_at_construction(self, kw, message):
         with pytest.raises(ScheduleError, match=message):
             DppConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"statistic": "median"}, "unknown statistic: 'median'"),
+         ({"sides": "left"}, "sides must be 'one' or 'two'"),
+         ({"n_perms": 99}, "n_perms must be at least 100")],
+        ids=["statistic", "sides", "n_perms"],
+    )
+    def test_test_spec_checked_at_construction(self, kw, message):
+        with pytest.raises(PermTestError, match=f"^{message}$"):
+            self.config(**kw)
+
+    def test_builds_the_design_once(self, monkeypatch):
+        built = []
+        build = sim.build_from_paths
+        monkeypatch.setattr(sim, "build_from_paths", lambda rows: built.append(1) or build(rows))
+        simulate_dpp(self.config(students_per_block=4))
+        assert built == [1]
 
     def test_negative_effect_planned_with_d_hat_accepted(self):
         assert self.config(d=-0.2, d_hat=0.2).d == -0.2
@@ -369,29 +392,45 @@ class TestSimulateDpp:
 
 
 class TestNodePValues:
-    """The one-pass source of node p-values against per-node evaluation."""
+    """The one-pass row of node p-values against per-node evaluation."""
 
     @staticmethod
     def node_blocks(tree, blocks, nid):
         wanted = set(tree.leaves_under(nid))
         return [b for b in blocks if b.block_id in wanted]
 
-    @pytest.mark.parametrize("stat", ["rank", "mean_diff", "energy"])
-    def test_equals_permutation_pvalue_on_every_node(self, stat):
+    @staticmethod
+    def datasets():
         # trial.csv: exact leaves and cohorts, Monte Carlo sites and root;
         # the dpp replicate: Monte Carlo everywhere
         dataset = read_dataset(os.path.join(GOLDEN, "trial.csv"))
-        tree, blocks, _ = generate_dpp_data(None, 0.3, seed=5, rep=2)
-        cases = [(dataset.tree, dataset.blocks, ""), (tree, blocks, "2/")]
+        tree, blocks, _ = generate_dpp_data(dpp_design(), 0.3, seed=5, rep=2)
+        return [(dataset.tree, dataset.blocks, ""), (tree, blocks, "2/")]
+
+    @pytest.mark.parametrize("stat", ["rank", "mean_diff", "energy"])
+    def test_equals_permutation_pvalue_on_every_node(self, stat):
         spec = TestSpec(statistic=stat, n_perms=200, seed=7)
         modes = set()
-        for tree, blocks, prefix in cases:
-            source = NodePValues(tree, blocks, spec, prefix)
-            for nid in tree.ids:
+        for tree, blocks, prefix in self.datasets():
+            row = node_pvalues(tree, blocks, spec, prefix)
+            assert row.shape == (len(tree),)
+            for i, nid in enumerate(tree.ids):
                 node_blocks = self.node_blocks(tree, blocks, nid)
                 modes.add(is_exact(node_blocks, spec))
-                assert source(nid) == permutation_pvalue(node_blocks, spec, stream_key=prefix), nid
+                assert row[i] == permutation_pvalue(node_blocks, spec, stream_key=prefix), nid
         assert modes == {True, False}
+
+    def test_decides_each_node_mode_once(self, monkeypatch):
+        counts = []
+        total = permtest.total_assignments
+        monkeypatch.setattr(
+            permtest, "total_assignments", lambda blocks: counts.append(1) or total(blocks)
+        )
+        spec = TestSpec(statistic="mean_diff", n_perms=100, seed=7)
+        for tree, blocks, prefix in self.datasets():
+            counts.clear()
+            node_pvalues(tree, blocks, spec, prefix)
+            assert len(counts) == len(tree)
 
     def test_per_node_null_validity_under_shared_draws(self):
         # sham treatment on 2 sites x 2 cohorts x 2 blocks of 8: every node's
@@ -403,7 +442,7 @@ class TestNodePValues:
         tree = build_from_paths(rows)
         spec = TestSpec(statistic="mean_diff", n_perms=199, exact=False, seed=3)
         replicates, alpha = 1000, 0.05
-        hits = dict.fromkeys(tree.ids, 0)
+        hits = np.zeros(len(tree), dtype=int)
         for rep in range(replicates):
             rng = np.random.default_rng(np.random.SeedSequence([55, rep]))
             blocks = []
@@ -411,23 +450,19 @@ class TestNodePValues:
                 t = np.zeros(n, dtype=np.int8)
                 t[rng.permutation(n)[: n // 2]] = 1
                 blocks.append(Block(bid, t, rng.normal(size=n)))
-            source = NodePValues(tree, blocks, spec, prefix=f"{rep}/")
-            for nid in tree.ids:
-                hits[nid] += source(nid) <= alpha
+            hits += node_pvalues(tree, blocks, spec, prefix=f"{rep}/") <= alpha
         bound = alpha + 2 * math.sqrt(alpha * (1 - alpha) / replicates)
-        rates = {nid: count / replicates for nid, count in hits.items()}
+        rates = dict(zip(tree.ids, (hits / replicates).tolist()))
         assert len(rates) == 15
         assert max(rates.values()) <= bound, rates
 
-    @pytest.mark.parametrize("first", ["root", "b2"])
-    def test_degenerate_block_is_one_line_error(self, first):
+    def test_degenerate_block_is_one_line_error(self):
         rows = [(f"b{i}", (f"G{i // 2}", f"b{i}"), 4) for i in range(4)]
         tree = build_from_paths(rows)
         arms = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]
         blocks = [Block(f"b{i}", t, np.arange(4.0) + i) for i, t in enumerate(arms)]
-        source = NodePValues(tree, blocks, TestSpec(statistic="mean_diff"))
-        with pytest.raises(PermTestError, match=r"^degenerate blocks under node '\w+': \['b2'\]$"):
-            source(first)
+        with pytest.raises(PermTestError, match=r"^degenerate blocks under node 'root': \['b2'\]$"):
+            node_pvalues(tree, blocks, TestSpec(statistic="mean_diff"))
 
 
 def test_dpp_empty_method_set_rejected():
