@@ -119,12 +119,17 @@ class Walk:
     rejected: np.ndarray
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise GateError unless ``alpha`` lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise GateError("alpha must lie in [0, 1]")
+
+
 def _check_thresholds(
     tree: HypothesisTree, variant: GateVariant, alpha: float, schedule: AlphaSchedule | None
 ) -> bool:
     """Check the threshold arguments of a walk; return whether it is adaptive."""
-    if not 0.0 <= alpha <= 1.0:
-        raise GateError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
     adaptive = variant.thresholds == "adaptive"
     if adaptive:
         if schedule is None:

@@ -148,7 +148,9 @@ def simulate_weak(
         raise SimError("replicates must be at least 100")
     if seed < 0:
         raise SimError("seed must be non-negative")
-    tree = build_regular(k, L)
+    check_regular_shape(k, L)
+    gate.check_alpha(alpha)
+    tree = _regular_tree(k, L)
     result = walk(tree, _uniform_draws((seed, k, L)), replicates, gate.UNADJUSTED, alpha=alpha)
     rejections = np.bincount(result.row[result.rejected], minlength=replicates)
     root_rejections = int(np.count_nonzero(result.rejected & (result.node == tree.root_index)))
@@ -164,6 +166,19 @@ def simulate_weak(
         mean_tests=(replicates + int(rejections.sum()) - root_rejections) / replicates,
         mean_nodes_tested=result.row.size / replicates,
     )
+
+
+def _regular_tree(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
+    """``build_regular``, where a tree too large for memory is a SimError
+    that names its node count.  Beyond the index range, allocation fails
+    with OverflowError rather than MemoryError."""
+    try:
+        return build_regular(k, L, units_per_leaf)
+    except (MemoryError, OverflowError):
+        nodes = (k**L - 1) // (k - 1)
+        raise SimError(
+            f"a regular tree with k={k} and L={L} has {nodes} nodes, too many to hold in memory"
+        ) from None
 
 
 def _uniform_draws(key: tuple[int, ...]):
@@ -374,7 +389,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     run in blocks: a block's (replicates, nodes) p-value matrix is walked
     once per method, and score sums are added in replicate order.
     """
-    tree = build_regular(config.k, config.L, config.units_per_leaf)
+    tree = _regular_tree(config.k, config.L, config.units_per_leaf)
     non_null = _non_null_leaves(
         tree.leaves, config.null_proportion, config.placement
     )

@@ -48,7 +48,10 @@ class HypothesisTree:
     A node's index is its position in the order given to ``from_parents``
     (breadth-first for ``build_regular`` and ``build_from_paths``), so
     traversals and tie-breaks are reproducible.  ``ids`` lists the node ids
-    in that order, and each array follows it: ``parent`` (-1 at the root),
+    in that order.  A numbered tree (every ``build_regular`` tree) stores no
+    ids: its ids are "1".."n" in index order, derived on the first read of
+    ``ids`` and then kept, so a walk that never names a node never makes
+    them.  Each array follows the index order: ``parent`` (-1 at the root),
     ``depth`` (1 at the root), ``n_units`` and, on a ``label_truth`` result,
     the bool ``is_null`` (None when unlabeled).  The children of node ``i``
     are ``children[child_offsets[i]:child_offsets[i + 1]]``, in index order.
@@ -65,7 +68,7 @@ class HypothesisTree:
 
     def __init__(
         self,
-        ids: list[str],
+        ids: list[str] | None,
         parent: np.ndarray,
         depth: np.ndarray,
         n_units: np.ndarray,
@@ -73,7 +76,7 @@ class HypothesisTree:
         children: np.ndarray,
         is_null: np.ndarray | None = None,
     ):
-        self.ids = ids
+        self._ids = ids  # None on a numbered tree
         self.parent = parent
         self.depth = depth
         self.n_units = n_units
@@ -88,7 +91,12 @@ class HypothesisTree:
     # -- structure ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.parent)
+
+    @cached_property
+    def ids(self) -> list[str]:
+        """Node ids in index order; derived on a numbered tree."""
+        return list(map(str, range(1, len(self) + 1))) if self._ids is None else self._ids
 
     @property
     def root(self) -> str:
@@ -117,11 +125,22 @@ class HypothesisTree:
     def _index(self) -> dict[str, int]:
         return {nid: i for i, nid in enumerate(self.ids)}
 
+    def _find(self, node_id: str) -> int | None:
+        """A node's index, or None when the tree has no such node."""
+        if self._ids is not None:
+            return self._index.get(node_id)
+        # numbered: of all strings, only "1".."n" come back from str(int(.)) in range
+        if isinstance(node_id, str) and node_id.isdecimal() and len(node_id) <= len(str(len(self))):
+            i = int(node_id)
+            if str(i) == node_id and 1 <= i <= len(self):
+                return i - 1
+        return None
+
     def index_of(self, node_id: str) -> int:
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise TreeError(f"unknown node id: {node_id!r}") from None
+        i = self._find(node_id)
+        if i is None:
+            raise TreeError(f"unknown node id: {node_id!r}")
+        return i
 
     def node(self, node_id: str) -> TreeNode:
         """A view of one node, built on each call."""
@@ -166,14 +185,14 @@ class HypothesisTree:
         is non-null iff at least one leaf under it is; parents are therefore
         the conjunction of their children.
         """
-        wanted = set(non_null_leaves)
-        unknown = wanted.difference(self.leaves)
+        wanted = {nid: self._find(nid) for nid in set(non_null_leaves)}
+        unknown = [nid for nid, i in wanted.items() if i is None or not self.is_leaf[i]]
         if unknown:
             raise TreeError(f"unknown block ids: {sorted(unknown)}")
         marked = np.zeros(len(self), dtype=np.int64)
-        marked[[self.index_of(nid) for nid in wanted]] = 1
+        marked[list(wanted.values())] = 1
         return HypothesisTree(
-            self.ids,
+            self._ids,
             self.parent,
             self.depth,
             self.n_units,
@@ -224,37 +243,46 @@ def _subtree_sum(values, parent: np.ndarray, levels: Sequence[np.ndarray]) -> np
     return total
 
 
-def _int64_units(ids: list[str], n_units: Sequence[int | None]) -> np.ndarray:
-    """``n_units`` as int64, None read as 0; any other value must be an
-    integer within the int64 range."""
+def _int64_units(name, n_units) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``n_units`` are given (not None), and all of them as int64 with
+    None read as 0.  Any other value must be an integer within the int64
+    range; an integer array is taken as it is."""
+    if isinstance(n_units, np.ndarray) and n_units.dtype.kind == "i":
+        return np.ones(len(n_units), dtype=bool), n_units.astype(np.int64, copy=False)
     raw = [0 if u is None else u for u in n_units]
     units = np.array(raw)
     if units.dtype.kind != "i":
-        i = next(
-            i
-            for i, u in enumerate(raw)
-            if isinstance(u, bool)
-            or not isinstance(u, (int, np.integer))
-            or not -INT64_MAX - 1 <= u <= INT64_MAX
-        )
-        raise TreeError(
-            f"node {ids[i]!r} n_units {raw[i]!r} is not an integer in the int64 range"
-        )
-    return units.astype(np.int64, copy=False)
+        for i, u in enumerate(raw):
+            if (
+                isinstance(u, bool)
+                or not isinstance(u, (int, np.integer))
+                or not -INT64_MAX - 1 <= u <= INT64_MAX
+            ):
+                raise TreeError(
+                    f"node {name(i)!r} n_units {u!r} is not an integer in the int64 range"
+                )
+    given = np.fromiter((u is not None for u in n_units), dtype=bool, count=len(raw))
+    return given, units.astype(np.int64, copy=False)
+
+
+def _numbered_id(i: int) -> str:
+    return str(i + 1)
 
 
 def from_parents(
-    ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]
+    ids: Sequence[str] | None, parent: Sequence[int], n_units: Sequence[int | None]
 ) -> HypothesisTree:
     """Assemble a tree from parent links given as indices into ``ids``.
 
     ``parent[i]`` is the index of node i's parent, or -1 for the root.
     ``n_units[i]`` is required (at least 1) for leaves; for a group it may
-    be None, and otherwise must equal the sum over its children.  Each leaf
-    is one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
+    be None, and otherwise must equal the sum over its children.  An
+    integer array of ``n_units`` gives every node's count.  Each leaf is
+    one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
     lists a node's blocks.  Nodes may come in any order, and node ``i`` of
-    the tree is ``ids[i]``.  This is the one place where a tree's structure
-    is checked.
+    the tree is ``ids[i]``; with ``ids`` None the tree is numbered, and node
+    ``i`` is ``str(i + 1)``.  This is the one place where a tree's
+    structure is checked.
 
     Raises TreeError for a duplicate id, a parent index out of range, zero
     or several roots, a node the root cannot reach (a cycle), a leaf
@@ -262,21 +290,25 @@ def from_parents(
     int64 range, a unit total beyond that range, or a given group total
     that is not the sum over its children.
     """
-    n = len(ids)
+    n = len(parent) if ids is None else len(ids)
     if n == 0:
         raise TreeError("no nodes given")
     if len(parent) != n or len(n_units) != n:
         raise TreeError("ids, parent and n_units must have equal lengths")
-    ids = list(ids)
-    if len(set(ids)) != n:
-        seen: set[str] = set()
-        dup = next(nid for nid in ids if nid in seen or seen.add(nid))
-        raise TreeError(f"duplicate node id: {dup!r}")
+    if ids is None:
+        name = _numbered_id  # numbered ids cannot collide
+    else:
+        ids = list(ids)
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            dup = next(nid for nid in ids if nid in seen or seen.add(nid))
+            raise TreeError(f"duplicate node id: {dup!r}")
+        name = ids.__getitem__
     parent = np.array(parent, dtype=np.int64)
     bad = np.flatnonzero((parent < -1) | (parent >= n))
     if bad.size:
         i = int(bad[0])
-        raise TreeError(f"node {ids[i]!r} references unknown parent index {int(parent[i])}")
+        raise TreeError(f"node {name(i)!r} references unknown parent index {int(parent[i])}")
     roots = np.flatnonzero(parent == -1)
     if len(roots) != 1:
         raise TreeError(f"expected exactly one root, found {len(roots)}")
@@ -294,25 +326,24 @@ def from_parents(
         # positions of each node's child slice, concatenated
         level = children[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
     if sum(map(len, levels)) != n:
-        lost = sorted(ids[i] for i in np.flatnonzero(depth == 0).tolist())
+        lost = sorted(map(name, np.flatnonzero(depth == 0).tolist()))
         raise TreeError(f"nodes unreachable from the root: {lost}")
 
-    given = np.fromiter((u is not None for u in n_units), dtype=bool, count=n)
-    units = _int64_units(ids, n_units)
+    given, units = _int64_units(name, n_units)
     is_leaf = offsets[1:] == offsets[:-1]
     bad = np.flatnonzero(is_leaf & (~given | (units < 1)))
     if bad.size:
-        raise TreeError(f"leaf {ids[bad[0]]!r} needs n_units of at least 1")
+        raise TreeError(f"leaf {name(int(bad[0]))!r} needs n_units of at least 1")
     total = sum(units[is_leaf].tolist())
     if total > INT64_MAX:
         raise TreeError(
-            f"n_units total {total} under {ids[roots[0]]!r} is beyond the int64 range"
+            f"n_units total {total} under {name(int(roots[0]))!r} is beyond the int64 range"
         )
     totals = _subtree_sum(np.where(is_leaf, units, 0), parent, levels)
     bad = np.flatnonzero(given & ~is_leaf & (units != totals))
     if bad.size:
         i = int(bad[0])
-        raise TreeError(f"node {ids[i]!r} n_units {units[i]} != children sum {totals[i]}")
+        raise TreeError(f"node {name(i)!r} n_units {units[i]} != children sum {totals[i]}")
     return HypothesisTree(ids, parent, depth, totals, offsets, children)
 
 
@@ -331,17 +362,18 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     """Complete k-ary tree with L levels (root at depth 1).
 
     Level ``l`` holds ``k**(l-1)`` nodes; the ``k**(L-1)`` leaves each carry
-    one block whose id equals the leaf's node id.  Node ids are the usual
-    breadth-first numbering "1", "2", ...
+    one block whose id equals the leaf's node id.  The tree is numbered:
+    node ids are the breadth-first numbering "1", "2", ...
     """
     check_regular_shape(k, L, units_per_leaf)
-    n_groups = (k ** (L - 1) - 1) // (k - 1)
-    total = n_groups + k ** (L - 1)
-    return from_parents(
-        list(map(str, range(1, total + 1))),
-        np.arange(-1, total - 1) // k,  # node i > 0 hangs under (i - 1) // k
-        [None] * n_groups + [units_per_leaf] * (total - n_groups),
-    )
+    sizes = [k**level for level in range(L)]  # nodes per level, root first
+    n = sum(sizes)
+    if isinstance(units_per_leaf, int) and units_per_leaf * sizes[-1] <= INT64_MAX:
+        # units_per_leaf times the leaves under a node: sizes reversed, level by level
+        n_units = np.repeat(units_per_leaf * np.array(sizes[::-1], dtype=np.int64), sizes)
+    else:  # from_parents names the count that is no int64, or the total beyond
+        n_units = [None] * (n - sizes[-1]) + [units_per_leaf] * sizes[-1]
+    return from_parents(None, np.arange(-1, n - 1) // k, n_units)  # i > 0 under (i - 1) // k
 
 
 def build_from_paths(

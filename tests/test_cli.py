@@ -478,6 +478,24 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
 
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError])
+    @pytest.mark.parametrize(
+        "kind, body",
+        [("weak", "k=10\nL=12\n"), ("strong", "k=10\nL=12\nunits_per_leaf=1\nnull_proportion=1.0\n")],
+    )
+    def test_oversized_tree_is_one_line_error(self, tmp_path, capsys, monkeypatch, kind, body, error):
+        def build(*args):
+            raise error("allocation refused")  # no 1.1e11-node tree is attempted
+
+        monkeypatch.setattr(sim, "build_regular", build)
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(body)
+        assert main(["simulate", kind, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: a regular tree with k=10 and L=12 has 111111111111 nodes, "
+            "too many to hold in memory\n"
+        )
+
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("k=2\n")

@@ -9,7 +9,7 @@ import pytest
 from treegate import permtest, sim
 from treegate.cli import read_dataset
 from treegate.errorload import ScheduleError
-from treegate.gate import UNADJUSTED
+from treegate.gate import UNADJUSTED, GateError
 from treegate.permtest import Block, PermTestError, TestSpec, is_exact, permutation_pvalue
 from treegate.sim import (
     DPP_LAYOUT,
@@ -79,6 +79,27 @@ class TestSimulateWeak:
     def test_replicate_floor(self):
         with pytest.raises(SimError):
             simulate_weak(2, 3, replicates=10)
+
+    @pytest.mark.parametrize(
+        "kw, error, message",
+        [({"k": 1}, TreeError, "branching factor k must be at least 2"),
+         ({"L": 1}, TreeError, "tree must have at least 2 levels"),
+         ({"alpha": 1.5}, GateError, r"alpha must lie in \[0, 1\]"),
+         ({"alpha": -0.1}, GateError, r"alpha must lie in \[0, 1\]")],
+        ids=["k_one", "one_level", "alpha_above_one", "negative_alpha"],
+    )
+    def test_inputs_checked_before_the_tree_is_built(self, monkeypatch, kw, error, message):
+        monkeypatch.setattr(sim, "build_regular", lambda *a: pytest.fail("tree built"))
+        with pytest.raises(error, match=f"^{message}$"):
+            simulate_weak(**{"k": 2, "L": 19, "replicates": 100, **kw})
+
+    def test_walk_derives_no_node_ids(self, monkeypatch):
+        built = []
+        build = sim.build_regular
+        monkeypatch.setattr(sim, "build_regular", lambda *a: built.append(build(*a)) or built[-1])
+        summary = simulate_weak(2, 12, alpha=0.5, replicates=100, seed=3)
+        assert summary.mean_nodes_tested > 3  # walks reach below the root's children
+        assert "ids" not in vars(built[0])
 
     @pytest.mark.parametrize(
         "k, L, alpha, replicates, seed",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,36 @@ class TestBuildRegular:
     def test_rejects_degenerate_shapes(self, k, L):
         with pytest.raises(TreeError):
             build_regular(k, L)
+
+    @pytest.mark.parametrize(
+        "units, message",
+        [(2**62, "n_units total 18446744073709551616 under '1' is beyond the int64 range"),
+         (2**63, "node '4' n_units 9223372036854775808 is not an integer in the int64 range"),
+         (2.5, "node '4' n_units 2.5 is not an integer in the int64 range"),
+         (np.int64(2**62), "n_units total 18446744073709551616 under '1' is beyond the int64 range")],
+        ids=["total_beyond_int64", "leaf_beyond_int64", "leaf_not_integer", "numpy_total_beyond_int64"],
+    )
+    def test_bad_unit_counts_are_one_line_errors(self, units, message):
+        with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+            build_regular(2, 3, units_per_leaf=units)
+
+    @pytest.mark.parametrize(
+        "k, L, units", [(2, 2, 1), (3, 3, 10), (2, 7, 3), (5, 3, 1), (4, 4, 32), (2, 3, 2**60)]
+    )
+    def test_equals_tree_from_explicit_ids(self, k, L, units):
+        tree = build_regular(k, L, units_per_leaf=units)
+        n, n_leaves = len(tree), k ** (L - 1)
+        want = from_parents(
+            [str(i) for i in range(1, n + 1)],
+            [(i - 1) // k for i in range(n)],
+            [None] * (n - n_leaves) + [units] * n_leaves,
+        )
+        for name in ("parent", "depth", "n_units", "child_offsets", "children"):
+            got, ref = getattr(tree, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert tree.is_null is None
+        assert "ids" not in vars(tree)
+        assert tree.ids == [str(i) for i in range(1, n + 1)]
 
     def test_children_in_order(self):
         tree = build_regular(3, 3)
@@ -171,6 +202,48 @@ class TestFromParents:
             from_parents(ids, parent, units)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize(
+        "parent, units",
+        [([-1, 0, 7], [None, 1, 1]),
+         ([-1, 0, 3, 2], [None, 1, 1, 1]),
+         ([-1, 0], [None, 0]),
+         ([-1, 0, 0], [None, 2**62, 2**62]),
+         ([-1, 0, 0], [4, 1, 2]),
+         ([-1, 0], [None, 2**63])],
+        ids=["unknown_parent", "cycle", "leaf_zero_units", "total_beyond_int64",
+             "group_total", "leaf_beyond_int64"],
+    )
+    def test_numbered_errors_name_the_numbered_ids(self, parent, units):
+        with pytest.raises(TreeError) as numbered:
+            from_parents(None, parent, units)
+        with pytest.raises(TreeError) as listed:
+            from_parents([str(i) for i in range(1, len(parent) + 1)], parent, units)
+        assert str(numbered.value) == str(listed.value)
+
+    def test_integer_array_units_equal_list_units(self):
+        ids, parent = ["a1", "root", "a", "b", "a2"], [2, -1, 1, 1, 2]
+        want = from_parents(ids, parent, [3, None, None, 4, 5])
+        for units in (np.array([3, 12, 8, 4, 5]), np.array([3, 12, 8, 4, 5], dtype=np.uint64)):
+            got = from_parents(ids, parent, units)
+            assert got.n_units.dtype == np.int64
+            assert np.array_equal(got.n_units, want.n_units)
+            assert np.array_equal(got.parent, want.parent)
+
+    @pytest.mark.parametrize(
+        "units, message",
+        [(np.array([3.0, 1.0, 2.0]),
+          "node 'r' n_units np.float64(3.0) is not an integer in the int64 range"),
+         (np.array([3, 2**63, 2], dtype=np.uint64),
+          "node 'x' n_units np.uint64(9223372036854775808) is not an integer in the int64 range"),
+         (np.array([4, 1, 2]), "node 'r' n_units 4 != children sum 3"),
+         (np.array([0, 2**62, 2**62]),
+          "n_units total 9223372036854775808 under 'r' is beyond the int64 range")],
+        ids=["float", "uint64_beyond_int64", "group_total", "total_beyond_int64"],
+    )
+    def test_malformed_array_units_rejected(self, units, message):
+        with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+            from_parents(["r", "x", "y"], [-1, 0, 0], units)
+
     @given(shuffled_trees())
     @settings(max_examples=200, deadline=None)
     def test_invariants_of_random_trees(self, args):
@@ -209,6 +282,30 @@ class TestLabelTruth:
     def test_unknown_block_rejected(self):
         with pytest.raises(TreeError, match="unknown"):
             build_regular(3, 3).label_truth({"99"})
+
+    def test_numbered_tree_derives_no_ids(self):
+        tree = build_regular(2, 12)
+        labeled = tree.label_truth({"2048", "4095"})
+        assert "ids" not in vars(tree) and "ids" not in vars(labeled)
+        listed = from_parents(list(tree.ids), tree.parent, tree.n_units)
+        assert np.array_equal(labeled.is_null, listed.label_truth({"2048", "4095"}).is_null)
+        assert labeled.node("2048").is_null is False and labeled.node("2049").is_null
+
+    @pytest.mark.parametrize(
+        "node_id",
+        ["1", "13", "5", "0", "14", "01", "+1", " 1", "1.0", "", "\u0661", "99999999999999999999", 1],
+    )
+    def test_numbered_lookup_matches_listed_ids(self, node_id):
+        numbered = build_regular(3, 3)
+        listed = from_parents([str(i) for i in range(1, 14)], numbered.parent, numbered.n_units)
+        try:
+            want = listed.index_of(node_id)
+        except TreeError as exc:
+            with pytest.raises(TreeError, match=f"^{re.escape(str(exc))}$"):
+                numbered.index_of(node_id)
+        else:
+            assert numbered.index_of(node_id) == want
+        assert "ids" not in vars(numbered)
 
     def test_original_tree_unchanged(self):
         tree = build_regular(3, 3)
