@@ -102,6 +102,24 @@ class TestReadDataset:
         with pytest.raises(CliError, match="missing required"):
             read_dataset(str(path))
 
+    def test_all_blank_data_section(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("unit_id,block_id,treatment,outcome\n,,,\n\n  , ,,\n")
+        with pytest.raises(CliError, match=r"^.*blank\.csv: no data rows$"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([("u2", "b1", 0, 2.0, "A"), ("u3", "b1", 2, 1.0, "A", "A1")], r":3: expected 6 fields$"),
+         ([("u2", "b1", 2, 2.0, "A", "A1"), ("u3", "b1", 0, 1.0, "A")],
+          r":3: treatment must be 0 or 1, got '2'$")],
+        ids=["field_count_first", "content_error_first"],
+    )
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, rows, message):
+        path = write_dataset(tmp_path / "order.csv", [("u1", "b1", 1, 1.0, "A", "A1"), *rows])
+        with pytest.raises(CliError, match=message):
+            read_dataset(path)
+
 
 class TestCmdTest:
     def test_json_output_upward_closed_and_round_trips(self, tmp_path, capsys):
@@ -289,9 +307,14 @@ class TestNodeSizes:
             ("root,,\na,nowhere,5\n", "unknown parent 'nowhere'"),
             ("root,,\na,root,5\na,root,5\n", "duplicate node id"),
             ("root,,\nother,,5\n", "exactly one root"),
+            (",,\n\n , ,\n", r"sizes\.csv: no data rows$"),
+            ("root,,\na,root,x\nb,root\n", r":3: n_units is not an integer"),
+            ("root,,\na,root\nb,root,x\n", r":3: expected 3 fields"),
         ],
         ids=["deep_chain_bad_total", "units_not_int", "short_row", "long_row",
-             "leaf_zero_units", "unknown_parent", "duplicate_id", "two_roots"],
+             "leaf_zero_units", "unknown_parent", "duplicate_id", "two_roots",
+             "all_blank_rows", "content_error_before_short_row",
+             "short_row_before_content_error"],
     )
     def test_bad_table_is_cli_error(self, tmp_path, body, message):
         path = tmp_path / "sizes.csv"

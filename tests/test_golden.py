@@ -35,6 +35,10 @@ CASES = {
         "test", "trial.csv", "--variant", "local_hommel", "--statistic", "mean_diff",
         "--seed", "8", "--format", "csv",
     ],
+    "test_rank_omit.dot": [
+        "test", "trial.csv", "--statistic", "rank", "--alpha", "0.4", "--n-perms", "200",
+        "--seed", "1", "--format", "dot",
+    ],
     "test_meandiff_collapse.dot": [
         "test", "trial.csv", "--statistic", "mean_diff", "--n-perms", "200",
         "--seed", "9", "--format", "dot", "--dot-pruned", "collapse",
