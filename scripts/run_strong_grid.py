@@ -8,11 +8,11 @@ Hommel.
 """
 
 import argparse
-import csv
 import sys
 import time
 
 from treegate import ScenarioConfig, simulate_strong
+from treegate.cli import csv_text
 
 EFFECTS = (0.04, 0.10, 0.15)
 NULL_PROPS = (0.5, 0.8)
@@ -66,10 +66,8 @@ def main(argv=None) -> int:
         rows.append(row)
         print(row)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
     print(f"wrote {args.out} in {time.time()-t0:.0f}s")
     return 0
 

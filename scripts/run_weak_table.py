@@ -8,11 +8,11 @@ replicate thanks to the stopping rule.
 """
 
 import argparse
-import csv
 import sys
 import time
 
 from treegate import simulate_weak
+from treegate.cli import csv_text
 
 DESK_ROWS = [(2, 7), (4, 5), (6, 4), (8, 4), (10, 4), (20, 3), (50, 3), (100, 3)]
 
@@ -46,10 +46,8 @@ def main(argv=None) -> int:
         )
         print(rows[-1])
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
     print(f"wrote {args.out}")
     return 0
 

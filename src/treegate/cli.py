@@ -46,16 +46,47 @@ class CliError(Exception):
 
 @contextmanager
 def _open_text(path: str):
-    """``path`` opened as UTF-8 text with line ends kept as they are; a file
-    that cannot be opened or read, or a byte that is not UTF-8, is a
-    CliError naming the path."""
+    """``path`` opened as UTF-8 text with line ends kept as they are and a
+    leading byte-order mark dropped; a file that cannot be opened or read,
+    or a byte that is not UTF-8, is a CliError naming the path."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raise CliError(f"{path}: not UTF-8 text")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}")
+
+
+def _read_table(path: str, required: tuple[str, ...]):
+    """Yield the header of the CSV table at ``path``, names stripped, then
+    ``(lineno, row)`` for each row that is not blank, with the file open:
+    rows are streamed so that a large dataset is not held twice.  An empty
+    file, a required column missing or given twice, a row whose field count
+    differs from the header's, or no data rows at all is a CliError."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise CliError(f"{path}: empty file")
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise CliError(f"{path}: missing required columns {missing}")
+        for name in required:
+            if header.count(name) > 1:
+                raise CliError(f"{path}: duplicate required column {name!r}")
+        yield header
+        n_rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
+            n_rows += 1
+            yield lineno, row
+    if not n_rows:
+        raise CliError(f"{path}: no data rows")
 
 
 @dataclass
@@ -71,66 +102,53 @@ def read_dataset(path: str) -> Dataset:
     further columns are ordered hierarchy levels, constant within a block;
     without them a star tree over the blocks is used.
     """
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    table = _read_table(path, REQUIRED_COLUMNS)
+    header = next(table)
+    col = {name: header.index(name) for name in REQUIRED_COLUMNS}
+    hierarchy_cols = [
+        (i, name) for i, name in enumerate(header) if name not in REQUIRED_COLUMNS
+    ]
+
+    unit_ids: set[str] = set()
+    order: list[str] = []
+    treatment: dict[str, list[int]] = {}
+    outcome: dict[str, list[float]] = {}
+    paths: dict[str, tuple[str, ...]] = {}
+    for lineno, row in table:
+        uid = row[col["unit_id"]].strip()
+        if uid in unit_ids:
+            raise CliError(f"{path}:{lineno}: duplicate unit_id {uid!r}")
+        unit_ids.add(uid)
+        bid = row[col["block_id"]].strip()
+        if not bid:
+            raise CliError(f"{path}:{lineno}: empty block_id")
+        t_raw = row[col["treatment"]].strip()
+        if t_raw not in ("0", "1"):
+            raise CliError(
+                f"{path}:{lineno}: treatment must be 0 or 1, got {t_raw!r}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file")
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise CliError(f"{path}: missing required columns {missing}")
-        col = {name: header.index(name) for name in REQUIRED_COLUMNS}
-        hierarchy_cols = [
-            (i, name) for i, name in enumerate(header) if name not in REQUIRED_COLUMNS
-        ]
+            y = float(row[col["outcome"]])
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: outcome is not a number")
+        if not np.isfinite(y):
+            raise CliError(f"{path}:{lineno}: outcome is not finite")
+        levels = tuple(row[i].strip() for i, _ in hierarchy_cols)
+        if "" in levels:
+            name = hierarchy_cols[levels.index("")][1]
+            raise CliError(f"{path}:{lineno}: empty value in hierarchy column {name!r}")
+        if bid not in treatment:
+            order.append(bid)
+            treatment[bid] = []
+            outcome[bid] = []
+            paths[bid] = levels
+        elif paths[bid] != levels:
+            raise CliError(
+                f"{path}:{lineno}: hierarchy columns change within block {bid!r}"
+            )
+        treatment[bid].append(int(t_raw))
+        outcome[bid].append(y)
 
-        unit_ids: set[str] = set()
-        order: list[str] = []
-        treatment: dict[str, list[int]] = {}
-        outcome: dict[str, list[float]] = {}
-        paths: dict[str, tuple[str, ...]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
-            uid = row[col["unit_id"]].strip()
-            if uid in unit_ids:
-                raise CliError(f"{path}:{lineno}: duplicate unit_id {uid!r}")
-            unit_ids.add(uid)
-            bid = row[col["block_id"]].strip()
-            if not bid:
-                raise CliError(f"{path}:{lineno}: empty block_id")
-            t_raw = row[col["treatment"]].strip()
-            if t_raw not in ("0", "1"):
-                raise CliError(
-                    f"{path}:{lineno}: treatment must be 0 or 1, got {t_raw!r}"
-                )
-            try:
-                y = float(row[col["outcome"]])
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: outcome is not a number")
-            if not np.isfinite(y):
-                raise CliError(f"{path}:{lineno}: outcome is not finite")
-            levels = tuple(row[i].strip() for i, _ in hierarchy_cols)
-            if "" in levels:
-                name = hierarchy_cols[levels.index("")][1]
-                raise CliError(f"{path}:{lineno}: empty value in hierarchy column {name!r}")
-            if bid not in treatment:
-                order.append(bid)
-                treatment[bid] = []
-                outcome[bid] = []
-                paths[bid] = levels
-            elif paths[bid] != levels:
-                raise CliError(
-                    f"{path}:{lineno}: hierarchy columns change within block {bid!r}"
-                )
-            treatment[bid].append(int(t_raw))
-            outcome[bid].append(y)
-
-    if not order:
-        raise CliError(f"{path}: no data rows")
     degenerate = [
         bid for bid in order if not 0 < sum(treatment[bid]) < len(treatment[bid])
     ]
@@ -157,35 +175,23 @@ def read_node_sizes(path: str) -> HypothesisTree:
     blank, in which case they are derived from the leaves.  Rows may come
     in any order.
     """
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    wanted = ("node_id", "parent_id", "n_units")
+    table = _read_table(path, wanted)
+    header = next(table)
+    cols = [header.index(name) for name in wanted]
+    ids: list[str] = []
+    parent_ids: list[str] = []
+    n_units: list[int | None] = []
+    for lineno, row in table:
+        nid, parent, units = (row[i].strip() for i in cols)
+        if not nid:
+            raise CliError(f"{path}:{lineno}: empty node_id")
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CliError(f"{path}: empty file")
-        wanted = ["node_id", "parent_id", "n_units"]
-        if [h for h in wanted if h not in header]:
-            raise CliError(f"{path}: header must contain {wanted}")
-        cols = [header.index(name) for name in wanted]
-        ids: list[str] = []
-        parent_ids: list[str] = []
-        n_units: list[int | None] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CliError(f"{path}:{lineno}: expected {len(header)} fields")
-            nid, parent, units = (row[i].strip() for i in cols)
-            if not nid:
-                raise CliError(f"{path}:{lineno}: empty node_id")
-            try:
-                n_units.append(int(units) if units else None)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: n_units is not an integer: {units!r}")
-            ids.append(nid)
-            parent_ids.append(parent)
-    if not ids:
-        raise CliError(f"{path}: no data rows")
+            n_units.append(int(units) if units else None)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: n_units is not an integer: {units!r}")
+        ids.append(nid)
+        parent_ids.append(parent)
 
     index = {nid: i for i, nid in enumerate(ids)}
     for nid, parent in zip(ids, parent_ids):
@@ -202,32 +208,34 @@ def read_node_sizes(path: str) -> HypothesisTree:
 # ---------------------------------------------------------------------------
 
 
-def _parent_ids(tree: HypothesisTree) -> list[str | None]:
-    return [tree.ids[p] if p >= 0 else None for p in tree.parent.tolist()]
+NODE_FIELDS = ("id", "parent", "depth", "tested", "p", "p_adjusted", "alpha_applied", "rejected")
+
+
+def _node_rows(result: ResultTree, tree: HypothesisTree):
+    """One dict per node of ``tree``, in index order, keyed by NODE_FIELDS;
+    ``parent`` is None at the root and the p-values are None when untested."""
+    ids = tree.ids
+    for nid, parent, depth in zip(ids, tree.parent.tolist(), tree.depth.tolist()):
+        out = result.outcome(nid)
+        yield {
+            "id": nid,
+            "parent": ids[parent] if parent >= 0 else None,
+            "depth": depth,
+            "tested": out.tested,
+            "p": out.p_value,
+            "p_adjusted": out.p_adjusted,
+            "alpha_applied": out.alpha_applied,
+            "rejected": out.rejected,
+        }
 
 
 def result_to_json(result: ResultTree, tree: HypothesisTree, extra: dict | None = None) -> str:
-    nodes = []
-    for nid, parent, depth in zip(tree.ids, _parent_ids(tree), tree.depth.tolist()):
-        out = result.outcome(nid)
-        nodes.append(
-            {
-                "id": nid,
-                "parent": parent,
-                "depth": depth,
-                "tested": out.tested,
-                "p": out.p_value,
-                "p_adjusted": out.p_adjusted,
-                "alpha_applied": out.alpha_applied,
-                "rejected": out.rejected,
-            }
-        )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "variant": result.variant,
         "alpha": result.alpha,
         **(extra or {}),
-        "nodes": nodes,
+        "nodes": list(_node_rows(result, tree)),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -256,29 +264,25 @@ def result_to_dot(
     """
     if pruned not in ("omit", "collapse"):
         raise CliError(f"unknown pruned mode: {pruned!r}")
+    tested = [(i, node) for i, node in enumerate(_node_rows(result, tree)) if node["tested"]]
+    tested_ids = {node["id"] for _, node in tested}
     lines = ["digraph gated_tests {", '  node [shape=ellipse, fontsize=10];']
-    for nid in tree.ids:
-        out = result.outcome(nid)
-        if not out.tested:
-            continue
-        q = _dot_escape(nid)
-        label = f"{q}\\np={out.p_value:.4g}"
+    for _, node in tested:
+        q = _dot_escape(node["id"])
+        label = f"{q}\\np={node['p']:.4g}"
         style = (
             'style=filled, fillcolor="#c7e9c0", peripheries=2'
-            if out.rejected
+            if node["rejected"]
             else 'style=filled, fillcolor="#f0f0f0"'
         )
         lines.append(f'  "{q}" [label="{label}", {style}];')
     if pruned == "collapse":
         descendants = (tree.subtree_sum(np.ones(len(tree))) - 1).tolist()
-    for i, (nid, parent) in enumerate(zip(tree.ids, _parent_ids(tree))):
-        out = result.outcome(nid)
-        if not out.tested:
-            continue
-        q = _dot_escape(nid)
-        if parent is not None and result.outcome(parent).tested:
-            lines.append(f'  "{_dot_escape(parent)}" -> "{q}";')
-        if pruned == "collapse" and not tree.is_leaf[i] and not out.rejected:
+    for i, node in tested:
+        q = _dot_escape(node["id"])
+        if node["parent"] in tested_ids:
+            lines.append(f'  "{_dot_escape(node["parent"])}" -> "{q}";')
+        if pruned == "collapse" and not tree.is_leaf[i] and not node["rejected"]:
             lines.append(
                 f'  "{q}:pruned" [label="{descendants[i]} untested", shape=box, style=dashed];'
             )
@@ -292,7 +296,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _csv_text(rows) -> str:
+def csv_text(rows) -> str:
     """Rows as CSV text with "\n" line ends; fields are quoted only when needed."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -300,22 +304,11 @@ def _csv_text(rows) -> str:
 
 
 def result_to_csv(result: ResultTree, tree: HypothesisTree) -> str:
-    rows = [["id", "parent", "depth", "tested", "p", "p_adjusted", "alpha_applied", "rejected"]]
-    for nid, parent, depth in zip(tree.ids, _parent_ids(tree), tree.depth.tolist()):
-        out = result.outcome(nid)
-        rows.append(
-            [
-                nid,
-                parent or "",
-                depth,
-                int(out.tested),
-                "" if out.p_value is None else repr(out.p_value),
-                "" if out.p_adjusted is None else repr(out.p_adjusted),
-                "" if out.alpha_applied is None else repr(out.alpha_applied),
-                int(out.rejected),
-            ]
-        )
-    return _csv_text(rows)
+    rows = [NODE_FIELDS]
+    for node in _node_rows(result, tree):
+        # flags as 0/1; csv writes None as an empty field and a float as its repr
+        rows.append([int(v) if isinstance(v, bool) else v for v in node.values()])
+    return csv_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +367,7 @@ def cmd_alpha_schedule(args) -> int:
                 int(schedule.gating_sufficient),
             ]
         )
-    _write(_csv_text(rows), args.out)
+    _write(csv_text(rows), args.out)
     return 0
 
 
@@ -429,7 +422,7 @@ def _fmt(x) -> str:
 
 def weak_summary_csv(summary: sim.WeakSummary) -> str:
     s = summary
-    return _csv_text(
+    return csv_text(
         [
             ["k", "L", "alpha", "replicates", "seed", "fwer", "fwer_se", "mean_tests",
              "mean_nodes_tested"],
@@ -465,7 +458,7 @@ def strong_summary_csv(summary: sim.SimSummary) -> str:
         td = summary.methods["td_adapt_pruned"].true_rejections_node
         header.append("ratio_td_adapt_pruned_vs_bu_hommel")
         values.append(_fmt(td / bu) if bu > 0 else "inf")
-    return _csv_text([header, values])
+    return csv_text([header, values])
 
 
 def dpp_summary_csv(summary: sim.SimSummary) -> str:
@@ -486,7 +479,7 @@ def dpp_summary_csv(summary: sim.SimSummary) -> str:
     ]
     for label, attr in metric_fields:
         rows.append([label, *[_fmt(getattr(summary.methods[m], attr)) for m in methods]])
-    return _csv_text(rows)
+    return csv_text(rows)
 
 
 def _study(kind: str):
@@ -564,6 +557,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, TreeError, ScheduleError, GateError, PermTestError, sim.SimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation it refused; a bare one is empty
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

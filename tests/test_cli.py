@@ -102,6 +102,39 @@ class TestReadDataset:
         with pytest.raises(CliError, match="missing required"):
             read_dataset(str(path))
 
+    def test_header_names_are_stripped(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "A"), ("u2", "b1", 0, 2.0, "A")]
+        path = write_dataset(
+            tmp_path / "spaced.csv", rows,
+            header=(" unit_id ", "block_id", "treatment ", "outcome", " site"),
+        )
+        dataset = read_dataset(path)
+        assert dataset.tree.ids == ["root", "A", "b1"]
+
+    def test_duplicate_required_column(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "b9"), ("u2", "b1", 0, 2.0, "b9")]
+        path = write_dataset(
+            tmp_path / "twice.csv", rows,
+            header=("unit_id", "block_id", "treatment", "outcome", "block_id"),
+        )
+        with pytest.raises(CliError, match=r"^.*twice\.csv: duplicate required column 'block_id'$"):
+            read_dataset(path)
+
+    def test_repeated_hierarchy_column_name_is_a_level(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "A", "A1"), ("u2", "b1", 0, 2.0, "A", "A1")]
+        path = write_dataset(
+            tmp_path / "levels.csv", rows,
+            header=("unit_id", "block_id", "treatment", "outcome", "level", "level"),
+        )
+        assert read_dataset(path).tree.max_depth == 4
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        data = small_dataset(tmp_path / "d.csv")
+        bom = tmp_path / "bom.csv"
+        with open(data, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert read_dataset(str(bom)).tree.ids == read_dataset(data).tree.ids
+
     def test_all_blank_data_section(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("unit_id,block_id,treatment,outcome\n,,,\n\n  , ,,\n")
@@ -252,6 +285,24 @@ class TestCmdTest:
         assert {len(row) for row in parsed} == {8}
         assert "Site A, North" in {row[0] for row in parsed}
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError("Unable to allocate 43.7 TiB for an array with shape "
+                       "(1000000000000, 6) and data type float64"),
+          "error: out of memory: Unable to allocate 43.7 TiB for an array with shape "
+          "(1000000000000, 6) and data type float64\n"),
+         (MemoryError(), "error: out of memory\n")],
+        ids=["numpy_message", "bare"],
+    )
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch, error, message):
+        def draws(*args):
+            raise error  # nothing of the 43.7 TiB is allocated
+
+        monkeypatch.setattr(sim, "block_draws", draws)
+        data = os.path.join(GOLDEN, "trial.csv")
+        assert main(["test", data, "--n-perms", "1000000000000"]) == 1
+        assert capsys.readouterr().err == message
+
     def test_seed_is_not_truncated_to_32_bits(self, tmp_path):
         data = small_dataset(tmp_path / "d.csv")
         pvalues = []
@@ -320,6 +371,23 @@ class TestNodeSizes:
         path = tmp_path / "sizes.csv"
         path.write_text("node_id,parent_id,n_units\n" + body)
         with pytest.raises(CliError, match=message):
+            read_node_sizes(str(path))
+
+    def test_header_with_byte_order_mark_and_spaces(self, tmp_path):
+        path = tmp_path / "sizes.csv"
+        path.write_bytes(b"\xef\xbb\xbfnode_id , parent_id,n_units\nroot,,\na,root,4\nb,root,5\n")
+        assert read_node_sizes(str(path)).node("root").n_units == 9
+
+    def test_duplicate_required_column(self, tmp_path):
+        path = tmp_path / "sizes.csv"
+        path.write_text("node_id,parent_id,n_units,n_units\nroot,,,\na,root,4,4\nb,root,5,6\n")
+        with pytest.raises(CliError, match=r"^.*sizes\.csv: duplicate required column 'n_units'$"):
+            read_node_sizes(str(path))
+
+    def test_missing_column_message(self, tmp_path):
+        path = tmp_path / "sizes.csv"
+        path.write_text("node_id,n_units\nroot,5\n")
+        with pytest.raises(CliError, match=r"sizes\.csv: missing required columns \['parent_id'\]$"):
             read_node_sizes(str(path))
 
     def test_roundtrip_schedule(self, tmp_path):
@@ -437,6 +505,11 @@ class TestSimulateCommand:
         code = main(["simulate", "weak", "--config", str(cfg)])
         assert code == 1
         assert "bananas" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfk=2\nL=4\n")
+        assert cli.read_config(str(cfg), "weak") == {"k": 2, "L": 4}
 
     def test_duplicate_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "weak.cfg"
