@@ -116,6 +116,8 @@ def read_dataset(path: str) -> Dataset:
     paths: dict[str, tuple[str, ...]] = {}
     for lineno, row in table:
         uid = row[col["unit_id"]].strip()
+        if not uid:
+            raise CliError(f"{path}:{lineno}: empty unit_id")
         if uid in unit_ids:
             raise CliError(f"{path}:{lineno}: duplicate unit_id {uid!r}")
         unit_ids.add(uid)

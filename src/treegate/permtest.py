@@ -36,7 +36,10 @@ class DegenerateBlockError(PermTestError):
 
 @dataclass(frozen=True)
 class Block:
-    """One experimental block: binary treatment plus a real outcome."""
+    """One experimental block: binary treatment plus a real outcome.
+
+    ``n_treated``, the number of treated units, is set when the block is built.
+    """
 
     block_id: str
     treatment: np.ndarray
@@ -55,14 +58,12 @@ class Block:
             raise PermTestError(f"block {self.block_id!r}: non-finite outcome")
         object.__setattr__(self, "treatment", t)
         object.__setattr__(self, "outcome", y)
+        # counted once: mode decisions ask for it on every node above the block
+        object.__setattr__(self, "n_treated", int(t.sum()))
 
     @property
     def n(self) -> int:
         return self.outcome.size
-
-    @property
-    def n_treated(self) -> int:
-        return int(self.treatment.sum())
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,13 @@ def _key_int(key) -> int:
     return int.from_bytes(b"\x01" + str(key).encode("utf-8"), "big")
 
 
+def _uint32_keys(bitgen, rows: int, n: int) -> np.ndarray:
+    """``rows`` x ``n`` independent uniform 32-bit keys, two from each
+    64-bit word of ``bitgen``."""
+    size = rows * n
+    return bitgen.random_raw(-(-size // 2)).view(np.uint32)[:size].reshape(rows, n)
+
+
 def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     """One block's Monte Carlo rows, shape ``(spec.n_perms + 1, q)``.
 
@@ -170,19 +178,36 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     observed assignment as the last row.  The draws come from a stream keyed
     by ``(spec.seed, stream_key, block.block_id)``, so every node evaluated
     with one ``stream_key`` sums the same draws of a block.
+
+    Each assignment gives every unit an independent uniform 32-bit key and
+    treats the units whose keys are among the m smallest.  A row whose m-th
+    and (m+1)-th smallest keys are equal has all its keys drawn again from
+    the same stream, rows in order, until no row has such a tie.  Whether a
+    row ties does not depend on which unit holds which key, so the kept
+    keys stay exchangeable and each treated set is exactly uniform over the
+    m-sets of units.
     """
     seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
-    rng = np.random.default_rng(seq)
+    bitgen = np.random.PCG64(seq)
     scores = _score_matrix(spec.statistic, block.outcome)
-    m = block.n_treated
-    # random keys made distinct by the unit index in their low bits: the m
-    # smallest keys of a row are a uniformly drawn set of m treated units
-    shift = np.uint64(block.n.bit_length())
-    keys = rng.bit_generator.random_raw((spec.n_perms, block.n)) >> shift << shift
-    keys |= np.arange(block.n, dtype=np.uint64)
-    treated = keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
-    sums = np.vstack([treated, block.treatment == 1]).astype(float) @ scores
-    return _weighted_diff(block.n, m, sums, scores.sum(axis=0) - sums)
+    n, m = block.n, block.n_treated
+    try:
+        ind = np.empty((spec.n_perms + 1, n))
+    except ValueError:  # past numpy's index range, which is not a MemoryError
+        raise MemoryError(
+            f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
+        ) from None
+    keys = _uint32_keys(bitgen, spec.n_perms, n)
+    bounds = np.sort(keys, axis=1)[:, m - 1 : m + 1]  # m-th and (m+1)-th smallest
+    tied = np.flatnonzero(bounds[:, 0] == bounds[:, 1])
+    while tied.size:
+        keys[tied] = _uint32_keys(bitgen, tied.size, n)
+        bounds[tied] = np.sort(keys[tied], axis=1)[:, m - 1 : m + 1]
+        tied = tied[bounds[tied, 0] == bounds[tied, 1]]
+    np.less_equal(keys, bounds[:, :1], out=ind[:-1])
+    ind[-1] = block.treatment
+    sums = ind @ scores
+    return _weighted_diff(n, m, sums, scores.sum(axis=0) - sums)
 
 
 def _exact_rows(blocks: Sequence[Block], spec: TestSpec) -> tuple[np.ndarray, int]:

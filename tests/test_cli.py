@@ -96,6 +96,18 @@ class TestReadDataset:
         with pytest.raises(CliError, match=r"dup\.csv:4: duplicate unit_id 'u1'"):
             read_dataset(path)
 
+    def test_empty_unit_id_reports_line(self, tmp_path):
+        rows = [("u1", "b1", 1, 1.0, "A", "A1"), (" ", "b1", 0, 2.0, "A", "A1")]
+        path = write_dataset(tmp_path / "anon.csv", rows)
+        with pytest.raises(CliError, match=r"^.*anon\.csv:3: empty unit_id$"):
+            read_dataset(path)
+
+    def test_empty_unit_id_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "anon.csv"
+        path.write_text("unit_id,block_id,treatment,outcome\nu1,b1,0,2.0\n,b1,1,1.0\n")
+        assert main(["test", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: empty unit_id\n"
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("unit_id,treatment\n")
@@ -302,6 +314,15 @@ class TestCmdTest:
         data = os.path.join(GOLDEN, "trial.csv")
         assert main(["test", data, "--n-perms", "1000000000000"]) == 1
         assert capsys.readouterr().err == message
+
+    def test_draw_count_past_the_index_range_is_one_line_error(self, capsys):
+        # numpy refuses the shape before allocating anything
+        data = os.path.join(GOLDEN, "trial.csv")
+        assert main(["test", data, "--n-perms", "10000000000000000000000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: 10000000000000000000000 draws of a 6-unit block "
+            "exceed the address space\n"
+        )
 
     def test_seed_is_not_truncated_to_32_bits(self, tmp_path):
         data = small_dataset(tmp_path / "d.csv")

@@ -37,6 +37,40 @@ def null_blocks(rng, n_blocks=3, n=8, m=4):
     return blocks
 
 
+def treated_sets(rows, n, m):
+    """Each ``mean_diff`` row of a block with outcomes 2**i, decoded into the
+    bit mask of its treated units."""
+    total = 2.0**n - 1
+    treated_sums = (rows[:, 0] / n + total / (n - m)) / (1 / m + 1 / (n - m))
+    sets = np.rint(treated_sums).astype(int)
+    assert np.allclose(treated_sums, sets)
+    return sets
+
+
+def as_words(keys):
+    """32-bit keys packed, in order, into the 64-bit words that yield them."""
+    keys = np.asarray(keys, dtype=np.uint32).ravel()
+    return np.append(keys, np.zeros(keys.size % 2, dtype=np.uint32)).view(np.uint64)
+
+
+class ScriptedBitGenerator:
+    """Stands in for ``PCG64``: ``random_raw`` returns the scripted word
+    arrays in turn, then real words, and records each requested size."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.sizes = []
+        self.rest = np.random.PCG64(0)
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        if self.script:
+            words = self.script.pop(0)
+            assert words.size == size
+            return words.copy()
+        return self.rest.random_raw(size)
+
+
 class TestEnergyScores:
     def test_reference_values(self):
         scores = energy_scores([1.0, 2.0, 3.0])
@@ -232,21 +266,53 @@ class TestMonteCarloMode:
         p3 = permutation_pvalue(blocks, spec, stream_key="nodeY")
         assert p3 != p1  # different stream, almost surely different draw
 
-    def test_block_draws_are_uniform_treated_sets_then_the_observed_one(self):
-        # outcomes 2**i make a row's treated sum spell out its treated units
-        n, m, n_perms = 6, 2, 15_000
-        block = make_block(2.0 ** np.arange(n), [1, 4])
+    @pytest.mark.parametrize(
+        "n, treated, n_perms",
+        [(6, [1, 4], 15_000), (5, [0, 2, 3], 15_001)],
+        ids=["even_keys", "odd_keys_m_above_half"],
+    )
+    def test_block_draws_are_uniform_treated_sets_then_the_observed_one(self, n, treated, n_perms):
+        m = len(treated)
+        block = make_block(2.0 ** np.arange(n), treated)
         rows = block_draws(block, TestSpec(statistic="mean_diff", n_perms=n_perms), "k")
-        total = 2.0**n - 1
-        treated_sums = (rows[:, 0] / n + total / (n - m)) / (1 / m + 1 / (n - m))
-        sets = np.rint(treated_sums).astype(int)
-        assert np.allclose(treated_sums, sets)
-        assert sets[-1] == 2**1 + 2**4
+        sets = treated_sets(rows, n, m)
+        assert sets[-1] == sum(2**i for i in treated)
         assert all(bin(s).count("1") == m for s in sets)
         valid = [s for s in range(2**n) if bin(s).count("1") == m]
         counts = np.bincount(sets[:-1], minlength=2**n)[valid]
         expected = n_perms / math.comb(n, m)
         assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
+
+    def test_rows_tied_at_the_boundary_are_drawn_again(self, monkeypatch):
+        # scripted keys: row 3 ties at the m-th smallest, row 10 ties again
+        # on its first redraw, row 20 ties only inside its treated set
+        n, m, n_perms = 5, 2, 101
+        keys = np.random.default_rng(3).permutation(2**20)[: n_perms * n].reshape(n_perms, n)
+        keys[3] = [5, 9, 5, 1, 20]
+        keys[10] = [8, 8, 8, 8, 8]
+        keys[20] = [4, 4, 10, 20, 30]
+        first_redraw = [[1, 2, 3, 4, 5], [6, 1, 6, 9, 9]]  # rows 3 and 10, in order
+        second_redraw = [[30, 20, 10, 40, 50]]             # row 10
+        script = [as_words(keys), as_words(first_redraw), as_words(second_redraw)]
+        block = make_block(2.0 ** np.arange(n), [0, 4])
+        spec = TestSpec(statistic="mean_diff", n_perms=n_perms)
+
+        outputs = []
+        for _ in range(2):
+            stub = ScriptedBitGenerator(script)
+            monkeypatch.setattr(np.random, "PCG64", lambda seq: stub)
+            outputs.append(block_draws(block, spec, "k"))
+            assert stub.sizes == [253, 5, 3]  # only the tied rows are drawn again
+        assert np.array_equal(outputs[0], outputs[1])
+
+        sets = treated_sets(outputs[0], n, m)
+        kth = np.sort(keys, axis=1)[:, m - 1 : m]
+        expected = ((keys <= kth) * 2 ** np.arange(n)).sum(axis=1)
+        expected[3], expected[10] = 0b00011, 0b00110
+        assert expected[20] == 0b00011
+        assert list(sets[:-1]) == list(expected)
+        assert sets[-1] == 0b10001
+        assert all(bin(s).count("1") == m for s in sets)
 
     def test_addone_estimator_range(self):
         rng = np.random.default_rng(5)
