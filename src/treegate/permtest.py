@@ -21,6 +21,10 @@ from scipy.special import chdtrc
 
 STATISTICS = ("mean_diff", "rank", "energy")
 
+# Keys drawn and sorted at once by ``block_draws``: a block's Monte Carlo
+# draws take a few temporaries of this many keys, never n_perms * n.
+_KEY_CHUNK = 1 << 15
+
 
 class PermTestError(ValueError):
     """Invalid permutation-test inputs."""
@@ -186,6 +190,11 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     row ties does not depend on which unit holds which key, so the kept
     keys stay exchangeable and each treated set is exactly uniform over the
     m-sets of units.
+
+    Keys are drawn and sorted in chunks of an even number of rows, at most
+    ``_KEY_CHUNK`` keys unless two rows are longer, so each chunk starts on
+    a 64-bit word and the stream is read as if all keys came at once.  Tied
+    rows are drawn again only after the last chunk.
     """
     seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
     bitgen = np.random.PCG64(seq)
@@ -197,14 +206,20 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
         raise MemoryError(
             f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
         ) from None
-    keys = _uint32_keys(bitgen, spec.n_perms, n)
-    bounds = np.sort(keys, axis=1)[:, m - 1 : m + 1]  # m-th and (m+1)-th smallest
-    tied = np.flatnonzero(bounds[:, 0] == bounds[:, 1])
+    chunk = max(2, _KEY_CHUNK // n // 2 * 2)  # rows
+    tied = np.empty(spec.n_perms, dtype=bool)
+    for lo in range(0, spec.n_perms, chunk):
+        hi = min(lo + chunk, spec.n_perms)
+        keys = _uint32_keys(bitgen, hi - lo, n)
+        bounds = np.sort(keys, axis=1)[:, m - 1 : m + 1]  # m-th and (m+1)-th smallest
+        np.less_equal(keys, bounds[:, :1], out=ind[lo:hi])
+        np.equal(bounds[:, 0], bounds[:, 1], out=tied[lo:hi])
+    tied = np.flatnonzero(tied)
     while tied.size:
-        keys[tied] = _uint32_keys(bitgen, tied.size, n)
-        bounds[tied] = np.sort(keys[tied], axis=1)[:, m - 1 : m + 1]
-        tied = tied[bounds[tied, 0] == bounds[tied, 1]]
-    np.less_equal(keys, bounds[:, :1], out=ind[:-1])
+        keys = _uint32_keys(bitgen, tied.size, n)
+        bounds = np.sort(keys, axis=1)[:, m - 1 : m + 1]
+        ind[tied] = keys <= bounds[:, :1]
+        tied = tied[bounds[:, 0] == bounds[:, 1]]
     ind[-1] = block.treatment
     sums = ind @ scores
     return _weighted_diff(n, m, sums, scores.sum(axis=0) - sums)

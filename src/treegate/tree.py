@@ -281,8 +281,9 @@ def from_parents(
     one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
     lists a node's blocks.  Nodes may come in any order, and node ``i`` of
     the tree is ``ids[i]``; with ``ids`` None the tree is numbered, and node
-    ``i`` is ``str(i + 1)``.  This is the one place where a tree's
-    structure is checked.
+    ``i`` is ``str(i + 1)``.  This is the one checker of structure given as
+    input: ``build_from_paths`` passes its rows here, while
+    ``build_regular`` builds its arrays by formula from a checked shape.
 
     Raises TreeError for a duplicate id, a parent index out of range, zero
     or several roots, a node the root cannot reach (a cycle), a leaf
@@ -364,16 +365,38 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     Level ``l`` holds ``k**(l-1)`` nodes; the ``k**(L-1)`` leaves each carry
     one block whose id equals the leaf's node id.  The tree is numbered:
     node ids are the breadth-first numbering "1", "2", ...
+
+    The shape is checked by ``check_regular_shape``, and the arrays are
+    built by formula, not through ``from_parents``: node ``i > 0`` is a
+    child of ``(i - 1) // k``, so node ``i``'s children start at
+    ``min(k * i, n - 1)`` in ``children = 1..n-1``.  A unit count that is
+    no int64, or a total beyond that range, goes to ``from_parents``,
+    which names it.
     """
     check_regular_shape(k, L, units_per_leaf)
     sizes = [k**level for level in range(L)]  # nodes per level, root first
     n = sum(sizes)
-    if isinstance(units_per_leaf, int) and units_per_leaf * sizes[-1] <= INT64_MAX:
+    if not (
+        isinstance(units_per_leaf, (int, np.integer))
+        and int(units_per_leaf) * sizes[-1] <= INT64_MAX
+    ):  # from_parents raises, naming the count that is no int64 or the total beyond
+        return from_parents(
+            None, np.arange(-1, n - 1) // k, [None] * (n - sizes[-1]) + [units_per_leaf] * sizes[-1]
+        )
+    parent = np.arange(-1, n - 1)
+    parent //= k
+    child_offsets = np.arange(n + 1)
+    child_offsets *= k
+    np.minimum(child_offsets, n - 1, out=child_offsets)
+    return HypothesisTree(
+        None,
+        parent,
+        np.repeat(np.arange(1, L + 1), sizes),
         # units_per_leaf times the leaves under a node: sizes reversed, level by level
-        n_units = np.repeat(units_per_leaf * np.array(sizes[::-1], dtype=np.int64), sizes)
-    else:  # from_parents names the count that is no int64, or the total beyond
-        n_units = [None] * (n - sizes[-1]) + [units_per_leaf] * sizes[-1]
-    return from_parents(None, np.arange(-1, n - 1) // k, n_units)  # i > 0 under (i - 1) // k
+        np.repeat(int(units_per_leaf) * np.array(sizes[::-1], dtype=np.int64), sizes),
+        child_offsets,
+        np.arange(1, n),
+    )
 
 
 def build_from_paths(

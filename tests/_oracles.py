@@ -11,7 +11,15 @@ from treegate import sim
 from treegate.adjust import adjust_bh, adjust_hommel
 from treegate.errorload import PowerModel, adaptive_schedule, recompute_after_pruning
 from treegate.gate import NodeOutcome, ResultTree, run_bottom_up, score_rejections, score_result
-from treegate.permtest import DegenerateBlockError, TestSpec, energy_scores
+from treegate.permtest import (
+    DegenerateBlockError,
+    TestSpec,
+    _key_int,
+    _score_matrix,
+    _uint32_keys,
+    _weighted_diff,
+    energy_scores,
+)
 from treegate.tree import build_regular
 
 
@@ -144,6 +152,30 @@ def block_statistic(blocks, spec, assignment=None):
         diff = scores[t == 1].mean(axis=0) - scores[t == 0].mean(axis=0)
         stat = stat + (b.n / n_total) * diff
     return stat if spec.statistic == "energy" else float(stat)
+
+
+def block_draws_unchunked(block, spec, stream_key=""):
+    """``permtest.block_draws`` with every key drawn and sorted at once.
+
+    Each tied row is drawn again from the same stream after all first keys,
+    rows in order, as the chunked sampler does, so the two agree bitwise.
+    """
+    seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
+    bitgen = np.random.PCG64(seq)
+    scores = _score_matrix(spec.statistic, block.outcome)
+    n, m = block.n, block.n_treated
+    ind = np.empty((spec.n_perms + 1, n))
+    keys = _uint32_keys(bitgen, spec.n_perms, n)
+    bounds = np.sort(keys, axis=1)[:, m - 1 : m + 1]
+    tied = np.flatnonzero(bounds[:, 0] == bounds[:, 1])
+    while tied.size:
+        keys[tied] = _uint32_keys(bitgen, tied.size, n)
+        bounds[tied] = np.sort(keys[tied], axis=1)[:, m - 1 : m + 1]
+        tied = tied[bounds[tied, 0] == bounds[tied, 1]]
+    np.less_equal(keys, bounds[:, :1], out=ind[:-1])
+    ind[-1] = block.treatment
+    sums = ind @ scores
+    return _weighted_diff(n, m, sums, scores.sum(axis=0) - sums)
 
 
 class ReferenceTree:

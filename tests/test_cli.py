@@ -630,7 +630,9 @@ def test_committed_configs_build_their_studies():
     entry point; no study is run."""
     paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
     names = [os.path.basename(p) for p in paths]
-    assert names == ["dpp.cfg", "strong.cfg", "strong_audit.cfg", "weak.cfg"]
+    assert names == [
+        "dpp.cfg", "strong.cfg", "strong_audit.cfg", "strong_gating_counterexample.cfg", "weak.cfg"
+    ]
     for path, name in zip(paths, names):
         kind = re.match(r"weak|strong|dpp", name)[0]
         values = cli.read_config(path, kind)

@@ -36,7 +36,7 @@ CASES = {
         "--seed", "8", "--format", "csv",
     ],
     "test_rank_omit.dot": [
-        "test", "trial.csv", "--statistic", "rank", "--alpha", "0.4", "--n-perms", "200",
+        "test", "trial.csv", "--statistic", "rank", "--alpha", "0.5", "--n-perms", "1000",
         "--seed", "1", "--format", "dot",
     ],
     "test_meandiff_collapse.dot": [

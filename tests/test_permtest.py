@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, permutation_test, rankdata
 
+from treegate import permtest
 from treegate.permtest import (
     Block,
     DegenerateBlockError,
@@ -18,7 +19,7 @@ from treegate.permtest import (
     total_assignments,
 )
 
-from _oracles import block_statistic
+from _oracles import block_draws_unchunked, block_statistic
 
 
 def make_block(outcome, treated_idx, block_id="b"):
@@ -54,21 +55,18 @@ def as_words(keys):
 
 
 class ScriptedBitGenerator:
-    """Stands in for ``PCG64``: ``random_raw`` returns the scripted word
-    arrays in turn, then real words, and records each requested size."""
+    """Stands in for ``PCG64``: ``random_raw`` reads the scripted words in
+    order, then real words, and records each requested size."""
 
     def __init__(self, script):
-        self.script = list(script)
+        self.words = np.concatenate(script)
         self.sizes = []
         self.rest = np.random.PCG64(0)
 
     def random_raw(self, size):
         self.sizes.append(size)
-        if self.script:
-            words = self.script.pop(0)
-            assert words.size == size
-            return words.copy()
-        return self.rest.random_raw(size)
+        words, self.words = self.words[:size], self.words[size:]
+        return np.append(words, self.rest.random_raw(size - words.size))
 
 
 class TestEnergyScores:
@@ -283,9 +281,40 @@ class TestMonteCarloMode:
         expected = n_perms / math.comb(n, m)
         assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
 
-    def test_rows_tied_at_the_boundary_are_drawn_again(self, monkeypatch):
+    @pytest.mark.parametrize("statistic", ["mean_diff", "rank", "energy"])
+    @pytest.mark.parametrize(
+        "key_chunk, n, m, n_perms",
+        [
+            (None, 201, 67, 501),  # three full chunks of 162 rows, then 15 rows
+            (None, 50, 25, 500),   # one chunk
+            (64, 7, 3, 100),       # twelve full chunks of 8 rows, then 4 rows
+            (64, 33, 16, 101),     # rows longer than half a chunk: two at a time
+        ],
+        ids=["odd_n_partial_chunk", "one_chunk", "small_chunks", "two_row_chunks"],
+    )
+    def test_block_draws_equal_the_unchunked_sampler(
+        self, monkeypatch, statistic, key_chunk, n, m, n_perms
+    ):
+        if key_chunk is not None:
+            monkeypatch.setattr(permtest, "_KEY_CHUNK", key_chunk)
+        rng = np.random.default_rng(n)
+        outcome = np.round(rng.normal(size=n), 1)  # with ties
+        block = make_block(outcome, rng.permutation(n)[:m], "b7")
+        spec = TestSpec(statistic=statistic, n_perms=n_perms, seed=9)
+        got = block_draws(block, spec, "node")
+        want = block_draws_unchunked(block, spec, "node")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "key_chunk, sizes",
+        [(permtest._KEY_CHUNK, [253, 5, 3]), (40, [20] * 12 + [13, 5, 3])],
+        ids=["one_chunk", "eight_row_chunks"],
+    )
+    def test_rows_tied_at_the_boundary_are_drawn_again(self, monkeypatch, key_chunk, sizes):
         # scripted keys: row 3 ties at the m-th smallest, row 10 ties again
-        # on its first redraw, row 20 ties only inside its treated set
+        # on its first redraw, row 20 ties only inside its treated set; with
+        # eight-row chunks rows 3 and 10 tie in different chunks
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", key_chunk)
         n, m, n_perms = 5, 2, 101
         keys = np.random.default_rng(3).permutation(2**20)[: n_perms * n].reshape(n_perms, n)
         keys[3] = [5, 9, 5, 1, 20]
@@ -302,8 +331,12 @@ class TestMonteCarloMode:
             stub = ScriptedBitGenerator(script)
             monkeypatch.setattr(np.random, "PCG64", lambda seq: stub)
             outputs.append(block_draws(block, spec, "k"))
-            assert stub.sizes == [253, 5, 3]  # only the tied rows are drawn again
+            assert stub.sizes == sizes  # only the tied rows are drawn again
         assert np.array_equal(outputs[0], outputs[1])
+        stub = ScriptedBitGenerator(script)
+        monkeypatch.setattr(np.random, "PCG64", lambda seq: stub)
+        assert np.array_equal(outputs[0], block_draws_unchunked(block, spec, "k"))
+        assert stub.sizes == [253, 5, 3]
 
         sets = treated_sets(outputs[0], n, m)
         kth = np.sort(keys, axis=1)[:, m - 1 : m]

@@ -40,7 +40,8 @@ class TestBuildRegular:
         assert len(tree.leaves) == 2
 
     def test_largest_reference_tree(self):
-        # binary tree with 18 levels below the root, built within 120 MiB
+        # binary tree with 18 levels below the root: its five int64 arrays
+        # hold 20 MiB, and building them takes at most 8 MiB more
         tracemalloc.start()
         try:
             tree = build_regular(2, 19)
@@ -49,7 +50,10 @@ class TestBuildRegular:
             tracemalloc.stop()
         assert len(tree) == 524_287
         assert len(tree.leaves) == 262_144
-        assert peak <= 120 * 2**20
+        names = ("parent", "depth", "n_units", "child_offsets", "children")
+        held = sum(getattr(tree, name).nbytes for name in names)
+        assert held == 20 * 2**20 - 40
+        assert peak - held <= 8 * 2**20
 
     def test_unit_counts_scale_with_level(self):
         tree = build_regular(3, 3, units_per_leaf=10)
