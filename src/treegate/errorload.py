@@ -127,10 +127,26 @@ def adaptive_schedule(tree: HypothesisTree, model: PowerModel) -> AlphaSchedule:
     otherwise depth ``l`` is tested at ``alpha / exposure_l``, capped at
     alpha, with the root always at alpha.
     """
-    return _schedule(tree, model, None)
+    return _schedule(tree, model, np.zeros(len(tree), dtype=bool))
 
 
-def theta_and_reach(tree: HypothesisTree, model: PowerModel) -> tuple[np.ndarray, np.ndarray]:
+def pruned_thresholds(
+    tree: HypothesisTree, model: PowerModel, cut: np.ndarray, depth: int
+) -> np.ndarray:
+    """Per row of the bool (rows, nodes) mask ``cut``, the threshold at
+    ``depth`` over the nodes with no strict ancestor cut.
+
+    On a row that still reaches a node at ``depth``, this is bitwise
+    ``recompute_after_pruning(schedule, tree, row, depth - 1).alpha_at(depth)``.
+    """
+    theta, reach = _theta_and_reach(tree, model)
+    alive = tree.reachable(cut)
+    total = sum(_level_sums(reach * theta, alive, tree.levels))  # in depth order, as _schedule adds
+    (exposure,) = _level_sums(reach, alive, tree.levels[depth - 1 : depth])
+    return _depth_threshold(model.alpha, total <= 1.0, depth, exposure)
+
+
+def _theta_and_reach(tree: HypothesisTree, model: PowerModel) -> tuple[np.ndarray, np.ndarray]:
     """Per node, the power model's theta at its unit count, and its reach:
     the product of theta over its strict ancestors, multiplied from the
     root down."""
@@ -142,21 +158,22 @@ def theta_and_reach(tree: HypothesisTree, model: PowerModel) -> tuple[np.ndarray
     return theta, reach
 
 
-def depth_threshold(alpha: float, gating, depth: int, exposure):
+def _depth_threshold(alpha: float, gating, depth: int, exposure):
     """The adjusted threshold of one depth: ``alpha`` when the total error
     load is at most 1 (``gating``), at the root, or when nothing is exposed;
     otherwise ``alpha / exposure``, capped at alpha.
 
     Takes scalars, or arrays of ``gating`` and ``exposure`` with one entry
-    per replicate, and returns an array of their shape.
+    per row, and returns an array of their shape.
     """
     keep = gating | (depth == 1) | (exposure <= 0)
     return np.where(keep, alpha, np.minimum(alpha, alpha / np.where(keep, 1.0, exposure)))
 
 
-def level_sums(values: np.ndarray, alive: np.ndarray, levels) -> list[np.ndarray]:
-    """Per level, and per row of the bool (rows, nodes) mask ``alive``, the
-    sum of ``values`` over the row's alive nodes of that level.
+def _level_sums(values: np.ndarray, alive: np.ndarray, levels) -> list[np.ndarray]:
+    """Per level, the sum of ``values`` over the level's alive nodes, for
+    one bool mask ``alive`` over the nodes or for each row of a (rows,
+    nodes) stack of them.
 
     Each sum adds the level's values left to right in index order, and a
     masked-out zero leaves a positive partial sum unchanged, so every sum is
@@ -164,29 +181,25 @@ def level_sums(values: np.ndarray, alive: np.ndarray, levels) -> list[np.ndarray
     ``np.sum`` rounds differently beyond eight terms.
     """
     return [
-        np.add.accumulate(np.where(alive[:, level], values[level], 0.0), axis=1)[:, -1]
+        np.add.accumulate(np.where(alive[..., level], values[level], 0.0), axis=-1)[..., -1]
         for level in levels
     ]
 
 
-def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray | None) -> AlphaSchedule:
-    # Sums over the nodes with no cut strict ancestor (every node when
-    # ``cut`` is None); depths with none of them get no row.
-    theta, reach = theta_and_reach(tree, model)
-    alive = np.ones((1, len(tree)), dtype=bool)
-    if cut is not None:
-        for level in tree.levels[1:]:
-            up = tree.parent[level]
-            alive[0, level] = alive[0, up] & ~cut[up]
+def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray) -> AlphaSchedule:
+    # Sums over the nodes with no cut strict ancestor; depths with none of
+    # them get no row.
+    theta, reach = _theta_and_reach(tree, model)
+    alive = tree.reachable(cut)
     theta_sum, exposure, load = (
-        [row_sum.item() for row_sum in level_sums(values, alive, tree.levels)]
+        [row_sum.item() for row_sum in _level_sums(values, alive, tree.levels)]
         for values in (theta, reach, reach * theta)
     )
-    counts = [int(alive[0, level].sum()) for level in tree.levels]
+    counts = [int(alive[level].sum()) for level in tree.levels]
     alpha = model.alpha
     gating = sum(load) <= 1.0
     rows = tuple(
-        DepthSchedule(depth, n, t / n, e, g, float(depth_threshold(alpha, gating, depth, e)))
+        DepthSchedule(depth, n, t / n, e, g, float(_depth_threshold(alpha, gating, depth, e)))
         for depth, (n, t, e, g) in enumerate(zip(counts, theta_sum, exposure, load), start=1)
         if n
     )

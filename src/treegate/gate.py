@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import adjust
-from .errorload import AlphaSchedule, depth_threshold, level_sums, theta_and_reach
+from .errorload import AlphaSchedule, pruned_thresholds
 # unused here; the benchmark tracer binds it on this module until its next change
 from .errorload import recompute_after_pruning  # noqa: F401
 from .tree import HypothesisTree
@@ -163,9 +163,9 @@ def walk(
     """
     adaptive = _check_thresholds(tree, variant, alpha, schedule)
     if variant.prune:
-        theta, reach = theta_and_reach(tree, schedule.model)
-        # the one dense (rows, nodes) array; every other step is sparse
-        tested = np.zeros((rows, len(tree)), dtype=bool)
+        # the tested nodes not rejected: the one dense (rows, nodes) array;
+        # every other step is sparse
+        cut = np.zeros((rows, len(tree)), dtype=bool)
     offsets, children = tree.child_offsets, tree.children
     row = np.arange(rows)
     node = np.full(rows, tree.root_index)
@@ -178,13 +178,10 @@ def walk(
         if outside.any():
             j = int(outside.argmax())
             raise GateError(f"p-value for node {tree.ids[node[j]]!r} outside [0, 1]: {p[j]}")
-        threshold = np.full(row.size, schedule.alpha_at(depth) if adaptive else alpha)
-        if variant.prune:
-            tested[row, node] = True
-            if depth > 1:
-                threshold = _pruned_threshold(
-                    tree, tested, depth, theta, reach, schedule.model.alpha
-                )[row]
+        if variant.prune and depth > 1:
+            threshold = pruned_thresholds(tree, schedule.model, cut, depth)[row]
+        else:
+            threshold = np.full(row.size, schedule.alpha_at(depth) if adaptive else alpha)
         adjusted = p.copy()
         if variant.local_adjust is not None:
             start = np.cumsum(size) - size
@@ -194,6 +191,8 @@ def walk(
                 adjusted[at] = _LOCAL_ADJUSTERS[variant.local_adjust](p[at])
         rejected = adjusted <= threshold
         columns.append((row, node, p, adjusted, threshold, rejected))
+        if variant.prune:
+            cut[row[~rejected], node[~rejected]] = True
 
         lo = offsets[node[rejected]]
         size = offsets[node[rejected] + 1] - lo
@@ -204,30 +203,6 @@ def walk(
         depth += 1
         if not row.size:
             return Walk(rows, *map(np.concatenate, zip(*columns)))
-
-
-def _pruned_threshold(
-    tree: HypothesisTree,
-    tested: np.ndarray,
-    depth: int,
-    theta: np.ndarray,
-    reach: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Per row, the threshold at ``depth`` recomputed over the nodes it can
-    still reach, as ``errorload.recompute_after_pruning`` gives it.
-
-    Down to ``depth`` a node is reachable when it was tested; below, when
-    its ancestor at ``depth`` was.  The sums are ``level_sums``, which the
-    schedule's own sums use, so every threshold is bitwise the schedule's.
-    """
-    levels, parent = tree.levels, tree.parent
-    alive = tested.copy()
-    for level in levels[depth:]:
-        alive[:, level] = alive[:, parent[level]]
-    total = sum(level_sums(reach * theta, alive, levels))  # in depth order, as the schedule adds
-    (exposure,) = level_sums(reach, alive, levels[depth - 1 : depth])
-    return depth_threshold(alpha, total <= 1.0, depth, exposure)
 
 
 def run_topdown(

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import gate
-from .errorload import PowerModel, adaptive_schedule, power_normal_approx
+from .errorload import PowerModel, ScheduleError, adaptive_schedule, power_normal_approx
 from .gate import GateVariant, run_bottom_up_batch, run_topdown_batch, score_batch, walk
 # unused here; the benchmark tracer binds these names on this module until its next change
 from .gate import run_bottom_up, run_topdown, score_rejections, score_result  # noqa: F401
@@ -104,9 +104,19 @@ def _check_methods(methods: Sequence[str]) -> None:
 
 def _planning_model(config: ScenarioConfig | DppConfig) -> PowerModel:
     """The power model a study's adaptive schedule plans with: the
-    config's ``d_hat`` if it gives one, else its true effect ``d``."""
+    config's ``d_hat`` if it gives one, else its true effect ``d``, whose
+    error then names ``d``."""
+    if config.d_hat is None and config.d is not None and config.d < 0:
+        raise ScheduleError(f"d must be non-negative when no d_hat is given: {config.d}")
     d_plan = config.d_hat if config.d_hat is not None else (config.d or 0.0)
     return PowerModel(d_hat=d_plan, alpha=config.alpha)
+
+
+def _params(config: ScenarioConfig | DppConfig, model: PowerModel, **derived) -> dict:
+    """A study summary's params: every config field but ``methods``, with
+    ``d_hat`` as the schedule plans with it, then the study's derived values."""
+    params = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "methods"}
+    return {**params, "d_hat": model.d_hat, **derived}
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +420,10 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
         P **= exponents
         _add_scores(sums, tree, labeled, P, config.alpha, schedule)
 
-    methods = _summaries(sums, config.replicates)
-    params = {
-        "k": config.k,
-        "L": config.L,
-        "units_per_leaf": config.units_per_leaf,
-        "d": config.d,
-        "d_hat": model.d_hat,
-        "null_proportion": config.null_proportion,
-        "placement": config.placement,
-        "internal_power": config.internal_power,
-        "alpha": config.alpha,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "sum_error_load": schedule.total_error_load,
-        "n_non_null_leaves": len(non_null),
-    }
-    return SimSummary(kind="strong", params=params, methods=methods)
+    params = _params(
+        config, model, sum_error_load=schedule.total_error_load, n_non_null_leaves=len(non_null)
+    )
+    return SimSummary("strong", params, _summaries(sums, config.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +533,30 @@ def node_pvalues(
     dropped, as soon as its last block is in.  Nodes within
     ``spec.exact_cap`` are enumerated exactly.  Entry ``i`` equals
     ``permutation_pvalue(node_blocks, spec, prefix)`` for node ``i``.
+
+    Every leaf takes exactly one block, the one with its id; any other
+    block, a second block with one id, or a leaf without a block is a
+    PermTestError that names it.
     """
-    leaves = set(tree.leaves)
+    leaf_index = dict(zip(tree.leaves, np.flatnonzero(tree.is_leaf).tolist()))
     parent = tree.parent.tolist()
     under: list[list[Block]] = [[] for _ in range(len(tree))]
     paths = []  # per block: its leaf, then the leaf's ancestors
     for b in blocks:
+        i = leaf_index.get(b.block_id)
+        if i is None:
+            raise PermTestError(f"block {b.block_id!r} is not a leaf of the tree")
+        if under[i]:
+            raise PermTestError(f"two blocks have the id {b.block_id!r}")
         path = []
-        i = tree.index_of(b.block_id) if b.block_id in leaves else -1
         while i >= 0:
             under[i].append(b)
             path.append(i)
             i = parent[i]
         paths.append(path)
+    empty = [nid for nid, i in leaf_index.items() if not under[i]]
+    if empty:
+        raise PermTestError(f"no block for leaf {empty[0]!r}")
 
     p = np.empty(len(tree))
     pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
@@ -615,17 +623,5 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
         sums, tree, tree.label_truth(design.non_null), P, config.alpha,
         adaptive_schedule(tree, model),
     )
-    methods = _summaries(sums, config.replicates)
-    params = {
-        "d": config.d,
-        "d_hat": model.d_hat,
-        "alpha": config.alpha,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "n_perms": config.n_perms,
-        "statistic": config.statistic,
-        "sides": config.sides,
-        "blocks": len(tree.leaves),
-        "students_per_block": config.students_per_block,
-    }
-    return SimSummary(kind="dpp", params=params, methods=methods)
+    params = _params(config, model, blocks=len(tree.leaves))
+    return SimSummary("dpp", params, _summaries(sums, config.replicates))

@@ -60,10 +60,8 @@ class HypothesisTree:
     ``build_from_paths``, which check their input; the constructor trusts
     the arrays it is given.  Relabeling and pruning return new trees.  On a
     ``prune_below`` result, ``leaves`` and ``leaves_under`` name the
-    terminal nodes, which may be groups.  The gate does not prune: its
-    pruning variant sums over a mask of the nodes each replicate can still
-    reach on this tree (``errorload.level_sums``), and ``prune_below``
-    remains as the reference that mask is tested against.
+    terminal nodes, which may be groups.  ``reachable`` gives the nodes
+    that survive such a pruning as a mask, without building a new tree.
     """
 
     def __init__(
@@ -176,6 +174,18 @@ class HypothesisTree:
         """Per node, the int64 sum of ``values`` over the node and its descendants."""
         return _subtree_sum(values, self.parent, self.levels)
 
+    def reachable(self, cut) -> np.ndarray:
+        """Per node, whether no strict ancestor is marked in the bool mask
+        ``cut``, in one top-down pass over ``levels``.  ``cut`` is one mask
+        over the node indices or a (rows, nodes) stack of them, and the
+        result has its shape."""
+        cut = np.asarray(cut, dtype=bool)
+        alive = np.ones(cut.shape, dtype=bool)
+        for level in self.levels[1:]:
+            up = self.parent[level]
+            alive[..., level] = alive[..., up] & ~cut[..., up]
+        return alive
+
     # -- derived trees -----------------------------------------------------
 
     def label_truth(self, non_null_leaves: Iterable[str]) -> "HypothesisTree":
@@ -209,11 +219,7 @@ class HypothesisTree:
         """
         stop = np.zeros(len(self), dtype=bool)
         stop[[self.index_of(nid) for nid in stop_nodes]] = True
-        dead = np.zeros(len(self), dtype=bool)
-        for level in self.levels[1:]:
-            up = self.parent[level]
-            dead[level] = dead[up] | stop[up]
-        keep = ~dead
+        keep = self.reachable(stop)
         parent = self.parent[keep]
         root = parent < 0
         parent = (np.cumsum(keep) - 1)[parent]  # new positions
@@ -253,16 +259,21 @@ def _int64_units(name, n_units) -> tuple[np.ndarray, np.ndarray]:
     units = np.array(raw)
     if units.dtype.kind != "i":
         for i, u in enumerate(raw):
-            if (
-                isinstance(u, bool)
-                or not isinstance(u, (int, np.integer))
-                or not -INT64_MAX - 1 <= u <= INT64_MAX
-            ):
+            if not _is_int64(u):
                 raise TreeError(
                     f"node {name(i)!r} n_units {u!r} is not an integer in the int64 range"
                 )
     given = np.fromiter((u is not None for u in n_units), dtype=bool, count=len(raw))
     return given, units.astype(np.int64, copy=False)
+
+
+def _is_int64(u) -> bool:
+    """Whether ``u`` is an integer, and no bool, within the int64 range."""
+    return (
+        not isinstance(u, bool)
+        and isinstance(u, (int, np.integer))
+        and -INT64_MAX - 1 <= u <= INT64_MAX
+    )
 
 
 def _numbered_id(i: int) -> str:
@@ -350,13 +361,23 @@ def from_parents(
 
 def check_regular_shape(k: int, L: int, units_per_leaf: int = 1) -> None:
     """Raise TreeError unless ``build_regular(k, L, units_per_leaf)`` has a
-    valid shape; the tree is not built."""
+    valid shape, and unit counts as ``from_parents`` would accept them: an
+    int64 count at each leaf and a total within that range.  The tree is
+    not built."""
     if k < 2:
         raise TreeError("branching factor k must be at least 2")
     if L < 2:
         raise TreeError("tree must have at least 2 levels")
     if units_per_leaf < 1:
         raise TreeError("units_per_leaf must be at least 1")
+    if not _is_int64(units_per_leaf):
+        first_leaf = _numbered_id((k ** (L - 1) - 1) // (k - 1))  # after the internal nodes
+        raise TreeError(
+            f"node {first_leaf!r} n_units {units_per_leaf!r} is not an integer in the int64 range"
+        )
+    total = int(units_per_leaf) * k ** (L - 1)
+    if total > INT64_MAX:
+        raise TreeError(f"n_units total {total} under '1' is beyond the int64 range")
 
 
 def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
@@ -366,23 +387,14 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     one block whose id equals the leaf's node id.  The tree is numbered:
     node ids are the breadth-first numbering "1", "2", ...
 
-    The shape is checked by ``check_regular_shape``, and the arrays are
-    built by formula, not through ``from_parents``: node ``i > 0`` is a
-    child of ``(i - 1) // k``, so node ``i``'s children start at
-    ``min(k * i, n - 1)`` in ``children = 1..n-1``.  A unit count that is
-    no int64, or a total beyond that range, goes to ``from_parents``,
-    which names it.
+    The shape and unit counts are checked by ``check_regular_shape``, and
+    the arrays are built by formula, not through ``from_parents``: node
+    ``i > 0`` is a child of ``(i - 1) // k``, so node ``i``'s children start
+    at ``min(k * i, n - 1)`` in ``children = 1..n-1``.
     """
     check_regular_shape(k, L, units_per_leaf)
     sizes = [k**level for level in range(L)]  # nodes per level, root first
     n = sum(sizes)
-    if not (
-        isinstance(units_per_leaf, (int, np.integer))
-        and int(units_per_leaf) * sizes[-1] <= INT64_MAX
-    ):  # from_parents raises, naming the count that is no int64 or the total beyond
-        return from_parents(
-            None, np.arange(-1, n - 1) // k, [None] * (n - sizes[-1]) + [units_per_leaf] * sizes[-1]
-        )
     parent = np.arange(-1, n - 1)
     parent //= k
     child_offsets = np.arange(n + 1)

@@ -571,7 +571,7 @@ class TestSimulateCommand:
         "body, message",
         [("d=0.2\nd_hat=-1\n", "d_hat must be finite and non-negative: -1.0"),
          ("d=0.2\nalpha=0.6\n", "alpha must lie in (0, 0.5)"),
-         ("d=-0.2\n", "d_hat must be finite and non-negative: -0.2"),
+         ("d=-0.2\n", "d must be non-negative when no d_hat is given: -0.2"),
          ("d=0.2\nstatistic=median\n", "unknown statistic: 'median'"),
          ("d=0.2\nsides=left\n", "sides must be 'one' or 'two'"),
          ("d=0.2\nn_perms=99\n", "n_perms must be at least 100"),

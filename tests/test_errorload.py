@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from _oracles import ReferenceTree, shuffled_trees
 from treegate.errorload import (
     PowerModel,
     ScheduleError,
     adaptive_schedule,
     error_load_regular,
     power_normal_approx,
+    pruned_thresholds,
     recompute_after_pruning,
 )
-from treegate.tree import build_from_paths, build_regular
+from treegate.tree import build_from_paths, build_regular, from_parents
 
 thetas_strategy = st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=2, max_size=6)
 
@@ -230,3 +232,63 @@ class TestRecomputeAfterPruning:
         with pytest.raises(ScheduleError, match="cut mask") as err:
             recompute_after_pruning(sched, tree, np.zeros(shape, dtype=bool), depth_completed=1)
         assert "\n" not in str(err.value)
+
+
+def random_cut(tree, data, rows, below=None):
+    """A drawn bool (rows, nodes) cut mask, with cut nodes only at depths
+    above ``below`` when it is given."""
+    bits = data.draw(
+        st.lists(st.booleans(), min_size=rows * len(tree), max_size=rows * len(tree)),
+        label="cut",
+    )
+    cut = np.array(bits, dtype=bool).reshape(rows, len(tree))
+    return cut if below is None else cut & (tree.depth < below)
+
+
+class TestPrunedThresholds:
+    """The per-row thresholds the pruning gate applies, against the one-row
+    schedule recomputed after pruning."""
+
+    @given(
+        shuffled_trees(max_nodes=30, min_units=2),
+        st.integers(1, 300),
+        st.floats(0.05, 1.0),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_the_recomputed_schedule_bitwise(self, args, scale, d_hat, rows, data):
+        ids, parent, units = args
+        tree = from_parents(ids, parent, [None if u is None else u * scale for u in units])
+        assume(tree.max_depth >= 2)
+        depth = data.draw(st.integers(2, tree.max_depth), label="depth")
+        cut = random_cut(tree, data, rows, below=depth)
+        model = PowerModel(d_hat=d_hat)
+        schedule = adaptive_schedule(tree, model)
+        got = pruned_thresholds(tree, model, cut, depth)
+        assert got.shape == (rows,)
+        for r in range(rows):
+            recomputed = recompute_after_pruning(schedule, tree, cut[r], depth - 1)
+            if recomputed.max_depth() >= depth:  # the row still reaches depth
+                assert got[r].hex() == recomputed.alpha_at(depth).hex()
+
+
+class TestReachable:
+    @given(shuffled_trees(max_nodes=30), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_pruned_trees_agree(self, args, rows, data):
+        ids, parent, units = args
+        tree = from_parents(ids, parent, units)
+        ref = ReferenceTree(
+            {nid: ids[p] if p >= 0 else None for nid, p in zip(ids, parent)},
+            {nid: u for nid, u in zip(ids, units) if u is not None},
+        )
+        cut = random_cut(tree, data, rows)
+        alive = tree.reachable(cut)
+        assert alive.dtype == bool and alive.shape == cut.shape
+        for r in range(rows):
+            assert tree.reachable(cut[r]).tolist() == alive[r].tolist()
+            stops = [tree.ids[i] for i in np.flatnonzero(cut[r]).tolist()]
+            survivors = [nid for nid, keep in zip(tree.ids, alive[r].tolist()) if keep]
+            assert tree.prune_below(stops).ids == survivors
+            assert list(ref.prune_below(stops).parent) == survivors

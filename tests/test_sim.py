@@ -174,8 +174,9 @@ class TestScenarioConfig:
         "kw, message",
         [({"k": 0}, "branching factor k must be at least 2"),
          ({"L": 1}, "tree must have at least 2 levels"),
-         ({"units_per_leaf": 0}, "units_per_leaf must be at least 1")],
-        ids=["k_zero", "one_level", "empty_leaves"],
+         ({"units_per_leaf": 0}, "units_per_leaf must be at least 1"),
+         ({"units_per_leaf": 2.5}, "node '4' n_units 2.5 is not an integer in the int64 range")],
+        ids=["k_zero", "one_level", "empty_leaves", "fractional_units"],
     )
     def test_tree_shape_checked_at_construction(self, monkeypatch, kw, message):
         monkeypatch.setattr(sim, "build_regular", lambda *a: pytest.fail("tree built"))
@@ -353,7 +354,7 @@ class TestSimulateDpp:
         "kw, message",
         [({"d": 0.2, "d_hat": -1.0}, r"d_hat must be finite and non-negative: -1\.0"),
          ({"d": 0.2, "alpha": 0.6}, r"alpha must lie in \(0, 0\.5\)"),
-         ({"d": -0.2}, r"d_hat must be finite and non-negative: -0\.2")],
+         ({"d": -0.2}, r"^d must be non-negative when no d_hat is given: -0\.2$")],
         ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat"],
     )
     def test_planning_model_checked_at_construction(self, kw, message):
@@ -476,6 +477,29 @@ class TestNodePValues:
         rates = dict(zip(tree.ids, (hits / replicates).tolist()))
         assert len(rates) == 15
         assert max(rates.values()) <= bound, rates
+
+    @staticmethod
+    def two_groups():
+        rows = [(f"b{i}", (f"G{i // 2}", f"b{i}"), 4) for i in range(4)]
+        blocks = [Block(f"b{i}", [1, 1, 0, 0], np.arange(4.0) + i) for i in range(4)]
+        return build_from_paths(rows), blocks
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda blocks: blocks + [Block("G0", [1, 0], [1.0, 2.0])],
+          "block 'G0' is not a leaf of the tree"),
+         (lambda blocks: blocks + [Block("b9", [1, 0], [1.0, 2.0])],
+          "block 'b9' is not a leaf of the tree"),
+         (lambda blocks: blocks + [Block("b1", [1, 0], [1.0, 2.0])],
+          "two blocks have the id 'b1'"),
+         (lambda blocks: blocks[:2] + blocks[3:], "no block for leaf 'b2'"),
+         (lambda blocks: [], "no block for leaf 'b0'")],
+        ids=["group_id", "unknown_id", "duplicate_id", "missing_leaf", "no_blocks"],
+    )
+    def test_blocks_must_match_the_leaves_one_to_one(self, change, message):
+        tree, blocks = self.two_groups()
+        with pytest.raises(PermTestError, match=f"^{message}$"):
+            node_pvalues(tree, change(blocks), TestSpec(statistic="mean_diff"))
 
     def test_degenerate_block_is_one_line_error(self):
         rows = [(f"b{i}", (f"G{i // 2}", f"b{i}"), 4) for i in range(4)]

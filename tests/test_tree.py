@@ -71,8 +71,10 @@ class TestBuildRegular:
         [(2**62, "n_units total 18446744073709551616 under '1' is beyond the int64 range"),
          (2**63, "node '4' n_units 9223372036854775808 is not an integer in the int64 range"),
          (2.5, "node '4' n_units 2.5 is not an integer in the int64 range"),
-         (np.int64(2**62), "n_units total 18446744073709551616 under '1' is beyond the int64 range")],
-        ids=["total_beyond_int64", "leaf_beyond_int64", "leaf_not_integer", "numpy_total_beyond_int64"],
+         (np.int64(2**62), "n_units total 18446744073709551616 under '1' is beyond the int64 range"),
+         (True, "node '4' n_units True is not an integer in the int64 range")],
+        ids=["total_beyond_int64", "leaf_beyond_int64", "leaf_not_integer", "numpy_total_beyond_int64",
+             "leaf_bool"],
     )
     def test_bad_unit_counts_are_one_line_errors(self, units, message):
         with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
