@@ -4,7 +4,8 @@ Used both as bottom-up baselines over all leaves and as local corrections
 within a sibling group inside the gated procedure.  All functions return a
 new array aligned with the input order; adjusted values are clamped to 1.
 ``hommel_rows`` and ``bh_rows`` adjust each row of a 2-d array at once; the
-1-d functions are the same kernels on a single row.
+1-d functions are the same kernels on a single row.  ``hommel_rejections``
+gives Hommel's decisions at one level without any adjusted value.
 """
 
 from __future__ import annotations
@@ -83,6 +84,39 @@ def hommel_rows(p: np.ndarray) -> np.ndarray:
             np.minimum(scaled, simes[..., None], out=scaled)
             np.maximum(best, scaled.max(axis=1), out=best)
     return _unsorted_rows(order, adjusted)
+
+
+def hommel_rejections(p: np.ndarray, alpha: float) -> np.ndarray:
+    """``hommel_rows(p) <= alpha`` for a (rows, m) array of valid p-values,
+    without computing any adjusted value.
+
+    Hommel's ``h`` is the largest size ``s >= 2`` whose Simes minimum
+    ``C_s`` (as in ``hommel_rows``, the same float expression) exceeds
+    ``alpha``, or 0 if there is none.  An adjusted value is at most
+    ``alpha`` exactly when ``p_j <= alpha`` and ``min(s * p_j, C_s) <=
+    alpha`` for every size; sizes above ``h`` pass by ``C_s``, and since
+    ``s * p_j`` rounds monotonically in ``s``, the rest pass exactly when
+    ``h * p_j <= alpha``.  Sizes are scanned from ``m`` down, and a row
+    stops at its first size with ``C_s > alpha``: one size when the global
+    Simes test does not reject, the triangle of sizes at most.  Rows are
+    chunked so that each temporary holds at most ``_HOMMEL_CHUNK`` elements.
+    """
+    ps = np.sort(p, axis=-1)
+    rows, m = ps.shape
+    h = np.zeros(rows)
+    n_rows = max(1, _HOMMEL_CHUNK // m)
+    for lo in range(0, rows, n_rows):
+        block = ps[lo : lo + n_rows]
+        unresolved = np.arange(len(block))
+        for s in range(m, 1, -1):
+            # Simes terms (size * p) / rank over the s largest values
+            simes = ((s * block[unresolved, m - s :]) / np.arange(1.0, s + 1)).min(axis=-1)
+            found = simes > alpha
+            h[lo + unresolved[found]] = s
+            unresolved = unresolved[~found]
+            if not unresolved.size:
+                break
+    return (p <= alpha) & (h[:, None] * p <= alpha)
 
 
 def adjust_bh(p) -> np.ndarray:

@@ -63,7 +63,11 @@ VARIANTS: dict[str, GateVariant] = {
 
 # each adjusts every row of a stack of equal-size sibling groups
 _LOCAL_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
-_BOTTOM_UP_ROWS = {"bu_hommel": adjust.hommel_rows, "bu_bh": adjust.bh_rows}
+# each decides every row of a (rows, leaves) matrix at level alpha at once
+_BOTTOM_UP_DECISIONS = {
+    "bu_hommel": adjust.hommel_rejections,
+    "bu_bh": lambda p, alpha: adjust.bh_rows(p) <= alpha,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +111,8 @@ class Walk:
     p-value ``p[j]``, its value after sibling-group adjustment
     ``p_adjusted[j]``, the threshold ``alpha_applied[j]`` and the decision
     ``rejected[j]``.  A gated walk lists its pairs depth by depth, and each
-    row's pairs of a depth in the order a one-row walk tests them.
+    row's pairs of a depth in the order a one-row walk tests them.  A
+    bottom-up walk records decisions only: its ``p_adjusted`` is NaN.
     """
 
     rows: int
@@ -270,8 +275,9 @@ def run_bottom_up(
     leaf_pvalues: Mapping[str, float], method: str, alpha: float = 0.05
 ) -> set[str]:
     """Test all leaves at once with a global adjustment; return rejections."""
-    if method not in ("bu_hommel", "bu_bh"):
+    if method not in _BOTTOM_UP_DECISIONS:
         raise GateError(f"unknown bottom-up method: {method!r}")
+    check_alpha(alpha)
     ids = list(leaf_pvalues)
     raw = np.array([leaf_pvalues[i] for i in ids], dtype=float)
     adjusted = (
@@ -284,17 +290,19 @@ def run_bottom_up_batch(
     tree: HypothesisTree, P: np.ndarray, method: str, alpha: float = 0.05
 ) -> Walk:
     """``run_bottom_up`` on the leaves of each row of a (rows, nodes)
-    p-value matrix, as a walk that tests every leaf of every row."""
-    if method not in _BOTTOM_UP_ROWS:
+    p-value matrix, as a walk that tests every leaf of every row.  Each
+    method's decisions come from one kernel at level ``alpha``, so the
+    walk's ``p_adjusted`` is NaN."""
+    if method not in _BOTTOM_UP_DECISIONS:
         raise GateError(f"unknown bottom-up method: {method!r}")
+    check_alpha(alpha)
     leaves = np.flatnonzero(tree.is_leaf)
     p = _dense(tree, P)[:, leaves]
-    adjusted = _BOTTOM_UP_ROWS[method](p)
+    rejected = _BOTTOM_UP_DECISIONS[method](p, alpha)
     row, column = np.indices(p.shape).reshape(2, -1)
-    alpha_applied = np.full(p.size, float(alpha))
     return Walk(
-        len(p), row, leaves[column], p.ravel(), adjusted.ravel(), alpha_applied,
-        (adjusted <= alpha).ravel(),
+        len(p), row, leaves[column], p.ravel(), np.full(p.size, np.nan),
+        np.full(p.size, float(alpha)), rejected.ravel(),
     )
 
 

@@ -1,11 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegate.adjust import adjust_bh, adjust_hommel, bh_rows, hommel_rows
+from treegate import adjust
+from treegate.adjust import adjust_bh, adjust_hommel, bh_rows, hommel_rejections, hommel_rows
 
 from _oracles import bh_stepup_reject, closed_testing_hommel, hommel_loop
 
@@ -126,3 +128,55 @@ def test_hommel_memory_is_bounded_at_large_m():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ties on a coarse grid, exact 0 and 1, a 1/501 lattice and free floats
+decision_pvalues = st.one_of(
+    st.integers(0, 20).map(lambda i: i / 20.0),
+    st.integers(0, 501).map(lambda i: i / 501.0),
+    st.floats(0, 1, allow_nan=False),
+)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda m: st.lists(
+            st.lists(decision_pvalues, min_size=m, max_size=m), min_size=1, max_size=20
+        )
+    ),
+    st.sampled_from([adjust._HOMMEL_CHUNK, 1, 7, 64]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_hommel_rejections_equal_thresholded_adjusted_values(rows, chunk, data):
+    P = np.array(rows)
+    # a small chunk makes the rows span several chunks
+    with mock.patch.object(adjust, "_HOMMEL_CHUNK", chunk):
+        adjusted = hommel_rows(P)
+        # alpha at 0 and 1, anywhere, and pinned to a value the kernel produced
+        alpha = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, 1.0]),
+                st.floats(0, 1),
+                st.sampled_from(sorted(set(adjusted.ravel().tolist()))),
+            ),
+            label="alpha",
+        )
+        np.testing.assert_array_equal(hommel_rejections(P, alpha), adjusted <= alpha)
+
+
+def test_hommel_rejections_on_seeded_matrices_equal_thresholded_adjusted_values():
+    # 300 rows of 64 need several row chunks, rows that reject at every size
+    # scan the whole triangle, and rows of one value have no size to scan
+    rng = np.random.default_rng(6)
+    for P in (
+        rng.random((300, 64)),
+        rng.beta(0.1, 1.0, (300, 64)),
+        rng.integers(0, 502, (40, 150)) / 501.0,
+        np.full((5, 64), 1e-6),
+        np.array([[0.0], [0.05], [0.0500001], [1.0]]),
+    ):
+        adjusted = hommel_rows(P)
+        pinned = rng.choice(adjusted.ravel(), 20).tolist()
+        for alpha in [0.0, 0.01, 0.05, 0.2, 1.0] + pinned:
+            np.testing.assert_array_equal(hommel_rejections(P, alpha), adjusted <= alpha)

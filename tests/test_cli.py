@@ -613,6 +613,26 @@ class TestSimulateCommand:
             "too many to hold in memory\n"
         )
 
+    @pytest.mark.parametrize(
+        "kind, body, L",
+        [("weak", "k=2\nL=63\n", 63), ("weak", "k=2\nL=64\n", 64),
+         ("strong", "k=2\nL=63\nunits_per_leaf=1\nnull_proportion=1.0\n", 63)],
+    )
+    def test_tree_beyond_numpy_sizes_is_one_line_error(self, tmp_path, capsys, monkeypatch, kind, body, L):
+        # numpy refuses an array of 2**63 nodes before allocating it, and a
+        # weak config sets no unit counts for L=64's int64 total to name
+        def build(*args):
+            raise AssertionError("the tree is refused before it is built")
+
+        monkeypatch.setattr(sim, "build_regular", build)
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(body + "replicates=100\n")
+        assert main(["simulate", kind, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a regular tree with k=2 and L={L} has {2**L - 1} nodes, "
+            "too many to hold in memory\n"
+        )
+
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("k=2\n")

@@ -418,6 +418,22 @@ class TestBatchChecks:
         with pytest.raises(GateError):
             run_bottom_up_batch(k3l3, np.full((1, 13), 0.5), "holm")
 
+    @pytest.mark.parametrize("alpha", [2.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("method", ["bu_hommel", "bu_bh"])
+    def test_bottom_up_alpha_outside_unit_interval_raises(self, k3l3, method, alpha):
+        with pytest.raises(GateError, match="alpha"):
+            run_bottom_up_batch(k3l3, np.full((1, 13), 0.5), method, alpha=alpha)
+        with pytest.raises(GateError, match="alpha"):
+            run_bottom_up({"a": 0.5}, method, alpha)
+
+    @pytest.mark.parametrize("method", ["bu_hommel", "bu_bh"])
+    def test_bottom_up_walk_records_decisions_only(self, k3l3, method):
+        P = np.random.default_rng(4).random((3, 13)) ** 4
+        walk = run_bottom_up_batch(k3l3, P, method, alpha=0.2)
+        assert walk.p_adjusted.shape == walk.rejected.shape == (3 * 9,)
+        assert np.isnan(walk.p_adjusted).all()
+        np.testing.assert_array_equal(walk.alpha_applied, 0.2)
+
     def test_reference_trace(self, k3l3):
         P = np.array([[FIG_PVALUES.get(nid, 0.9) for nid in k3l3.ids]] * 2)
         for tested, rejected, _ in walk_rows(k3l3, run_topdown_batch(k3l3, P)):
