@@ -333,7 +333,7 @@ def cmd_test(args) -> int:
     dataset = read_dataset(args.data)
     variant = gate.VARIANTS[args.variant]
     schedule = None
-    if variant.thresholds == "adaptive":
+    if variant.thresholds != "fixed":
         model = PowerModel(d_hat=args.d_hat, alpha=args.alpha)
         schedule = adaptive_schedule(dataset.tree, model)
     spec = TestSpec(
@@ -553,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is cmd_test:
         variant = gate.VARIANTS[args.variant]
-        if variant.thresholds == "adaptive" and args.d_hat is None:
+        if variant.thresholds != "fixed" and args.d_hat is None:
             parser.error(f"--d-hat is required for variant {args.variant!r}")
     try:
         return args.func(args)

@@ -2,18 +2,17 @@
 
 The gate walks the tree breadth-first: the root is tested first and a
 node's children are tested only when the node is rejected, so every
-non-rejection prunes its whole branch.  Thresholds come either from a fixed
-nominal alpha or from an adaptive per-depth schedule, optionally recomputed
-after each completed depth over the nodes still reachable; p-values within
-a sibling group can additionally be adjusted before comparison.
+non-rejection prunes its whole branch.  Thresholds are a fixed alpha, an
+adaptive per-depth schedule, or that schedule recomputed after each depth
+over the nodes still reachable (pruned); p-values within a sibling group can
+additionally be adjusted before comparison.
 
 One engine, ``walk``, runs the procedure on any number of rows (replicates)
 at once.  Its frontier is the sparse list of (row, node) pairs tested at
-the current depth, and it asks a p-value source for exactly those pairs, so
-a lazy source (fresh draws on a huge tree, permutation tests) costs only
-what is tested.  ``run_topdown`` is its one-row form over a per-node
-source, and ``run_topdown_batch`` its form over a dense (rows, nodes)
-matrix.
+the current depth, and it asks a p-value source and a threshold source for
+exactly those pairs, so a lazy source costs only what is tested.
+``run_topdown`` is its one-row form over a per-node source, and
+``run_topdown_batch`` its form over a dense (rows, nodes) matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +34,14 @@ class GateError(ValueError):
 
 
 PSource = Callable[[str], float]
-# (row indices, node indices) of the pairs tested at one depth -> their p-values
+# (row indices, node indices) of the pairs tested at one depth -> their
+# p-values, or their thresholds for a threshold source
 PairSource = Callable[[np.ndarray, np.ndarray], "np.ndarray | Sequence[float]"]
+
+
+# each adjusts every row of a stack of equal-size sibling groups
+_LOCAL_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
+_THRESHOLDS = ("fixed", "adaptive", "pruned")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,9 +49,18 @@ class GateVariant:
     """How thresholds are chosen and whether sibling groups are adjusted."""
 
     name: str
-    thresholds: str = "fixed"          # "fixed" | "adaptive"
-    prune: bool = False
+    thresholds: str = "fixed"          # "fixed" | "adaptive" | "pruned"
     local_adjust: str | None = None    # None | "hommel" | "bh"
+
+    def __post_init__(self):
+        if self.thresholds not in _THRESHOLDS:
+            raise GateError(
+                f"unknown thresholds {self.thresholds!r}; expected one of {_THRESHOLDS}"
+            )
+        if self.local_adjust not in (None, *_LOCAL_ADJUSTERS):
+            raise GateError(
+                f"unknown local_adjust {self.local_adjust!r}; expected None, 'hommel' or 'bh'"
+            )
 
 
 UNADJUSTED = GateVariant("unadjusted")
@@ -54,15 +68,13 @@ LOCAL_HOMMEL = GateVariant("local_hommel", local_adjust="hommel")
 LOCAL_BH = GateVariant("local_bh", local_adjust="bh")
 ADAPTIVE = GateVariant("adaptive", thresholds="adaptive")
 ADAPTIVE_HOMMEL = GateVariant("adaptive_hommel", thresholds="adaptive", local_adjust="hommel")
-ADAPTIVE_PRUNED = GateVariant("adaptive_pruned", thresholds="adaptive", prune=True)
+ADAPTIVE_PRUNED = GateVariant("adaptive_pruned", thresholds="pruned")
 
 VARIANTS: dict[str, GateVariant] = {
     v.name: v
     for v in (UNADJUSTED, LOCAL_HOMMEL, LOCAL_BH, ADAPTIVE, ADAPTIVE_HOMMEL, ADAPTIVE_PRUNED)
 }
 
-# each adjusts every row of a stack of equal-size sibling groups
-_LOCAL_ADJUSTERS = {"hommel": adjust.hommel_rows, "bh": adjust.bh_rows}
 # each decides every row of a (rows, leaves) matrix at level alpha at once
 _BOTTOM_UP_DECISIONS = {
     "bu_hommel": adjust.hommel_rejections,
@@ -130,20 +142,47 @@ def check_alpha(alpha: float) -> None:
         raise GateError("alpha must lie in [0, 1]")
 
 
-def _check_thresholds(
-    tree: HypothesisTree, variant: GateVariant, alpha: float, schedule: AlphaSchedule | None
-) -> bool:
-    """Check the threshold arguments of a walk; return whether it is adaptive."""
+def _threshold_source(
+    tree: HypothesisTree,
+    variant: GateVariant,
+    alpha: float,
+    schedule: AlphaSchedule | None,
+    rows: int,
+) -> PairSource:
+    """Check a walk's threshold arguments and return its threshold source,
+    which maps the (row, node) pairs of one depth to their thresholds."""
     check_alpha(alpha)
-    adaptive = variant.thresholds == "adaptive"
-    if adaptive:
-        if schedule is None:
-            raise GateError(f"variant {variant.name!r} requires an alpha schedule")
-        if schedule.max_depth() < tree.max_depth:
-            raise GateError("schedule is shorter than the tree is deep")
-        if variant.prune and schedule.model is None:
-            raise GateError("the pruning variant needs a schedule with a power model")
-    return adaptive
+    if variant.thresholds == "fixed":
+        return lambda row, node: np.full(row.size, alpha)
+    if schedule is None:
+        raise GateError(f"variant {variant.name!r} requires an alpha schedule")
+    if schedule.alpha != alpha:
+        raise GateError(f"schedule is built at alpha {schedule.alpha}, the walk runs at {alpha}")
+    if schedule.max_depth() < tree.max_depth:
+        raise GateError("schedule is shorter than the tree is deep")
+    by_depth = np.array([schedule.alpha_at(d) for d in range(1, tree.max_depth + 1)])
+    if variant.thresholds == "adaptive":
+        return lambda row, node: by_depth[tree.depth[node] - 1]
+    if schedule.model is None:
+        raise GateError("the pruning variant needs a schedule with a power model")
+    if schedule.model.alpha != alpha:
+        raise GateError(f"power model is at alpha {schedule.model.alpha}, the walk at {alpha}")
+    # the tested nodes not rejected, a walk's one dense (rows, nodes) array;
+    # a depth's pairs are the children of the previous depth's rejections
+    cut = np.zeros((rows, len(tree)), dtype=bool)
+    above = None  # the previous depth's pairs
+
+    def pruned(row, node):
+        nonlocal above
+        if above is None:  # the root
+            above = row, node
+            return by_depth[tree.depth[node] - 1]
+        cut[above] = True
+        cut[row, tree.parent[node]] = False  # the rejections above
+        above = row, node
+        return pruned_thresholds(tree, schedule.model, cut, int(tree.depth[node[0]]))[row]
+
+    return pruned
 
 
 def walk(
@@ -161,32 +200,24 @@ def walk(
     the pairs tested there, and returns their p-values, each in [0, 1].
     Within a row, a depth's pairs come in sibling groups, each group's
     children in index order, following their parents' order.  The sibling
-    groups of one size are adjusted by one call to the row kernel.  Adaptive
-    variants require a schedule covering the tree's depth; the pruning
-    variant keeps one threshold per row, recomputed after each depth over
-    the nodes that row can still reach.
+    groups of one size are adjusted by one call to the row kernel.  The
+    pairs' thresholds come from one source: adaptive and pruned variants
+    require a schedule built at ``alpha`` and covering the tree's depth, and
+    the pruned one a schedule with a power model.
     """
-    adaptive = _check_thresholds(tree, variant, alpha, schedule)
-    if variant.prune:
-        # the tested nodes not rejected: the one dense (rows, nodes) array;
-        # every other step is sparse
-        cut = np.zeros((rows, len(tree)), dtype=bool)
+    threshold_of = _threshold_source(tree, variant, alpha, schedule, rows)
     offsets, children = tree.child_offsets, tree.children
     row = np.arange(rows)
     node = np.full(rows, tree.root_index)
     size = np.ones(rows, dtype=np.int64)  # sibling group sizes, in frontier order
     columns = []
-    depth = 1
     while True:  # once even on zero rows, so every column has an array
         p = np.asarray(source(row, node), dtype=float)
         outside = ~((p >= 0.0) & (p <= 1.0))  # NaN fails the comparison too
         if outside.any():
             j = int(outside.argmax())
             raise GateError(f"p-value for node {tree.ids[node[j]]!r} outside [0, 1]: {p[j]}")
-        if variant.prune and depth > 1:
-            threshold = pruned_thresholds(tree, schedule.model, cut, depth)[row]
-        else:
-            threshold = np.full(row.size, schedule.alpha_at(depth) if adaptive else alpha)
+        threshold = threshold_of(row, node)
         adjusted = p.copy()
         if variant.local_adjust is not None:
             start = np.cumsum(size) - size
@@ -196,8 +227,6 @@ def walk(
                 adjusted[at] = _LOCAL_ADJUSTERS[variant.local_adjust](p[at])
         rejected = adjusted <= threshold
         columns.append((row, node, p, adjusted, threshold, rejected))
-        if variant.prune:
-            cut[row[~rejected], node[~rejected]] = True
 
         lo = offsets[node[rejected]]
         size = offsets[node[rejected] + 1] - lo
@@ -205,7 +234,6 @@ def walk(
         # positions of each rejected node's child slice, concatenated
         node = children[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
         size = size[size > 0]
-        depth += 1
         if not row.size:
             return Walk(rows, *map(np.concatenate, zip(*columns)))
 

@@ -89,7 +89,7 @@ def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Resul
     each depth, recomputes the schedule with ``recompute_after_pruning``.
     """
     local = {"hommel": adjust_hommel, "bh": adjust_bh, None: None}[variant.local_adjust]
-    adaptive = variant.thresholds == "adaptive"
+    adaptive = variant.thresholds != "fixed"
     outcomes = {}
     ids, offsets, children = tree.ids, tree.child_offsets, tree.children
     sched = schedule
@@ -110,7 +110,7 @@ def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Resul
                     next_groups.append(children[lo:hi].tolist())
                 elif not rejected:
                     cut[i] = lo < hi
-        if variant.prune and next_groups:
+        if variant.thresholds == "pruned" and next_groups:
             sched = recompute_after_pruning(sched, tree, cut, depth)
         depth += 1
         groups = next_groups

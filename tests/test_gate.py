@@ -10,6 +10,7 @@ from treegate.gate import (
     ADAPTIVE_PRUNED,
     VARIANTS,
     GateError,
+    GateVariant,
     LOCAL_BH,
     LOCAL_HOMMEL,
     UNADJUSTED,
@@ -157,6 +158,23 @@ class TestAdaptiveVariants:
         sched = fixed_schedule([1, 3], [0.05, 0.05 / 3])
         with pytest.raises(GateError, match="shorter"):
             run_topdown(k3l3, FIG_PVALUES.__getitem__, ADAPTIVE, schedule=sched)
+
+    @pytest.mark.parametrize("variant", [ADAPTIVE, ADAPTIVE_PRUNED], ids=lambda v: v.name)
+    def test_schedule_at_another_alpha_rejected(self, variant):
+        tree = build_regular(3, 3, units_per_leaf=50)
+        sched = adaptive_schedule(tree, PowerModel(d_hat=0.2, alpha=0.01))
+        with pytest.raises(GateError, match=r"alpha 0\.01.* 0\.05"):
+            run_topdown(tree, FIG_PVALUES.get, variant, alpha=0.05, schedule=sched)
+        # a fixed variant reads no schedule, so it ignores one at any alpha
+        fixed = run_topdown(tree, FIG_PVALUES.get, UNADJUSTED, alpha=0.05, schedule=sched)
+        assert fixed.outcome("1").alpha_applied == 0.05
+
+    def test_power_model_at_another_alpha_rejected(self):
+        tree = build_regular(3, 3, units_per_leaf=50)
+        depths = adaptive_schedule(tree, PowerModel(d_hat=0.2)).depths
+        sched = AlphaSchedule(0.05, depths, PowerModel(d_hat=0.2, alpha=0.01))
+        with pytest.raises(GateError, match=r"power model is at alpha 0\.01.* 0\.05"):
+            run_topdown(tree, FIG_PVALUES.get, ADAPTIVE_PRUNED, alpha=0.05, schedule=sched)
 
     def test_pruned_relaxes_after_dead_branches(self):
         tree = build_regular(3, 3, units_per_leaf=300)
@@ -393,6 +411,24 @@ class TestBatchAgainstScalar:
                 assert bottom_up[name][r] == float(getattr(want_bu, name)), name
 
 
+class TestVariantChecks:
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"thresholds": "adaptiv"}, "unknown thresholds 'adaptiv'"),
+            ({"local_adjust": "holm"}, "unknown local_adjust 'holm'"),
+        ],
+        ids=["thresholds", "local_adjust"],
+    )
+    def test_unknown_field_value_raises_when_built(self, fields, match):
+        with pytest.raises(GateError, match=match):
+            GateVariant("bad", **fields)
+
+    def test_prune_field_is_gone(self):
+        with pytest.raises(TypeError):
+            GateVariant("x", prune=True)
+
+
 class TestBatchChecks:
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_out_of_range_pvalue_raises(self, k3l3, bad):
@@ -413,6 +449,16 @@ class TestBatchChecks:
     def test_matrix_without_rows_tests_nothing(self, k3l3):
         walk = run_topdown_batch(k3l3, np.empty((0, 13)), LOCAL_HOMMEL)
         assert walk.rows == 0 and walk.node.size == walk.rejected.size == 0
+
+    @pytest.mark.parametrize("variant", list(VARIANTS.values()), ids=list(VARIANTS))
+    def test_zero_rows_test_nothing_in_every_variant(self, variant):
+        tree = build_regular(3, 3, units_per_leaf=50)
+        sched = adaptive_schedule(tree, PowerModel(d_hat=0.2))
+        walk = run_topdown_batch(tree, np.empty((0, len(tree))), variant, schedule=sched)
+        assert walk.rows == 0
+        for column in (walk.row, walk.node, walk.p, walk.p_adjusted, walk.alpha_applied):
+            assert column.shape == (0,)
+        assert walk.rejected.shape == (0,) and walk.rejected.dtype == bool
 
     def test_unknown_bottom_up_method(self, k3l3):
         with pytest.raises(GateError):
