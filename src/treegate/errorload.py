@@ -149,7 +149,14 @@ def pruned_thresholds(
 def _theta_and_reach(tree: HypothesisTree, model: PowerModel) -> tuple[np.ndarray, np.ndarray]:
     """Per node, the power model's theta at its unit count, and its reach:
     the product of theta over its strict ancestors, multiplied from the
-    root down."""
+    root down.  A node with fewer than 2 units is a ScheduleError that
+    names the first one."""
+    small = np.flatnonzero(tree.n_units < 2)
+    if small.size:
+        i = int(small[0])
+        raise ScheduleError(
+            f"node {tree.ids[i]!r} n_units {tree.n_units[i]} is below 2, the power model's minimum"
+        )
     theta = power_normal_approx(model, tree.n_units)
     reach = np.ones(len(tree))
     for level in tree.levels[1:]:

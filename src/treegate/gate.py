@@ -26,7 +26,7 @@ from . import adjust
 from .errorload import AlphaSchedule, pruned_thresholds
 # unused here; the benchmark tracer binds it on this module until its next change
 from .errorload import recompute_after_pruning  # noqa: F401
-from .tree import HypothesisTree
+from .tree import HypothesisTree, child_lists
 
 
 class GateError(ValueError):
@@ -122,9 +122,10 @@ class Walk:
     Pair j is row ``row[j]``'s test of node index ``node[j]``, with its
     p-value ``p[j]``, its value after sibling-group adjustment
     ``p_adjusted[j]``, the threshold ``alpha_applied[j]`` and the decision
-    ``rejected[j]``.  A gated walk lists its pairs depth by depth, and each
-    row's pairs of a depth in the order a one-row walk tests them.  A
-    bottom-up walk records decisions only: its ``p_adjusted`` is NaN.
+    ``rejected[j]``.  A gated walk lists its pairs depth by depth; a
+    depth's pairs come in ascending row order, and each row's pairs in the
+    order a one-row walk tests them.  A bottom-up walk records decisions
+    only: its ``p_adjusted`` is NaN.
     """
 
     rows: int
@@ -206,7 +207,6 @@ def walk(
     the pruned one a schedule with a power model.
     """
     threshold_of = _threshold_source(tree, variant, alpha, schedule, rows)
-    offsets, children = tree.child_offsets, tree.children
     row = np.arange(rows)
     node = np.full(rows, tree.root_index)
     size = np.ones(rows, dtype=np.int64)  # sibling group sizes, in frontier order
@@ -228,11 +228,8 @@ def walk(
         rejected = adjusted <= threshold
         columns.append((row, node, p, adjusted, threshold, rejected))
 
-        lo = offsets[node[rejected]]
-        size = offsets[node[rejected] + 1] - lo
+        node, size = child_lists(tree.child_offsets, tree.children, node[rejected])
         row = np.repeat(row[rejected], size)
-        # positions of each rejected node's child slice, concatenated
-        node = children[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
         size = size[size > 0]
         if not row.size:
             return Walk(rows, *map(np.concatenate, zip(*columns)))

@@ -158,13 +158,9 @@ def simulate_weak(
         raise SimError("replicates must be at least 100")
     if seed < 0:
         raise SimError("seed must be non-negative")
-    if k >= 2 and L >= 2:
-        # a weak study sets no unit counts, so a tree this large is named by
-        # its node count before check_regular_shape sees its unit total
-        _check_node_count(k, L)
     check_regular_shape(k, L)
     gate.check_alpha(alpha)
-    tree = _regular_tree(k, L)
+    tree = build_regular(k, L)
     result = walk(tree, _uniform_draws((seed, k, L)), replicates, gate.UNADJUSTED, alpha=alpha)
     rejections = np.bincount(result.row[result.rejected], minlength=replicates)
     root_rejections = int(np.count_nonzero(result.rejected & (result.node == tree.root_index)))
@@ -180,36 +176,6 @@ def simulate_weak(
         mean_tests=(replicates + int(rejections.sum()) - root_rejections) / replicates,
         mean_nodes_tested=result.row.size / replicates,
     )
-
-
-# numpy sizes an array in bytes within the index range, so a tree with more
-# nodes than this cannot have even its int64 parent array
-_MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
-
-
-def _too_many_nodes(k: int, L: int) -> SimError:
-    nodes = (k**L - 1) // (k - 1)
-    return SimError(
-        f"a regular tree with k={k} and L={L} has {nodes} nodes, too many to hold in memory"
-    )
-
-
-def _check_node_count(k: int, L: int) -> None:
-    """Raise ``_regular_tree``'s SimError for a regular tree (k, L >= 2)
-    with more nodes than numpy can size an array of."""
-    if (k**L - 1) // (k - 1) > _MAX_NODES:
-        raise _too_many_nodes(k, L)
-
-
-def _regular_tree(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
-    """``build_regular`` on a checked shape, where a tree too large for
-    memory is a SimError that names its node count.  Beyond the index
-    range, allocation fails with OverflowError rather than MemoryError."""
-    _check_node_count(k, L)
-    try:
-        return build_regular(k, L, units_per_leaf)
-    except (MemoryError, OverflowError):
-        raise _too_many_nodes(k, L) from None
 
 
 def _uniform_draws(key: tuple[int, ...]):
@@ -420,7 +386,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     run in blocks: a block's (replicates, nodes) p-value matrix is walked
     once per method, and score sums are added in replicate order.
     """
-    tree = _regular_tree(config.k, config.L, config.units_per_leaf)
+    tree = build_regular(config.k, config.L, config.units_per_leaf)
     non_null = _non_null_leaves(
         tree.leaves, config.null_proportion, config.placement
     )

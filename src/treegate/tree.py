@@ -51,10 +51,11 @@ class HypothesisTree:
     in that order.  A numbered tree (every ``build_regular`` tree) stores no
     ids: its ids are "1".."n" in index order, derived on the first read of
     ``ids`` and then kept, so a walk that never names a node never makes
-    them.  Each array follows the index order: ``parent`` (-1 at the root),
-    ``depth`` (1 at the root), ``n_units`` and, on a ``label_truth`` result,
-    the bool ``is_null`` (None when unlabeled).  The children of node ``i``
-    are ``children[child_offsets[i]:child_offsets[i + 1]]``, in index order.
+    them.  It stores ``n_units``, the bool ``is_null`` of a ``label_truth``
+    result (None when unlabeled), and the children of node ``i``:
+    ``children[child_offsets[i]:child_offsets[i + 1]]``, in index order.
+    ``parent``, ``levels`` and ``depth`` are derived from them on first
+    read and kept, as ``ids`` is.  Every array is read-only.
 
     Build trees with ``from_parents``, ``build_regular`` or
     ``build_from_paths``, which check their input; the constructor trusts
@@ -67,29 +68,24 @@ class HypothesisTree:
     def __init__(
         self,
         ids: list[str] | None,
-        parent: np.ndarray,
-        depth: np.ndarray,
         n_units: np.ndarray,
         child_offsets: np.ndarray,
         children: np.ndarray,
         is_null: np.ndarray | None = None,
     ):
         self._ids = ids  # None on a numbered tree
-        self.parent = parent
-        self.depth = depth
-        self.n_units = n_units
-        self.child_offsets = child_offsets
-        self.children = children
-        self.is_null = is_null
-        for array in (parent, depth, n_units, child_offsets, children, is_null):
-            if array is not None:
-                array.flags.writeable = False  # shared with derived trees
-        self.root_index = int(parent.argmin())  # the one -1
+        self.n_units = _frozen(n_units)  # shared with derived trees
+        self.child_offsets = _frozen(child_offsets)
+        self.children = _frozen(children)
+        self.is_null = None if is_null is None else _frozen(is_null)
+        # every node but the root is listed once as a child
+        n = len(n_units)
+        self.root_index = n * (n - 1) // 2 - int(children.sum())
 
     # -- structure ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return len(self.n_units)
 
     @cached_property
     def ids(self) -> list[str]:
@@ -102,22 +98,36 @@ class HypothesisTree:
 
     @cached_property
     def max_depth(self) -> int:
-        return int(self.depth.max())
+        return len(self.levels)
 
     @cached_property
     def is_leaf(self) -> np.ndarray:
-        return self.child_offsets[1:] == self.child_offsets[:-1]
+        return _frozen(self.child_offsets[1:] == self.child_offsets[:-1])
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
         return tuple(compress(self.ids, self.is_leaf.tolist()))
 
     @cached_property
+    def parent(self) -> np.ndarray:
+        """Index of each node's parent, -1 at the root."""
+        parent = np.full(len(self), -1)
+        parent[self.children] = np.repeat(np.arange(len(self)), np.diff(self.child_offsets))
+        return _frozen(parent)
+
+    @cached_property
     def levels(self) -> list[np.ndarray]:
         """Node indices per depth, root first, each level in index order."""
-        order = np.argsort(self.depth, kind="stable")
-        bounds = np.cumsum(np.bincount(self.depth)).tolist()  # depth 0 is empty
-        return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        levels = _breadth_first(self.child_offsets, self.children, self.root_index)
+        return [_frozen(np.sort(level)) for level in levels]
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Each node's depth, 1 at the root."""
+        depth = np.empty(len(self), dtype=np.int64)
+        for d, level in enumerate(self.levels, start=1):
+            depth[level] = d
+        return _frozen(depth)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -203,8 +213,6 @@ class HypothesisTree:
         marked[list(wanted.values())] = 1
         return HypothesisTree(
             self._ids,
-            self.parent,
-            self.depth,
             self.n_units,
             self.child_offsets,
             self.children,
@@ -226,12 +234,33 @@ class HypothesisTree:
         parent[root] = -1
         return HypothesisTree(
             list(compress(self.ids, keep.tolist())),
-            parent,
-            self.depth[keep],
             self.n_units[keep],
             *_child_csr(parent),
             is_null=None if self.is_null is None else self.is_null[keep],
         )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def child_lists(offsets: np.ndarray, children: np.ndarray, nodes: np.ndarray):
+    """The children of ``nodes``, node by node, and each node's child count."""
+    lo = offsets[nodes]
+    count = offsets[nodes + 1] - lo
+    # positions of each node's child slice, concatenated
+    return children[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())], count
+
+
+def _breadth_first(offsets, children, root: int) -> list[np.ndarray]:
+    """Node indices per depth from ``root`` down, each level in its parents' order."""
+    levels = []
+    level = np.array([root])
+    while level.size:
+        levels.append(level)
+        level, _ = child_lists(offsets, children, level)
+    return levels
 
 
 def _child_csr(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,20 +354,11 @@ def from_parents(
     if len(roots) != 1:
         raise TreeError(f"expected exactly one root, found {len(roots)}")
 
-    # Depth level by level from the root; a node on a cycle is never reached.
+    # A node on a cycle is never reached from the root.
     offsets, children = _child_csr(parent)
-    depth = np.zeros(n, dtype=np.int64)
-    levels = []
-    level = roots
-    while level.size:
-        levels.append(level)
-        depth[level] = len(levels)
-        lo = offsets[level]
-        count = offsets[level + 1] - lo
-        # positions of each node's child slice, concatenated
-        level = children[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    levels = _breadth_first(offsets, children, int(roots[0]))
     if sum(map(len, levels)) != n:
-        lost = sorted(map(name, np.flatnonzero(depth == 0).tolist()))
+        lost = sorted(map(name, np.setdiff1d(np.arange(n), np.concatenate(levels)).tolist()))
         raise TreeError(f"nodes unreachable from the root: {lost}")
 
     given, units = _int64_units(name, n_units)
@@ -356,14 +376,26 @@ def from_parents(
     if bad.size:
         i = int(bad[0])
         raise TreeError(f"node {name(i)!r} n_units {units[i]} != children sum {totals[i]}")
-    return HypothesisTree(ids, parent, depth, totals, offsets, children)
+    return HypothesisTree(ids, totals, offsets, children)
+
+
+# numpy sizes an array in bytes within the index range, so a tree with more
+# nodes than this cannot have even its int64 child offsets
+_MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
+
+def _too_many_nodes(k: int, L: int) -> TreeError:
+    nodes = (k**L - 1) // (k - 1)
+    return TreeError(
+        f"a regular tree with k={k} and L={L} has {nodes} nodes, too many to hold in memory"
+    )
 
 
 def check_regular_shape(k: int, L: int, units_per_leaf: int = 1) -> None:
     """Raise TreeError unless ``build_regular(k, L, units_per_leaf)`` has a
-    valid shape, and unit counts as ``from_parents`` would accept them: an
-    int64 count at each leaf and a total within that range.  The tree is
-    not built."""
+    valid shape, no more nodes than numpy can size an array of, and unit
+    counts as ``from_parents`` would accept them: an int64 count at each
+    leaf and a total within that range.  The tree is not built."""
     if k < 2:
         raise TreeError("branching factor k must be at least 2")
     if L < 2:
@@ -375,6 +407,8 @@ def check_regular_shape(k: int, L: int, units_per_leaf: int = 1) -> None:
         raise TreeError(
             f"node {first_leaf!r} n_units {units_per_leaf!r} is not an integer in the int64 range"
         )
+    if (k**L - 1) // (k - 1) > _MAX_NODES:
+        raise _too_many_nodes(k, L)
     total = int(units_per_leaf) * k ** (L - 1)
     if total > INT64_MAX:
         raise TreeError(f"n_units total {total} under '1' is beyond the int64 range")
@@ -387,28 +421,29 @@ def build_regular(k: int, L: int, units_per_leaf: int = 1) -> HypothesisTree:
     one block whose id equals the leaf's node id.  The tree is numbered:
     node ids are the breadth-first numbering "1", "2", ...
 
-    The shape and unit counts are checked by ``check_regular_shape``, and
-    the arrays are built by formula, not through ``from_parents``: node
-    ``i > 0`` is a child of ``(i - 1) // k``, so node ``i``'s children start
-    at ``min(k * i, n - 1)`` in ``children = 1..n-1``.
+    The shape and unit counts are checked by ``check_regular_shape``, and a
+    tree too large to allocate is the same one-line TreeError that names
+    its node count.
     """
     check_regular_shape(k, L, units_per_leaf)
+    try:
+        return HypothesisTree(None, *_regular_arrays(k, L, int(units_per_leaf)))
+    except (MemoryError, OverflowError):  # OverflowError beyond numpy's index range
+        raise _too_many_nodes(k, L) from None
+
+
+def _regular_arrays(k: int, L: int, units_per_leaf: int):
+    """``n_units``, ``child_offsets`` and ``children`` of ``build_regular``,
+    by formula: node ``i > 0`` is a child of ``(i - 1) // k``, so node
+    ``i``'s children start at ``min(k * i, n - 1)`` in ``children = 1..n-1``."""
     sizes = [k**level for level in range(L)]  # nodes per level, root first
     n = sum(sizes)
-    parent = np.arange(-1, n - 1)
-    parent //= k
     child_offsets = np.arange(n + 1)
     child_offsets *= k
     np.minimum(child_offsets, n - 1, out=child_offsets)
-    return HypothesisTree(
-        None,
-        parent,
-        np.repeat(np.arange(1, L + 1), sizes),
-        # units_per_leaf times the leaves under a node: sizes reversed, level by level
-        np.repeat(int(units_per_leaf) * np.array(sizes[::-1], dtype=np.int64), sizes),
-        child_offsets,
-        np.arange(1, n),
-    )
+    # units_per_leaf times the leaves under a node: sizes reversed, level by level
+    n_units = np.repeat(units_per_leaf * np.array(sizes[::-1], dtype=np.int64), sizes)
+    return n_units, child_offsets, np.arange(1, n)
 
 
 def build_from_paths(

@@ -448,6 +448,14 @@ class TestNodeSizes:
         assert err.startswith(f"error: {path}: node 'a' n_units 9223372036854775808 ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_leaf_below_two_units_names_the_node(self, tmp_path, capsys):
+        path = tmp_path / "sizes.csv"
+        path.write_text("node_id,parent_id,n_units\nroot,,\nb,root,5\na,root,1\nc,root,1\n")
+        assert main(["alpha-schedule", str(path), "--d-hat", "0.3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: node 'a' n_units 1 is below 2, the power model's minimum\n"
+        )
+
     def test_single_node_schedule(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("node_id,parent_id,n_units\nroot,,50\n")
@@ -595,6 +603,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
 
+    def test_strong_leaf_below_two_units_names_the_node(self, tmp_path, capsys):
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text("k=2\nL=3\nunits_per_leaf=1\nnull_proportion=1.0\nreplicates=100\n")
+        assert main(["simulate", "strong", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: node '4' n_units 1 is below 2, the power model's minimum\n"
+        )
+
     @pytest.mark.parametrize("error", [MemoryError, OverflowError])
     @pytest.mark.parametrize(
         "kind, body",
@@ -604,7 +620,7 @@ class TestSimulateCommand:
         def build(*args):
             raise error("allocation refused")  # no 1.1e11-node tree is attempted
 
-        monkeypatch.setattr(sim, "build_regular", build)
+        monkeypatch.setattr("treegate.tree._regular_arrays", build)
         cfg = tmp_path / f"{kind}.cfg"
         cfg.write_text(body)
         assert main(["simulate", kind, "--config", str(cfg)]) == 1

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from treegate import permtest, sim
+from treegate import gate, permtest, sim
 from treegate.cli import read_dataset
 from treegate.errorload import ScheduleError
 from treegate.gate import UNADJUSTED, GateError
@@ -100,6 +100,13 @@ class TestSimulateWeak:
         summary = simulate_weak(2, 12, alpha=0.5, replicates=100, seed=3)
         assert summary.mean_nodes_tested > 3  # walks reach below the root's children
         assert "ids" not in vars(built[0])
+
+    def test_walk_derives_no_parent_depth_or_levels(self):
+        # the weak study's walk reads the child lists alone
+        tree = build_regular(2, 12)
+        result = gate.walk(tree, sim._uniform_draws((3, 2, 12)), 100, alpha=0.5)
+        assert result.node.size > 300  # walks reach below the root's children
+        assert not {"parent", "depth", "levels"} & set(vars(tree))
 
     @pytest.mark.parametrize(
         "k, L, alpha, replicates, seed",

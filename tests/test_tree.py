@@ -274,6 +274,32 @@ class TestFromParents:
                 assert tree.leaves_under(nid) == [nid]
 
 
+def _built_trees():
+    """One tree made by each of from_parents, build_regular, label_truth and prune_below."""
+    listed = from_parents(["r", "a", "b", "a1", "a2"], [-1, 0, 0, 1, 1], [None, None, 3, 1, 2])
+    regular = build_regular(3, 3, units_per_leaf=4)
+    return {
+        "from_parents": listed,
+        "build_regular": regular,
+        "label_truth": regular.label_truth({"5"}),
+        "prune_below": listed.label_truth({"a1"}).prune_below(["a"]),
+    }
+
+
+class TestArrayContract:
+    # the arrays a tree stores, then those it derives on first read
+    READ_ONLY = ("n_units", "child_offsets", "children", "is_null", "parent", "depth", "is_leaf")
+
+    @pytest.mark.parametrize("made_by", ["from_parents", "build_regular", "label_truth", "prune_below"])
+    def test_every_array_refuses_writes(self, made_by):
+        tree = _built_trees()[made_by]
+        assert (tree.is_null is None) == (made_by in ("from_parents", "build_regular"))
+        for array in [getattr(tree, name) for name in self.READ_ONLY] + tree.levels:
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+
 class TestLabelTruth:
     def test_reference_13_node_case(self):
         tree = build_regular(3, 3).label_truth({"5"})
