@@ -10,10 +10,15 @@ It runs ``treegate simulate`` on each committed config (each runs in 3 s
 or less on a 2-core VM; a config much over 10 s would not belong here),
 ``treegate alpha-schedule`` on ``tests/golden/sizes.csv``, and
 ``treegate test`` on ``tests/golden/trial.csv`` with every gate variant in
-JSON, CSV and DOT.  Each line is a digest, two spaces and the command.
+JSON, CSV and DOT.  The mean-difference statistic rejects that file's root,
+so the walk goes below it.  A flat copy of the file, without its hierarchy
+columns and so with its seven blocks in one sibling group under the root,
+is written to a temporary directory and tested with both local Hommel
+variants.  Each line is a digest, two spaces and the command.
 """
 
 import argparse
+import csv
 import hashlib
 import os
 import sys
@@ -35,7 +40,8 @@ SIMULATE = [
     ("dpp", "tests/golden/dpp.cfg"),
     ("dpp", "tests/golden/dpp_small.cfg"),
 ]
-TEST_ARGS = ["--d-hat", "0.4", "--n-perms", "200", "--seed", "7"]
+TEST_ARGS = ["--statistic", "mean_diff", "--d-hat", "0.4", "--n-perms", "200", "--seed", "7"]
+FLAT = "trial_flat.csv"  # named as printed; written to the temporary directory
 
 
 def commands() -> list[list[str]]:
@@ -46,16 +52,29 @@ def commands() -> list[list[str]]:
             out.append(
                 ["test", "tests/golden/trial.csv", "--variant", variant, *TEST_ARGS, "--format", fmt]
             )
+    for variant in ("local_hommel", "adaptive_hommel"):
+        for fmt in ("json", "csv", "dot"):
+            out.append(["test", FLAT, "--variant", variant, *TEST_ARGS, "--format", fmt])
     return out
+
+
+def write_flat(path: str) -> None:
+    """Write ``tests/golden/trial.csv`` with only its unit_id, block_id,
+    treatment and outcome columns."""
+    with open("tests/golden/trial.csv", newline="") as src, open(path, "w", newline="") as dst:
+        writer = csv.writer(dst, lineterminator="\n")
+        for row in csv.reader(src):
+            writer.writerow(row[:4])
 
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     os.chdir(ROOT)  # the commands name their inputs from the repository root
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
+        out, flat = os.path.join(tmp, "out"), os.path.join(tmp, FLAT)
+        write_flat(flat)
         for command in commands():
-            status = treegate([*command, "--out", out])
+            status = treegate([flat if arg == FLAT else arg for arg in command] + ["--out", out])
             if status != 0:
                 print(f"failed: treegate {' '.join(command)}", file=sys.stderr)
                 return status

@@ -4,16 +4,18 @@ Used both as bottom-up baselines over all leaves and as local corrections
 within a sibling group inside the gated procedure.  All functions return a
 new array aligned with the input order; adjusted values are clamped to 1.
 ``hommel_rows`` and ``bh_rows`` adjust each row of a 2-d array at once; the
-1-d functions are the same kernels on a single row.  ``hommel_rejections``
-gives Hommel's decisions at one level without any adjusted value.
+1-d functions are the same kernels on a single row.  ``hommel_rows`` makes
+one pass per subset size over each chunk of rows; ``hommel_rejections``
+gives Hommel's decisions at one level without any adjusted value, from the
+same Simes minima.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Elements in one temporary of the Hommel kernel.  A call on any number of
-# rows of any length m holds a few arrays of this size, never rows * m * m.
+# Elements in one row chunk of the Hommel kernels (one row at least).  A
+# pass over one subset size holds a few temporaries of the chunk's size.
 _HOMMEL_CHUNK = 1 << 14
 
 
@@ -48,41 +50,35 @@ def bh_rows(p: np.ndarray) -> np.ndarray:
     return _unsorted_rows(order, adjusted)
 
 
+def _simes_minima(tail: np.ndarray) -> np.ndarray:
+    """Simes minima ``C_s = min_r (s * p_(r)) / r`` of the rows of sorted
+    values ``tail`` of width ``s``, the one expression of both Hommel kernels."""
+    s = tail.shape[-1]
+    return ((s * tail) / np.arange(1.0, s + 1)).min(axis=-1)
+
+
 def hommel_rows(p: np.ndarray) -> np.ndarray:
     """Hommel adjusted p-values of each row of a (rows, m) array of valid
     p-values.
 
-    With the row sorted ascending, the Simes minimum of the subset of the
-    ``s`` largest values is ``C_s = min_r (s * p_(m-s+r)) / r``, and sorted
-    position ``j`` adjusts to ``max(p_j, max_s min(s * p_j, C_s))`` over
-    ``s = 2..m``; on the ``s`` largest values that minimum is ``C_s``
-    itself, since ``C_s <= s * p_j`` there.  Every size is evaluated at
-    once, in chunks of sizes and rows that keep each temporary at
+    With the row sorted ascending, one pass per subset size ``s`` from
+    ``m`` down to 2 takes the Simes minimum ``C_s`` of the ``s`` largest
+    values, raises those values to at least ``C_s``, and every smaller
+    ``p_j`` to at least ``min(s * p_j, C_s)``.  Rows go in chunks of
     ``_HOMMEL_CHUNK`` elements.
     """
     order, ps = _sorted_rows(p)
     rows, m = ps.shape
     adjusted = ps.copy()
-    sizes = np.arange(2, m + 1, dtype=float)
-    per_rows = max(1, _HOMMEL_CHUNK // m)
-    n_sizes = max(1, min(m - 1, per_rows))
-    n_rows = max(1, per_rows // n_sizes)
-    position = np.arange(m)
+    n_rows = max(1, _HOMMEL_CHUNK // m)
     for lo in range(0, rows, n_rows):
-        block = ps[lo : lo + n_rows, None, :]
+        block = ps[lo : lo + n_rows]
         best = adjusted[lo : lo + n_rows]
-        for start in range(0, m - 1, n_sizes):
-            s = sizes[start : start + n_sizes, None]
-            # rank of sorted position j within the subset of the s largest
-            rank = position - (m - s) + 1
-            # Simes terms are written (size * p) / rank so they match a subset
-            # oracle computing the identical expression float-for-float.
-            scaled = s * block
-            simes = np.divide(
-                scaled, rank, out=np.full(scaled.shape, np.inf), where=rank >= 1
-            ).min(axis=-1)
-            np.minimum(scaled, simes[..., None], out=scaled)
-            np.maximum(best, scaled.max(axis=1), out=best)
+        for s in range(m, 1, -1):
+            cut = m - s  # the s largest values start here
+            simes = _simes_minima(block[:, cut:])[:, None]
+            np.maximum(best[:, cut:], simes, out=best[:, cut:])
+            np.maximum(best[:, :cut], np.minimum(s * block[:, :cut], simes), out=best[:, :cut])
     return _unsorted_rows(order, adjusted)
 
 
@@ -91,15 +87,15 @@ def hommel_rejections(p: np.ndarray, alpha: float) -> np.ndarray:
     without computing any adjusted value.
 
     Hommel's ``h`` is the largest size ``s >= 2`` whose Simes minimum
-    ``C_s`` (as in ``hommel_rows``, the same float expression) exceeds
+    ``C_s`` (from ``_simes_minima``, as in ``hommel_rows``) exceeds
     ``alpha``, or 0 if there is none.  An adjusted value is at most
     ``alpha`` exactly when ``p_j <= alpha`` and ``min(s * p_j, C_s) <=
     alpha`` for every size; sizes above ``h`` pass by ``C_s``, and since
     ``s * p_j`` rounds monotonically in ``s``, the rest pass exactly when
     ``h * p_j <= alpha``.  Sizes are scanned from ``m`` down, and a row
     stops at its first size with ``C_s > alpha``: one size when the global
-    Simes test does not reject, the triangle of sizes at most.  Rows are
-    chunked so that each temporary holds at most ``_HOMMEL_CHUNK`` elements.
+    Simes test does not reject, the triangle of sizes at most.  Rows go in
+    chunks of ``_HOMMEL_CHUNK`` elements, as in ``hommel_rows``.
     """
     ps = np.sort(p, axis=-1)
     rows, m = ps.shape
@@ -109,9 +105,7 @@ def hommel_rejections(p: np.ndarray, alpha: float) -> np.ndarray:
         block = ps[lo : lo + n_rows]
         unresolved = np.arange(len(block))
         for s in range(m, 1, -1):
-            # Simes terms (size * p) / rank over the s largest values
-            simes = ((s * block[unresolved, m - s :]) / np.arange(1.0, s + 1)).min(axis=-1)
-            found = simes > alpha
+            found = _simes_minima(block[unresolved, m - s :]) > alpha
             h[lo + unresolved[found]] = s
             unresolved = unresolved[~found]
             if not unresolved.size:

@@ -74,11 +74,15 @@ class DepthSchedule:
 
 @dataclass(frozen=True, slots=True)
 class AlphaSchedule:
-    """Per-depth thresholds for the gated procedure."""
+    """Per-depth thresholds for the gated procedure, and the power model
+    they were computed from, whose alpha is the schedule's."""
 
-    alpha: float
+    model: PowerModel
     depths: tuple[DepthSchedule, ...]
-    model: PowerModel | None = None
+
+    @property
+    def alpha(self) -> float:
+        return self.model.alpha
 
     @property
     def total_error_load(self) -> float:
@@ -210,7 +214,7 @@ def _schedule(tree: HypothesisTree, model: PowerModel, cut: np.ndarray) -> Alpha
         for depth, (n, t, e, g) in enumerate(zip(counts, theta_sum, exposure, load), start=1)
         if n
     )
-    return AlphaSchedule(alpha, rows, model)
+    return AlphaSchedule(model, rows)
 
 
 def recompute_after_pruning(
@@ -228,8 +232,6 @@ def recompute_after_pruning(
     already ran); deeper depths are recomputed on the surviving nodes, so
     their thresholds can only rise toward the alpha cap.
     """
-    if schedule.model is None:
-        raise ScheduleError("schedule carries no power model to recompute with")
     if depth_completed < 1:
         raise ScheduleError("depth_completed must be at least 1")
     cut = np.asarray(cut, dtype=bool)

@@ -164,10 +164,6 @@ def _threshold_source(
     by_depth = np.array([schedule.alpha_at(d) for d in range(1, tree.max_depth + 1)])
     if variant.thresholds == "adaptive":
         return lambda row, node: by_depth[tree.depth[node] - 1]
-    if schedule.model is None:
-        raise GateError("the pruning variant needs a schedule with a power model")
-    if schedule.model.alpha != alpha:
-        raise GateError(f"power model is at alpha {schedule.model.alpha}, the walk at {alpha}")
     # the tested nodes not rejected, a walk's one dense (rows, nodes) array;
     # a depth's pairs are the children of the previous depth's rejections
     cut = np.zeros((rows, len(tree)), dtype=bool)
@@ -203,8 +199,7 @@ def walk(
     children in index order, following their parents' order.  The sibling
     groups of one size are adjusted by one call to the row kernel.  The
     pairs' thresholds come from one source: adaptive and pruned variants
-    require a schedule built at ``alpha`` and covering the tree's depth, and
-    the pruned one a schedule with a power model.
+    require a schedule built at ``alpha`` and covering the tree's depth.
     """
     threshold_of = _threshold_source(tree, variant, alpha, schedule, rows)
     row = np.arange(rows)

@@ -272,6 +272,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_regular_shape(self.k, self.L, self.units_per_leaf)
+        if self.units_per_leaf < 2:
+            raise SimError(f"units_per_leaf must be at least 2: {self.units_per_leaf}")
         if not 0.0 <= self.null_proportion <= 1.0:
             raise SimError("null_proportion must lie in [0, 1]")
         if self.replicates < 100:

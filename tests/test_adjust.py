@@ -112,10 +112,18 @@ def test_rows_of_a_2d_call_equal_1d_calls(rows):
 
 
 def test_hommel_rows_spanning_several_chunks_equal_the_loop():
-    # 300 rows of 64 need many row chunks, and m = 700 needs size chunks
+    # hundreds of rows of m = 2..8, tied and free, and 300 rows of 64 need
+    # many row chunks at every chunk size; a row of m = 700 is wider than
+    # every patched chunk, so it is a chunk of its own
     rng = np.random.default_rng(3)
-    for P in (rng.random((300, 64)), rng.integers(0, 50, (3, 700)) / 49.0):
-        np.testing.assert_array_equal(hommel_rows(P), [hommel_loop(row) for row in P])
+    matrices = [rng.integers(0, 20, (300, m)) / 20.0 for m in range(2, 9)]
+    matrices += [rng.random((300, m)) for m in range(2, 9)]
+    matrices += [rng.random((300, 64)), rng.integers(0, 50, (3, 700)) / 49.0]
+    expected = [[hommel_loop(row) for row in P] for P in matrices]
+    for chunk in (adjust._HOMMEL_CHUNK, 1, 7, 64):
+        with mock.patch.object(adjust, "_HOMMEL_CHUNK", chunk):
+            for P, want in zip(matrices, expected):
+                np.testing.assert_array_equal(hommel_rows(P), want)
 
 
 def test_hommel_memory_is_bounded_at_large_m():

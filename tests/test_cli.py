@@ -607,14 +607,12 @@ class TestSimulateCommand:
         cfg = tmp_path / "strong.cfg"
         cfg.write_text("k=2\nL=3\nunits_per_leaf=1\nnull_proportion=1.0\nreplicates=100\n")
         assert main(["simulate", "strong", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == (
-            "error: node '4' n_units 1 is below 2, the power model's minimum\n"
-        )
+        assert capsys.readouterr().err == "error: units_per_leaf must be at least 2: 1\n"
 
     @pytest.mark.parametrize("error", [MemoryError, OverflowError])
     @pytest.mark.parametrize(
         "kind, body",
-        [("weak", "k=10\nL=12\n"), ("strong", "k=10\nL=12\nunits_per_leaf=1\nnull_proportion=1.0\n")],
+        [("weak", "k=10\nL=12\n"), ("strong", "k=10\nL=12\nunits_per_leaf=2\nnull_proportion=1.0\n")],
     )
     def test_oversized_tree_is_one_line_error(self, tmp_path, capsys, monkeypatch, kind, body, error):
         def build(*args):

@@ -191,6 +191,12 @@ class TestScenarioConfig:
         with pytest.raises(TreeError, match=f"^{message}$"):
             ScenarioConfig(**{**base, **kw})
 
+    def test_leaf_below_two_units_refused_at_construction(self, monkeypatch):
+        # the power model needs 2 units at every node, whatever the methods
+        monkeypatch.setattr(sim, "build_regular", lambda *a: pytest.fail("tree built"))
+        with pytest.raises(SimError, match="^units_per_leaf must be at least 2: 1$"):
+            ScenarioConfig(k=2, L=3, units_per_leaf=1, null_proportion=1.0)
+
     def test_bad_placement_rejected(self):
         with pytest.raises(SimError):
             ScenarioConfig(
