@@ -28,7 +28,7 @@ import numpy as np
 from . import gate, sim
 from .errorload import PowerModel, ScheduleError, adaptive_schedule
 from .gate import GateError, NodeOutcome, ResultTree
-from .permtest import Block, PermTestError, TestSpec
+from .permtest import STATISTICS, Block, PermTestError, TestSpec
 from .tree import HypothesisTree, TreeError, build_from_paths, from_parents
 
 SCHEMA_VERSION = 1
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="run the gated procedure on a CSV dataset")
     t.add_argument("data", help="unit-level CSV (unit_id, block_id, treatment, outcome, hierarchy...)")
     t.add_argument("--variant", default="unadjusted", choices=sorted(gate.VARIANTS))
-    t.add_argument("--statistic", default="rank", choices=("mean_diff", "rank", "energy"))
+    t.add_argument("--statistic", default="rank", choices=STATISTICS)
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--d-hat", type=float, default=None,
                    help="planning effect size for adaptive variants; their thresholds are "

@@ -104,10 +104,6 @@ class ResultTree:
     def nodes_tested(self) -> int:
         return len(self.outcomes)
 
-    @property
-    def total_rejections(self) -> int:
-        return sum(o.rejected for o in self.outcomes.values())
-
     def outcome(self, node_id: str) -> NodeOutcome:
         return self.outcomes.get(node_id, NodeOutcome(node_id, tested=False))
 

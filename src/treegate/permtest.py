@@ -89,6 +89,10 @@ class TestSpec:
             raise PermTestError(f"unknown statistic: {self.statistic!r}")
         if self.sides not in ("one", "two"):
             raise PermTestError("sides must be 'one' or 'two'")
+        if self.statistic == "energy" and self.sides == "one":
+            raise PermTestError("the energy statistic has no one-sided test; use sides='two'")
+        if self.chi2_approx and self.statistic != "energy":
+            raise PermTestError("chi2_approx applies to the energy statistic only")
         if self.n_perms < 100:
             raise PermTestError("n_perms must be at least 100")
         if self.exact_cap < 1:
@@ -251,22 +255,21 @@ def _exact_rows(blocks: Sequence[Block], spec: TestSpec) -> tuple[np.ndarray, in
     return acc, obs_row
 
 
-def _energy_quadratic(stats: np.ndarray, rel_tol: float = 1e-10):
+def _energy_quadratic(stats: np.ndarray):
     """Quadratic forms of assignment vectors against their own covariance.
 
     ``stats`` is a node's whole null distribution, which includes the
     observed row by construction, so all rows are exchangeable under the
     null and the tail count stays valid.  The covariance is inverted
-    through its eigendecomposition, dropping eigenvalues below ``rel_tol``
-    times the largest; the six scores are collinear by construction so the
+    through its eigendecomposition, dropping eigenvalues below 1e-10 times
+    the largest; the six scores are collinear by construction so the
     matrix is always rank deficient.
     """
     mu = stats.mean(axis=0)
     centered = stats - mu
     cov = centered.T @ centered / stats.shape[0]
     eigval, eigvec = np.linalg.eigh(cov)
-    top = eigval.max() if eigval.size else 0.0
-    keep = eigval > rel_tol * max(top, 0.0)
+    keep = eigval > 1e-10 * max(eigval.max(), 0.0)
     rank = int(keep.sum())
     if rank == 0:
         return np.zeros(stats.shape[0]), 0

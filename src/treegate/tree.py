@@ -50,9 +50,10 @@ class HypothesisTree:
     traversals and tie-breaks are reproducible.  ``ids`` lists the node ids
     in that order.  A numbered tree (every ``build_regular`` tree) stores no
     ids: its ids are "1".."n" in index order, derived on the first read of
-    ``ids`` and then kept, so a walk that never names a node never makes
-    them.  It stores ``n_units``, the bool ``is_null`` of a ``label_truth``
-    result (None when unlabeled), and the children of node ``i``:
+    ``ids`` or lookup by id and then kept, so ``len(tree)`` and a walk,
+    which never name a node, never make them.  It stores ``n_units``, the
+    bool ``is_null`` of a ``label_truth`` result (None when unlabeled), and
+    the children of node ``i``:
     ``children[child_offsets[i]:child_offsets[i + 1]]``, in index order.
     ``parent``, ``levels`` and ``depth`` are derived from them on first
     read and kept, as ``ids`` is.  Every array is read-only.
@@ -133,19 +134,8 @@ class HypothesisTree:
     def _index(self) -> dict[str, int]:
         return {nid: i for i, nid in enumerate(self.ids)}
 
-    def _find(self, node_id: str) -> int | None:
-        """A node's index, or None when the tree has no such node."""
-        if self._ids is not None:
-            return self._index.get(node_id)
-        # numbered: of all strings, only "1".."n" come back from str(int(.)) in range
-        if isinstance(node_id, str) and node_id.isdecimal() and len(node_id) <= len(str(len(self))):
-            i = int(node_id)
-            if str(i) == node_id and 1 <= i <= len(self):
-                return i - 1
-        return None
-
     def index_of(self, node_id: str) -> int:
-        i = self._find(node_id)
+        i = self._index.get(node_id)
         if i is None:
             raise TreeError(f"unknown node id: {node_id!r}")
         return i
@@ -205,7 +195,7 @@ class HypothesisTree:
         is non-null iff at least one leaf under it is; parents are therefore
         the conjunction of their children.
         """
-        wanted = {nid: self._find(nid) for nid in set(non_null_leaves)}
+        wanted = {nid: self._index.get(nid) for nid in set(non_null_leaves)}
         unknown = [nid for nid, i in wanted.items() if i is None or not self.is_leaf[i]]
         if unknown:
             raise TreeError(f"unknown block ids: {sorted(unknown)}")
@@ -278,19 +268,17 @@ def _subtree_sum(values, parent: np.ndarray, levels: Sequence[np.ndarray]) -> np
     return total
 
 
-def _int64_units(name, n_units) -> tuple[np.ndarray, np.ndarray]:
+def _int64_units(ids: list[str], n_units) -> tuple[np.ndarray, np.ndarray]:
     """Which ``n_units`` are given (not None), and all of them as int64 with
     None read as 0.  Any other value must be an integer within the int64
-    range; an integer array is taken as it is."""
-    if isinstance(n_units, np.ndarray) and n_units.dtype.kind == "i":
-        return np.ones(len(n_units), dtype=bool), n_units.astype(np.int64, copy=False)
+    range; an array takes the same path as a list."""
     raw = [0 if u is None else u for u in n_units]
     units = np.array(raw)
     if units.dtype.kind != "i":
         for i, u in enumerate(raw):
             if not _is_int64(u):
                 raise TreeError(
-                    f"node {name(i)!r} n_units {u!r} is not an integer in the int64 range"
+                    f"node {ids[i]!r} n_units {u!r} is not an integer in the int64 range"
                 )
     given = np.fromiter((u is not None for u in n_units), dtype=bool, count=len(raw))
     return given, units.astype(np.int64, copy=False)
@@ -305,25 +293,20 @@ def _is_int64(u) -> bool:
     )
 
 
-def _numbered_id(i: int) -> str:
-    return str(i + 1)
-
-
 def from_parents(
-    ids: Sequence[str] | None, parent: Sequence[int], n_units: Sequence[int | None]
+    ids: Sequence[str], parent: Sequence[int], n_units: Sequence[int | None]
 ) -> HypothesisTree:
     """Assemble a tree from parent links given as indices into ``ids``.
 
     ``parent[i]`` is the index of node i's parent, or -1 for the root.
     ``n_units[i]`` is required (at least 1) for leaves; for a group it may
-    be None, and otherwise must equal the sum over its children.  An
-    integer array of ``n_units`` gives every node's count.  Each leaf is
-    one block whose id is the leaf's id, so ``tree.leaves_under(nid)``
-    lists a node's blocks.  Nodes may come in any order, and node ``i`` of
-    the tree is ``ids[i]``; with ``ids`` None the tree is numbered, and node
-    ``i`` is ``str(i + 1)``.  This is the one checker of structure given as
-    input: ``build_from_paths`` passes its rows here, while
-    ``build_regular`` builds its arrays by formula from a checked shape.
+    be None, and otherwise must equal the sum over its children.  Each
+    leaf is one block whose id is the leaf's id, so
+    ``tree.leaves_under(nid)`` lists a node's blocks.  Nodes may come in
+    any order, and node ``i`` of the tree is ``ids[i]``.  This is the one
+    checker of structure given as input: ``build_from_paths`` passes its
+    rows here, while ``build_regular`` builds its arrays by formula from a
+    checked shape.
 
     Raises TreeError for a duplicate id, a parent index out of range, zero
     or several roots, a node the root cannot reach (a cycle), a leaf
@@ -331,25 +314,21 @@ def from_parents(
     int64 range, a unit total beyond that range, or a given group total
     that is not the sum over its children.
     """
-    n = len(parent) if ids is None else len(ids)
+    ids = list(ids)
+    n = len(ids)
     if n == 0:
         raise TreeError("no nodes given")
     if len(parent) != n or len(n_units) != n:
         raise TreeError("ids, parent and n_units must have equal lengths")
-    if ids is None:
-        name = _numbered_id  # numbered ids cannot collide
-    else:
-        ids = list(ids)
-        if len(set(ids)) != n:
-            seen: set[str] = set()
-            dup = next(nid for nid in ids if nid in seen or seen.add(nid))
-            raise TreeError(f"duplicate node id: {dup!r}")
-        name = ids.__getitem__
+    if len(set(ids)) != n:
+        seen: set[str] = set()
+        dup = next(nid for nid in ids if nid in seen or seen.add(nid))
+        raise TreeError(f"duplicate node id: {dup!r}")
     parent = np.array(parent, dtype=np.int64)
     bad = np.flatnonzero((parent < -1) | (parent >= n))
     if bad.size:
         i = int(bad[0])
-        raise TreeError(f"node {name(i)!r} references unknown parent index {int(parent[i])}")
+        raise TreeError(f"node {ids[i]!r} references unknown parent index {int(parent[i])}")
     roots = np.flatnonzero(parent == -1)
     if len(roots) != 1:
         raise TreeError(f"expected exactly one root, found {len(roots)}")
@@ -358,24 +337,24 @@ def from_parents(
     offsets, children = _child_csr(parent)
     levels = _breadth_first(offsets, children, int(roots[0]))
     if sum(map(len, levels)) != n:
-        lost = sorted(map(name, np.setdiff1d(np.arange(n), np.concatenate(levels)).tolist()))
+        lost = sorted(ids[i] for i in np.setdiff1d(np.arange(n), np.concatenate(levels)).tolist())
         raise TreeError(f"nodes unreachable from the root: {lost}")
 
-    given, units = _int64_units(name, n_units)
+    given, units = _int64_units(ids, n_units)
     is_leaf = offsets[1:] == offsets[:-1]
     bad = np.flatnonzero(is_leaf & (~given | (units < 1)))
     if bad.size:
-        raise TreeError(f"leaf {name(int(bad[0]))!r} needs n_units of at least 1")
+        raise TreeError(f"leaf {ids[bad[0]]!r} needs n_units of at least 1")
     total = sum(units[is_leaf].tolist())
     if total > INT64_MAX:
         raise TreeError(
-            f"n_units total {total} under {name(int(roots[0]))!r} is beyond the int64 range"
+            f"n_units total {total} under {ids[roots[0]]!r} is beyond the int64 range"
         )
     totals = _subtree_sum(np.where(is_leaf, units, 0), parent, levels)
     bad = np.flatnonzero(given & ~is_leaf & (units != totals))
     if bad.size:
         i = int(bad[0])
-        raise TreeError(f"node {name(i)!r} n_units {units[i]} != children sum {totals[i]}")
+        raise TreeError(f"node {ids[i]!r} n_units {units[i]} != children sum {totals[i]}")
     return HypothesisTree(ids, totals, offsets, children)
 
 
@@ -403,9 +382,9 @@ def check_regular_shape(k: int, L: int, units_per_leaf: int = 1) -> None:
     if units_per_leaf < 1:
         raise TreeError("units_per_leaf must be at least 1")
     if not _is_int64(units_per_leaf):
-        first_leaf = _numbered_id((k ** (L - 1) - 1) // (k - 1))  # after the internal nodes
+        first_leaf = (k ** (L - 1) - 1) // (k - 1) + 1  # numbered after the internal nodes
         raise TreeError(
-            f"node {first_leaf!r} n_units {units_per_leaf!r} is not an integer in the int64 range"
+            f"node '{first_leaf}' n_units {units_per_leaf!r} is not an integer in the int64 range"
         )
     if (k**L - 1) // (k - 1) > _MAX_NODES:
         raise _too_many_nodes(k, L)

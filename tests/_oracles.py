@@ -329,7 +329,7 @@ def simulate_weak_per_replicate(k, L, alpha, replicates, seed) -> "sim.WeakSumma
     for rep in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, L, rep]))
         result = topdown_loop(tree, lambda nid: rng.random(), sim.gate.UNADJUSTED, alpha=alpha)
-        rejections = result.total_rejections
+        rejections = len(result.rejected_ids())
         hits += rejections > 0
         tests += 1 + rejections - result.outcome(tree.root).rejected
         tested += result.nodes_tested

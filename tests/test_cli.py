@@ -584,10 +584,12 @@ class TestSimulateCommand:
          ("d=0.2\nsides=left\n", "sides must be 'one' or 'two'"),
          ("d=0.2\nn_perms=99\n", "n_perms must be at least 100"),
          ("d=0.2\nstudents_per_block=-1\n", "students_per_block must be at least 2: -1"),
-         ("d=0.2\nstudents_per_block=1\n", "students_per_block must be at least 2: 1")],
+         ("d=0.2\nstudents_per_block=1\n", "students_per_block must be at least 2: 1"),
+         ("d=0.2\nstatistic=energy\nsides=one\nn_perms=100\n",
+          "the energy statistic has no one-sided test; use sides='two'")],
         ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat",
              "unknown_statistic", "bad_sides", "too_few_perms",
-             "negative_students_per_block", "one_student_per_block"],
+             "negative_students_per_block", "one_student_per_block", "one_sided_energy"],
     )
     def test_bad_dpp_config_fails_before_any_draw(
         self, tmp_path, capsys, monkeypatch, body, message

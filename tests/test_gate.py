@@ -55,7 +55,7 @@ class TestRunTopdown:
     def test_root_non_rejection_stops_everything(self, k3l3):
         result = run_topdown(k3l3, {"1": 0.6}.__getitem__, UNADJUSTED)
         assert result.nodes_tested == 1
-        assert result.total_rejections == 0
+        assert len(result.rejected_ids()) == 0
 
     def test_reference_trace(self, k3l3):
         result = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED, alpha=0.05)
@@ -74,12 +74,12 @@ class TestRunTopdown:
         rng = np.random.default_rng(0)
         pvals = {nid: rng.random() for nid in k3l3.ids}
         none = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED, alpha=0.0)
-        assert none.total_rejections == 0
+        assert len(none.rejected_ids()) == 0
         # p-values can equal 1, so alpha=1 rejects every node in the tree
         pvals["1"] = 1.0
         everything = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED, alpha=1.0)
         assert everything.nodes_tested == len(k3l3)
-        assert everything.total_rejections == len(k3l3)
+        assert len(everything.rejected_ids()) == len(k3l3)
 
     @given(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
@@ -489,7 +489,7 @@ class TestWeakControlProperty:
         for rep in range(replicates):
             rng = np.random.default_rng(np.random.SeedSequence([k, L, rep]))
             result = run_topdown(tree, lambda nid: rng.random(), UNADJUSTED)
-            hits += result.total_rejections > 0
+            hits += len(result.rejected_ids()) > 0
         se = np.sqrt(0.05 * 0.95 / replicates)
         assert hits / replicates <= 0.05 + 2 * se
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -380,8 +381,11 @@ class TestExactAgainstMonteCarlo:
     """Differential oracle: Monte Carlo p-values estimate the exact ones."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("sides", ["one", "two"])
-    @pytest.mark.parametrize("stat", ["mean_diff", "rank", "energy"])
+    @pytest.mark.parametrize(
+        "stat, sides",  # energy is two-sided only
+        [("mean_diff", "one"), ("mean_diff", "two"), ("rank", "one"), ("rank", "two"),
+         ("energy", "two")],
+    )
     def test_monte_carlo_within_four_standard_errors(self, stat, sides, seed):
         rng = np.random.default_rng(np.random.SeedSequence([31, seed]))
         blocks = []
@@ -503,6 +507,22 @@ def test_spec_validation():
         TestSpec(statistic="median")
     with pytest.raises(PermTestError):
         TestSpec(sides="three")
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"statistic": "energy", "sides": "one"},
+      "the energy statistic has no one-sided test; use sides='two'"),
+     ({"statistic": "mean_diff", "chi2_approx": True},
+      "chi2_approx applies to the energy statistic only"),
+     ({"statistic": "rank", "chi2_approx": True},
+      "chi2_approx applies to the energy statistic only")],
+    ids=["one_sided_energy", "chi2_mean_diff", "chi2_rank"],
+)
+def test_spec_refuses_settings_its_test_ignores(kw, message):
+    # the energy quadratic form has no direction, and only it reads chi2_approx
+    with pytest.raises(PermTestError, match=f"^{re.escape(message)}$"):
+        TestSpec(**kw)
 
 
 def test_power_at_reference_design_point():

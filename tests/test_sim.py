@@ -106,7 +106,7 @@ class TestSimulateWeak:
         tree = build_regular(2, 12)
         result = gate.walk(tree, sim._uniform_draws((3, 2, 12)), 100, alpha=0.5)
         assert result.node.size > 300  # walks reach below the root's children
-        assert not {"parent", "depth", "levels"} & set(vars(tree))
+        assert not {"parent", "depth", "levels", "ids"} & set(vars(tree))
 
     @pytest.mark.parametrize(
         "k, L, alpha, replicates, seed",
@@ -378,8 +378,10 @@ class TestSimulateDpp:
         "kw, message",
         [({"statistic": "median"}, "unknown statistic: 'median'"),
          ({"sides": "left"}, "sides must be 'one' or 'two'"),
-         ({"n_perms": 99}, "n_perms must be at least 100")],
-        ids=["statistic", "sides", "n_perms"],
+         ({"n_perms": 99}, "n_perms must be at least 100"),
+         ({"statistic": "energy", "sides": "one"},
+          "the energy statistic has no one-sided test; use sides='two'")],
+        ids=["statistic", "sides", "n_perms", "one_sided_energy"],
     )
     def test_test_spec_checked_at_construction(self, kw, message):
         with pytest.raises(PermTestError, match=f"^{message}$"):

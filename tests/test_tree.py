@@ -208,24 +208,6 @@ class TestFromParents:
             from_parents(ids, parent, units)
         assert "\n" not in str(err.value)
 
-    @pytest.mark.parametrize(
-        "parent, units",
-        [([-1, 0, 7], [None, 1, 1]),
-         ([-1, 0, 3, 2], [None, 1, 1, 1]),
-         ([-1, 0], [None, 0]),
-         ([-1, 0, 0], [None, 2**62, 2**62]),
-         ([-1, 0, 0], [4, 1, 2]),
-         ([-1, 0], [None, 2**63])],
-        ids=["unknown_parent", "cycle", "leaf_zero_units", "total_beyond_int64",
-             "group_total", "leaf_beyond_int64"],
-    )
-    def test_numbered_errors_name_the_numbered_ids(self, parent, units):
-        with pytest.raises(TreeError) as numbered:
-            from_parents(None, parent, units)
-        with pytest.raises(TreeError) as listed:
-            from_parents([str(i) for i in range(1, len(parent) + 1)], parent, units)
-        assert str(numbered.value) == str(listed.value)
-
     def test_integer_array_units_equal_list_units(self):
         ids, parent = ["a1", "root", "a", "b", "a2"], [2, -1, 1, 1, 2]
         want = from_parents(ids, parent, [3, None, None, 4, 5])
@@ -315,10 +297,9 @@ class TestLabelTruth:
         with pytest.raises(TreeError, match="unknown"):
             build_regular(3, 3).label_truth({"99"})
 
-    def test_numbered_tree_derives_no_ids(self):
+    def test_numbered_labels_equal_listed_labels(self):
         tree = build_regular(2, 12)
         labeled = tree.label_truth({"2048", "4095"})
-        assert "ids" not in vars(tree) and "ids" not in vars(labeled)
         listed = from_parents(list(tree.ids), tree.parent, tree.n_units)
         assert np.array_equal(labeled.is_null, listed.label_truth({"2048", "4095"}).is_null)
         assert labeled.node("2048").is_null is False and labeled.node("2049").is_null
@@ -337,7 +318,6 @@ class TestLabelTruth:
                 numbered.index_of(node_id)
         else:
             assert numbered.index_of(node_id) == want
-        assert "ids" not in vars(numbered)
 
     def test_original_tree_unchanged(self):
         tree = build_regular(3, 3)
