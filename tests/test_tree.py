@@ -208,6 +208,25 @@ class TestFromParents:
             from_parents(ids, parent, units)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize(
+        "parent, units, message",
+        [([-1, 0, 7], [None, 1, 1], "node '3' references unknown parent index 7"),
+         ([-1, 0, 3, 2], [None, 1, 1, 1], "nodes unreachable from the root: ['3', '4']"),
+         ([-1, 0], [None, 0], "leaf '2' needs n_units of at least 1"),
+         ([-1, 0, 0], [None, 2**62, 2**62],
+          "n_units total 9223372036854775808 under '1' is beyond the int64 range"),
+         ([-1, 0, 0], [4, 1, 2], "node '1' n_units 4 != children sum 3"),
+         ([-1, 0], [None, 2**63],
+          "node '2' n_units 9223372036854775808 is not an integer in the int64 range")],
+        ids=["unknown_parent", "cycle", "leaf_zero_units", "total_beyond_int64",
+             "group_total", "leaf_beyond_int64"],
+    )
+    def test_numbered_errors_name_the_numbered_ids(self, parent, units, message):
+        # ids "1".."n" are the ones build_regular gives; each message names them whole
+        with pytest.raises(TreeError) as err:
+            from_parents([str(i) for i in range(1, len(parent) + 1)], parent, units)
+        assert str(err.value) == message
+
     def test_integer_array_units_equal_list_units(self):
         ids, parent = ["a1", "root", "a", "b", "a2"], [2, -1, 1, 1, 2]
         want = from_parents(ids, parent, [3, None, None, 4, 5])
