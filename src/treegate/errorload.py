@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .tree import HypothesisTree
 
@@ -54,6 +53,9 @@ def power_normal_approx(model: PowerModel, n_total: float | np.ndarray) -> float
     floored at alpha so a null node never contributes less than its test
     size.  Takes one size (returns a float) or an array of sizes.
     """
+    # scipy.special is most of the package's import cost; load it on first use.
+    from scipy.special import ndtr, ndtri
+
     n = np.asarray(n_total, dtype=float)
     if (n < 2).any():
         raise ScheduleError("n_total must be at least 2")

@@ -17,7 +17,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 STATISTICS = ("mean_diff", "rank", "energy")
 
@@ -340,6 +339,9 @@ def permutation_pvalue(
     if spec.statistic == "energy":
         vals, rank = _energy_quadratic(rows)
         if spec.chi2_approx:
+            # scipy.special is most of the package's import cost; load it on first use.
+            from scipy.special import chdtrc
+
             return 1.0 if rank == 0 else float(chdtrc(rank, vals[obs_row]))
     else:
         vals = rows[:, 0]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Sequence
@@ -78,13 +77,14 @@ DPP_DEFAULT_METHODS = (
 
 
 def worker_count(n_tasks: int | None = None) -> int:
-    """Worker cap from the TREEGATE_THREADS environment variable (default 1)."""
+    """Worker cap from the TREEGATE_THREADS environment variable (an integer ≥ 1, default 1)."""
     raw = os.environ.get("TREEGATE_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         raise SimError(f"TREEGATE_THREADS is not an integer: {raw!r}")
-    n = max(1, n)
+    if n < 1:
+        raise SimError(f"TREEGATE_THREADS must be at least 1: {raw!r}")
     if n_tasks is not None:
         n = min(n, n_tasks)
     return n
@@ -599,6 +599,9 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
     if workers <= 1:
         P = _dpp_pvalues(config, design, range(config.replicates))
     else:
+        # Imported here: it loads multiprocessing, which one-worker runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = np.array_split(np.arange(config.replicates), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             P = np.vstack(list(

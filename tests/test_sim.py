@@ -539,3 +539,7 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("TREEGATE_THREADS", "zebra")
     with pytest.raises(SimError):
         worker_count()
+    for raw in ("0", "-2"):
+        monkeypatch.setenv("TREEGATE_THREADS", raw)
+        with pytest.raises(SimError, match=f"^TREEGATE_THREADS must be at least 1: '{raw}'$"):
+            worker_count()
