@@ -25,8 +25,6 @@ from .gate import (
     LOCAL_HOMMEL,
     UNADJUSTED,
     GateVariant,
-    NodeOutcome,
-    ResultTree,
     run_bottom_up,
     run_topdown,
     score_result,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gate, sim
 from .errorload import PowerModel, ScheduleError, adaptive_schedule
-from .gate import GateError, NodeOutcome, ResultTree
+from .gate import GateError, Walk
 from .permtest import STATISTICS, Block, PermTestError, TestSpec
 from .tree import HypothesisTree, TreeError, build_from_paths, from_parents
 
@@ -213,52 +213,35 @@ def read_node_sizes(path: str) -> HypothesisTree:
 NODE_FIELDS = ("id", "parent", "depth", "tested", "p", "p_adjusted", "alpha_applied", "rejected")
 
 
-def _node_rows(result: ResultTree, tree: HypothesisTree):
-    """One dict per node of ``tree``, in index order, keyed by NODE_FIELDS;
-    ``parent`` is None at the root and the p-values are None when untested."""
+def _node_rows(walk: Walk, tree: HypothesisTree):
+    """One dict per node of ``tree``, in index order, keyed by NODE_FIELDS,
+    from a one-row walk; ``parent`` is None at the root, and an untested
+    node has None p-values and threshold and is not rejected."""
     ids = tree.ids
-    for nid, parent, depth in zip(ids, tree.parent.tolist(), tree.depth.tolist()):
-        out = result.outcome(nid)
+    columns = (walk.p, walk.p_adjusted, walk.alpha_applied, walk.rejected)
+    tested = dict(zip(walk.node.tolist(), zip(*(c.tolist() for c in columns))))
+    for i, (nid, parent, depth) in enumerate(zip(ids, tree.parent.tolist(), tree.depth.tolist())):
+        p, p_adjusted, alpha_applied, rejected = tested.get(i, (None, None, None, False))
         yield {
             "id": nid,
             "parent": ids[parent] if parent >= 0 else None,
             "depth": depth,
-            "tested": out.tested,
-            "p": out.p_value,
-            "p_adjusted": out.p_adjusted,
-            "alpha_applied": out.alpha_applied,
-            "rejected": out.rejected,
+            "tested": i in tested,
+            "p": p,
+            "p_adjusted": p_adjusted,
+            "alpha_applied": alpha_applied,
+            "rejected": rejected,
         }
 
 
-def result_to_json(result: ResultTree, tree: HypothesisTree, extra: dict | None = None) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "variant": result.variant,
-        "alpha": result.alpha,
-        **(extra or {}),
-        "nodes": list(_node_rows(result, tree)),
-    }
+def result_to_json(walk: Walk, tree: HypothesisTree, header: dict) -> str:
+    """A one-row walk as a JSON document: ``schema_version``, then the
+    ``header`` fields in their order, then one entry per node."""
+    doc = {"schema_version": SCHEMA_VERSION, **header, "nodes": list(_node_rows(walk, tree))}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def result_from_json(text: str) -> ResultTree:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CliError(f"unsupported schema_version: {doc.get('schema_version')!r}")
-    outcomes = {
-        n["id"]: NodeOutcome(
-            n["id"], True, n["p"], n["p_adjusted"], n["alpha_applied"], n["rejected"]
-        )
-        for n in doc["nodes"]
-        if n["tested"]
-    }
-    return ResultTree(variant=doc["variant"], alpha=doc["alpha"], outcomes=outcomes)
-
-
-def result_to_dot(
-    result: ResultTree, tree: HypothesisTree, pruned: str = "omit"
-) -> str:
+def result_to_dot(walk: Walk, tree: HypothesisTree, pruned: str = "omit") -> str:
     """Graphviz rendering of one run; rejected nodes are drawn filled.
 
     ``pruned`` controls untested subtrees: "omit" drops them, "collapse"
@@ -266,7 +249,7 @@ def result_to_dot(
     """
     if pruned not in ("omit", "collapse"):
         raise CliError(f"unknown pruned mode: {pruned!r}")
-    tested = [(i, node) for i, node in enumerate(_node_rows(result, tree)) if node["tested"]]
+    tested = [(i, node) for i, node in enumerate(_node_rows(walk, tree)) if node["tested"]]
     tested_ids = {node["id"] for _, node in tested}
     lines = ["digraph gated_tests {", '  node [shape=ellipse, fontsize=10];']
     for _, node in tested:
@@ -305,9 +288,9 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def result_to_csv(result: ResultTree, tree: HypothesisTree) -> str:
+def result_to_csv(walk: Walk, tree: HypothesisTree) -> str:
     rows = [NODE_FIELDS]
-    for node in _node_rows(result, tree):
+    for node in _node_rows(walk, tree):
         # flags as 0/1; csv writes None as an empty field and a float as its repr
         rows.append([int(v) if isinstance(v, bool) else v for v in node.values()])
     return csv_text(rows)
@@ -330,6 +313,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_test(args) -> int:
+    # fixed variants do not read it, but a bad value is still a mistake
+    if args.d_hat is not None and not (np.isfinite(args.d_hat) and args.d_hat >= 0):
+        raise CliError(f"--d-hat must be finite and non-negative: {args.d_hat}")
     dataset = read_dataset(args.data)
     variant = gate.VARIANTS[args.variant]
     schedule = None
@@ -341,16 +327,19 @@ def cmd_test(args) -> int:
     )
     p = sim.node_pvalues(dataset.tree, dataset.blocks, spec)
     p_of = dict(zip(dataset.tree.ids, p.tolist()))
-    result = gate.run_topdown(
+    walk = gate.run_topdown(
         dataset.tree, p_of.__getitem__, variant, alpha=args.alpha, schedule=schedule
     )
-    extra = {"statistic": args.statistic, "n_perms": args.n_perms, "seed": args.seed}
     if args.format == "json":
-        _write(result_to_json(result, dataset.tree, extra), args.out)
+        header = {
+            "variant": variant.name, "alpha": args.alpha, "statistic": args.statistic,
+            "n_perms": args.n_perms, "seed": args.seed,
+        }
+        _write(result_to_json(walk, dataset.tree, header), args.out)
     elif args.format == "dot":
-        _write(result_to_dot(result, dataset.tree, args.dot_pruned), args.out)
+        _write(result_to_dot(walk, dataset.tree, args.dot_pruned), args.out)
     else:
-        _write(result_to_csv(result, dataset.tree), args.out)
+        _write(result_to_csv(walk, dataset.tree), args.out)
     return 0
 
 

@@ -82,35 +82,6 @@ _BOTTOM_UP_DECISIONS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class NodeOutcome:
-    node_id: str
-    tested: bool
-    p_value: float | None = None
-    p_adjusted: float | None = None
-    alpha_applied: float | None = None
-    rejected: bool = False
-
-
-@dataclass(frozen=True)
-class ResultTree:
-    """Outcomes of one gated run; only tested nodes carry entries."""
-
-    variant: str
-    alpha: float
-    outcomes: dict[str, NodeOutcome]
-
-    @property
-    def nodes_tested(self) -> int:
-        return len(self.outcomes)
-
-    def outcome(self, node_id: str) -> NodeOutcome:
-        return self.outcomes.get(node_id, NodeOutcome(node_id, tested=False))
-
-    def rejected_ids(self) -> list[str]:
-        return [nid for nid, o in self.outcomes.items() if o.rejected]
-
-
 @dataclass(frozen=True)
 class Walk:
     """Every (row, node) pair a run over ``rows`` rows tested.
@@ -131,6 +102,11 @@ class Walk:
     p_adjusted: np.ndarray
     alpha_applied: np.ndarray
     rejected: np.ndarray
+
+    @property
+    def nodes_tested(self) -> int:
+        """The pairs tested, over all rows."""
+        return self.row.size
 
 
 def check_alpha(alpha: float) -> None:
@@ -233,8 +209,8 @@ def run_topdown(
     *,
     alpha: float = 0.05,
     schedule: AlphaSchedule | None = None,
-) -> ResultTree:
-    """Run the gated procedure on one replicate and return per-node outcomes.
+) -> Walk:
+    """Run the gated procedure on one replicate and return its one-row walk.
 
     ``p_source`` maps a node id to its p-value and is consulted lazily, only
     for nodes whose every ancestor was rejected.  This is ``walk`` on one
@@ -253,13 +229,7 @@ def run_topdown(
                 ) from None
         return out
 
-    w = walk(tree, one_row, 1, variant, alpha=alpha, schedule=schedule)
-    columns = (w.node, w.p, w.p_adjusted, w.alpha_applied, w.rejected)
-    outcomes = {
-        ids[i]: NodeOutcome(ids[i], True, *values)
-        for i, *values in zip(*(c.tolist() for c in columns))
-    }
-    return ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
+    return walk(tree, one_row, 1, variant, alpha=alpha, schedule=schedule)
 
 
 def _dense(tree: HypothesisTree, P) -> np.ndarray:
@@ -370,11 +340,13 @@ class RunScore:
         )
 
 
-def score_result(result: ResultTree, tree: HypothesisTree) -> RunScore:
-    """Score one run; the tree must carry is_null labels."""
-    tested = [tree.index_of(nid) for nid in result.outcomes]
-    leaves_tested = int(np.count_nonzero(tree.is_leaf[tested]))
-    return score_rejections(result.rejected_ids(), tree, result.nodes_tested, leaves_tested)
+def score_result(result: Walk, tree: HypothesisTree) -> RunScore:
+    """Score a one-row walk; the tree must carry is_null labels."""
+    if result.rows != 1:
+        raise GateError(f"score_result scores one row, not {result.rows}")
+    rejected = [tree.ids[i] for i in result.node[result.rejected].tolist()]
+    leaves_tested = int(np.count_nonzero(tree.is_leaf[result.node]))
+    return score_rejections(rejected, tree, result.nodes_tested, leaves_tested)
 
 
 def score_rejections(

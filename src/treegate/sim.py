@@ -174,7 +174,7 @@ def simulate_weak(
         fwer=fwer,
         fwer_se=_indicator_se(fwer, replicates),
         mean_tests=(replicates + int(rejections.sum()) - root_rejections) / replicates,
-        mean_nodes_tested=result.row.size / replicates,
+        mean_nodes_tested=result.nodes_tested / replicates,
     )
 
 

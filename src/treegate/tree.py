@@ -453,16 +453,22 @@ def build_from_paths(
     parent = [-1]
     n_units: list[int | None] = [None]
     index = {(): 0}  # group prefix -> position in ids
+    named = {"root": "the root"}  # node id -> what it names
+
+    def add(nid: str, what: str, up: tuple[str, ...], n: int | None) -> None:
+        if nid in named:
+            raise TreeError(f"duplicate node id: {nid!r} is both {named[nid]} and {what}")
+        named[nid] = what
+        ids.append(nid)
+        parent.append(index[up])
+        n_units.append(n)
+
     levels = max(1, *(len(path) for _, path, _ in paths))
     for cut in range(1, levels + 1):
         for block_id, path, n in paths:
             if cut == max(len(path), 1):
-                ids.append(block_id)
-                parent.append(index[path[: cut - 1]])
-                n_units.append(n)
+                add(block_id, f"block {block_id!r}", path[: cut - 1], n)
             elif cut < len(path) and path[:cut] not in index:
                 index[path[:cut]] = len(ids)
-                ids.append("/".join(path[:cut]))
-                parent.append(index[path[: cut - 1]])
-                n_units.append(None)
+                add("/".join(path[:cut]), f"group {path[:cut]!r}", path[: cut - 1], None)
     return from_parents(ids, parent, n_units)

@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 from treegate import sim
 from treegate.adjust import adjust_bh, adjust_hommel
 from treegate.errorload import PowerModel, adaptive_schedule, recompute_after_pruning
-from treegate.gate import NodeOutcome, ResultTree, run_bottom_up, score_rejections, score_result
+from treegate.gate import Walk, run_bottom_up, score_rejections, score_result
 from treegate.permtest import (
     DegenerateBlockError,
     TestSpec,
@@ -80,8 +80,9 @@ def hommel_loop(pvals) -> np.ndarray:
     return out
 
 
-def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> ResultTree:
-    """The gated walk on one replicate, one node at a time.
+def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Walk:
+    """The gated walk on one replicate, one node at a time, as a one-row
+    walk whose pairs are in visit order.
 
     Sibling groups go in a list per depth, each group's children in index
     order.  A group of two or more is adjusted on its own; the pruning
@@ -90,7 +91,7 @@ def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Resul
     """
     local = {"hommel": adjust_hommel, "bh": adjust_bh, None: None}[variant.local_adjust]
     adaptive = variant.thresholds != "fixed"
-    outcomes = {}
+    visits = []  # (node, p, p_adjusted, alpha_applied, rejected) per tested node
     ids, offsets, children = tree.ids, tree.child_offsets, tree.children
     sched = schedule
     cut = np.zeros(len(tree), dtype=bool)
@@ -104,7 +105,7 @@ def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Resul
             adjusted = raw if local is None or len(group) == 1 else local(raw).tolist()
             for i, p, pa in zip(group, raw, adjusted):
                 rejected = pa <= threshold
-                outcomes[ids[i]] = NodeOutcome(ids[i], True, p, pa, threshold, rejected)
+                visits.append((i, p, pa, threshold, rejected))
                 lo, hi = offsets[i], offsets[i + 1]
                 if rejected and lo < hi:
                     next_groups.append(children[lo:hi].tolist())
@@ -114,7 +115,24 @@ def topdown_loop(tree, p_source, variant, *, alpha=0.05, schedule=None) -> Resul
             sched = recompute_after_pruning(sched, tree, cut, depth)
         depth += 1
         groups = next_groups
-    return ResultTree(variant=variant.name, alpha=alpha, outcomes=outcomes)
+    node, p, p_adjusted, alpha_applied, rejected = zip(*visits)
+    return Walk(
+        1, np.zeros(len(visits), dtype=np.int64), np.array(node), np.array(p),
+        np.array(p_adjusted), np.array(alpha_applied), np.array(rejected),
+    )
+
+
+def outcomes(walk, tree) -> dict:
+    """A one-row walk's ``(p, p_adjusted, alpha_applied, rejected)`` per
+    tested node id, in the walk's order."""
+    columns = (walk.p, walk.p_adjusted, walk.alpha_applied, walk.rejected)
+    values = zip(*(c.tolist() for c in columns))
+    return {tree.ids[i]: v for i, v in zip(walk.node.tolist(), values)}
+
+
+def rejected_ids(walk, tree) -> list:
+    """The ids of a one-row walk's rejected nodes, in the walk's order."""
+    return [tree.ids[i] for i in walk.node[walk.rejected].tolist()]
 
 
 def bh_stepup_reject(pvals, alpha) -> set[int]:
@@ -329,9 +347,9 @@ def simulate_weak_per_replicate(k, L, alpha, replicates, seed) -> "sim.WeakSumma
     for rep in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, L, rep]))
         result = topdown_loop(tree, lambda nid: rng.random(), sim.gate.UNADJUSTED, alpha=alpha)
-        rejections = len(result.rejected_ids())
+        rejections = int(result.rejected.sum())
         hits += rejections > 0
-        tests += 1 + rejections - result.outcome(tree.root).rejected
+        tests += 1 + rejections - bool(result.rejected[0])  # the root is pair 0
         tested += result.nodes_tested
     fwer = hits / replicates
     return sim.WeakSummary(

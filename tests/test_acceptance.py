@@ -69,7 +69,7 @@ def test_criterion_2_star_tree_inflation():
         rng = np.random.default_rng(np.random.SeedSequence([SEED, rep]))
         p_source = lambda nid: 0.0 if nid == star.root else rng.random()
         result = run_topdown(star, p_source, UNADJUSTED, alpha=0.05)
-        hits += any(result.outcome(leaf).rejected for leaf in star.leaves)
+        hits += bool(star.is_leaf[result.node[result.rejected]].any())
     fwer = hits / replicates
     target = 1 - 0.95 ** 9
     report(

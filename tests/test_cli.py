@@ -14,7 +14,6 @@ from treegate.cli import (
     main,
     read_dataset,
     read_node_sizes,
-    result_from_json,
     result_to_json,
 )
 
@@ -165,6 +164,15 @@ class TestReadDataset:
         with pytest.raises(CliError, match=message):
             read_dataset(path)
 
+    def test_clashing_node_ids_are_one_line_error(self, tmp_path, capsys):
+        # a block named after its own site: both would get the id 'a'
+        path = tmp_path / "clash.csv"
+        path.write_text("unit_id,block_id,treatment,outcome,site\nu1,a,0,2.0,a\nu2,a,1,1.0,a\n")
+        assert main(["test", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: duplicate node id: 'a' is both group ('a',) and block 'a'\n"
+        )
+
 
 class TestCmdTest:
     def test_json_output_upward_closed_and_round_trips(self, tmp_path, capsys):
@@ -180,7 +188,8 @@ class TestCmdTest:
         for node in doc["nodes"]:
             if node["rejected"] and node["parent"] is not None:
                 assert by_id[node["parent"]]["rejected"]
-        # parsing the file reproduces the engine's ResultTree field-for-field
+        # the file's tested nodes are the engine's walk, field for field
+        from _oracles import outcomes
         from treegate import gate
         from treegate.permtest import TestSpec, permutation_pvalue
 
@@ -194,7 +203,12 @@ class TestCmdTest:
             return permutation_pvalue(node_blocks, spec, stream_key="")
 
         direct = gate.run_topdown(dataset.tree, p_source, gate.UNADJUSTED, alpha=0.05)
-        assert result_from_json(text) == direct
+        assert (doc["variant"], doc["alpha"]) == ("unadjusted", 0.05)
+        fields = ("p", "p_adjusted", "alpha_applied", "rejected")
+        tested = {n["id"]: tuple(n[f] for f in fields) for n in doc["nodes"] if n["tested"]}
+        assert tested == outcomes(direct, dataset.tree)
+        untested = [tuple(n[f] for f in fields) for n in doc["nodes"] if not n["tested"]]
+        assert set(untested) <= {(None, None, None, False)}
 
     def test_byte_identical_reruns(self, tmp_path):
         data = small_dataset(tmp_path / "d.csv")
@@ -693,6 +707,9 @@ def test_committed_configs_build_their_studies():
         (["alpha-schedule", "{sizes}", "--d-hat", "0.3"], None),
         (["alpha-schedule", "{valid_sizes}", "--d-hat", "nan"], None),
         (["test", "{data}", "--variant", "adaptive", "--d-hat", "nan"], None),
+        (["test", "{data}", "--d-hat", "-5"], None),
+        (["test", "{data}", "--variant", "local_bh", "--d-hat", "nan"], None),
+        (["test", "{data}", "--d-hat", "inf"], None),
         (["simulate", "strong", "--config", "{config}"],
          "k=2\nL=3\nunits_per_leaf=8\nnull_proportion=0.5\nd=nan\n"),
         (["simulate", "dpp", "--config", "{config}"], "d=nan\n"),
@@ -707,6 +724,7 @@ def test_committed_configs_build_their_studies():
     ids=["alpha_above_one", "alpha_above_half", "too_few_perms", "negative_d_hat",
          "strong_few_replicates", "strong_unknown_method", "dpp_unknown_statistic",
          "schedule_one_unit_leaf", "schedule_nan_d_hat", "adaptive_nan_d_hat",
+         "fixed_negative_d_hat", "local_bh_nan_d_hat", "fixed_inf_d_hat",
          "strong_nan_d", "dpp_nan_d", "weak_negative_seed", "strong_negative_seed",
          "missing_data", "missing_config", "out_in_missing_dir", "data_not_utf8"],
 )

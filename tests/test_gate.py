@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import shuffled_trees, topdown_loop
+from _oracles import outcomes, rejected_ids, shuffled_trees, topdown_loop
 from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptive_schedule
 from treegate.gate import (
     ADAPTIVE,
@@ -14,7 +14,6 @@ from treegate.gate import (
     LOCAL_BH,
     LOCAL_HOMMEL,
     UNADJUSTED,
-    NodeOutcome,
     run_bottom_up,
     run_bottom_up_batch,
     run_topdown,
@@ -55,31 +54,31 @@ class TestRunTopdown:
     def test_root_non_rejection_stops_everything(self, k3l3):
         result = run_topdown(k3l3, {"1": 0.6}.__getitem__, UNADJUSTED)
         assert result.nodes_tested == 1
-        assert len(result.rejected_ids()) == 0
+        assert len(rejected_ids(result, k3l3)) == 0
 
     def test_reference_trace(self, k3l3):
         result = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED, alpha=0.05)
-        assert set(result.outcomes) == {"1", "2", "3", "4", "5", "6", "7"}
-        assert set(result.rejected_ids()) == {"1", "2", "5"}
+        assert set(outcomes(result, k3l3)) == {"1", "2", "3", "4", "5", "6", "7"}
+        assert set(rejected_ids(result, k3l3)) == {"1", "2", "5"}
         assert score_result(result, k3l3.label_truth(set())).leaves_tested == 3
 
     def test_rejected_set_upward_closed(self, k3l3):
         result = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED)
-        for nid in result.rejected_ids():
+        for nid in rejected_ids(result, k3l3):
             parent = k3l3.node(nid).parent
             if parent is not None:
-                assert result.outcome(parent).rejected
+                assert outcomes(result, k3l3)[parent][3]
 
     def test_alpha_zero_and_one(self, k3l3):
         rng = np.random.default_rng(0)
         pvals = {nid: rng.random() for nid in k3l3.ids}
         none = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED, alpha=0.0)
-        assert len(none.rejected_ids()) == 0
+        assert len(rejected_ids(none, k3l3)) == 0
         # p-values can equal 1, so alpha=1 rejects every node in the tree
         pvals["1"] = 1.0
         everything = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED, alpha=1.0)
         assert everything.nodes_tested == len(k3l3)
-        assert len(everything.rejected_ids()) == len(k3l3)
+        assert len(rejected_ids(everything, k3l3)) == len(k3l3)
 
     @given(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
@@ -90,12 +89,12 @@ class TestRunTopdown:
         low, high = sorted([a1, a2])
         r_low = run_topdown(tree, pvals.__getitem__, UNADJUSTED, alpha=low)
         r_high = run_topdown(tree, pvals.__getitem__, UNADJUSTED, alpha=high)
-        assert set(r_low.rejected_ids()) <= set(r_high.rejected_ids())
+        assert set(rejected_ids(r_low, tree)) <= set(rejected_ids(r_high, tree))
 
     def test_deterministic(self, k3l3):
         a = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED)
         b = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED)
-        assert a == b
+        assert outcomes(a, k3l3) == outcomes(b, k3l3)
 
     def test_missing_pvalue_raises(self, k3l3):
         message = r"^p-value source has no value for reachable node '2'$"
@@ -119,23 +118,24 @@ class TestLocalAdjustment:
         pvals = {"1": 0.001, "2": 0.03, "3": 0.04, "4": 0.9}
         pvals.update({str(i): 0.9 for i in range(5, 14)})
         plain = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED)
-        assert set(plain.rejected_ids()) >= {"1", "2", "3"}
+        assert set(rejected_ids(plain, k3l3)) >= {"1", "2", "3"}
         local = run_topdown(k3l3, pvals.__getitem__, LOCAL_HOMMEL)
-        assert set(local.rejected_ids()) == {"1"}
+        assert set(rejected_ids(local, k3l3)) == {"1"}
 
     def test_local_bh_adjusts_within_group(self, k3l3):
         pvals = {"1": 0.001, "2": 0.01, "3": 0.02, "4": 0.03}
         pvals.update({str(i): 0.9 for i in range(5, 14)})
         result = run_topdown(k3l3, pvals.__getitem__, LOCAL_BH)
         # BH over (0.01, 0.02, 0.03): adjusted (0.03, 0.03, 0.03) -> all pass
-        assert set(result.rejected_ids()) == {"1", "2", "3", "4"}
+        assert set(rejected_ids(result, k3l3)) == {"1", "2", "3", "4"}
 
     def test_root_group_of_one_is_unchanged(self, k3l3):
         pvals = {nid: 0.9 for nid in k3l3.ids}
         pvals["1"] = 0.04
         result = run_topdown(k3l3, pvals.__getitem__, LOCAL_HOMMEL, alpha=0.05)
-        assert result.outcome("1").rejected
-        assert result.outcome("1").p_adjusted == 0.04
+        _, p_adjusted, _, rejected = outcomes(result, k3l3)["1"]
+        assert rejected
+        assert p_adjusted == 0.04
 
 
 class TestAdaptiveVariants:
@@ -145,10 +145,10 @@ class TestAdaptiveVariants:
         pvals = {"1": 0.001, "2": 0.02, "3": 0.5, "4": 0.5}
         pvals.update({str(i): 0.9 for i in range(5, 14)})
         plain = run_topdown(k3l3, pvals.__getitem__, UNADJUSTED)
-        assert "2" in plain.rejected_ids()
+        assert "2" in rejected_ids(plain, k3l3)
         adaptive = run_topdown(k3l3, pvals.__getitem__, ADAPTIVE, schedule=sched)
-        assert adaptive.outcome("2").alpha_applied == pytest.approx(0.05 / 3)
-        assert "2" not in adaptive.rejected_ids()
+        assert outcomes(adaptive, k3l3)["2"][2] == pytest.approx(0.05 / 3)
+        assert "2" not in rejected_ids(adaptive, k3l3)
 
     def test_adaptive_requires_schedule(self, k3l3):
         with pytest.raises(GateError, match="schedule"):
@@ -167,7 +167,7 @@ class TestAdaptiveVariants:
             run_topdown(tree, FIG_PVALUES.get, variant, alpha=0.05, schedule=sched)
         # a fixed variant reads no schedule, so it ignores one at any alpha
         fixed = run_topdown(tree, FIG_PVALUES.get, UNADJUSTED, alpha=0.05, schedule=sched)
-        assert fixed.outcome("1").alpha_applied == 0.05
+        assert outcomes(fixed, tree)["1"][2] == 0.05
 
     def test_pruned_relaxes_after_dead_branches(self):
         tree = build_regular(3, 3, units_per_leaf=300)
@@ -179,9 +179,9 @@ class TestAdaptiveVariants:
         pvals.update({str(i): 0.021 for i in range(5, 14)})
         plain = run_topdown(tree, pvals.__getitem__, ADAPTIVE, schedule=sched)
         pruned = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=sched)
-        assert set(plain.rejected_ids()) <= set(pruned.rejected_ids())
-        leaf_plain = plain.outcome("5").alpha_applied
-        leaf_pruned = pruned.outcome("5").alpha_applied
+        assert set(rejected_ids(plain, tree)) <= set(rejected_ids(pruned, tree))
+        leaf_plain = outcomes(plain, tree)["5"][2]
+        leaf_pruned = outcomes(pruned, tree)["5"][2]
         assert leaf_pruned == pytest.approx(min(0.05, leaf_plain * 3), rel=1e-6)
 
     def test_pruned_equals_adaptive_when_nothing_pruned(self, k3l3):
@@ -190,7 +190,7 @@ class TestAdaptiveVariants:
         pvals = {nid: 0.0001 for nid in tree.ids}
         a = run_topdown(tree, pvals.__getitem__, ADAPTIVE, schedule=sched)
         b = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=sched)
-        assert set(a.rejected_ids()) == set(b.rejected_ids())
+        assert set(rejected_ids(a, tree)) == set(rejected_ids(b, tree))
 
 
 def rebuilt_pruned_walk(tree, pvals, schedule):
@@ -242,18 +242,19 @@ class TestPrunedAgainstRebuiltTree:
         pvals = data.draw(st.fixed_dictionaries({nid: p for nid in ids}), label="pvals")
         result = run_topdown(tree, pvals.__getitem__, ADAPTIVE_PRUNED, schedule=schedule)
         rejected, applied = rebuilt_pruned_walk(tree, pvals, schedule)
-        assert set(result.rejected_ids()) == rejected
-        assert {nid: o.alpha_applied for nid, o in result.outcomes.items()} == applied
+        assert set(rejected_ids(result, tree)) == rejected
+        assert {nid: o[2] for nid, o in outcomes(result, tree).items()} == applied
 
 
 def scalar_rows(tree, P, variant, schedule):
     """The scalar oracle walk on each row of ``P``: per row, the tested ids,
-    the rejected ids and the result."""
+    the rejected ids and the ``(p, p_adjusted, alpha_applied, rejected)``
+    outcomes by id, in the order the walk tests them."""
     out = []
     for row in P:
         p_of = dict(zip(tree.ids, row.tolist())).__getitem__
-        result = topdown_loop(tree, p_of, variant, schedule=schedule)
-        out.append((set(result.outcomes), set(result.rejected_ids()), result))
+        result = outcomes(topdown_loop(tree, p_of, variant, schedule=schedule), tree)
+        out.append((set(result), {nid for nid, o in result.items() if o[3]}, result))
     return out
 
 
@@ -267,7 +268,7 @@ def walk_rows(tree, walk):
         out[r][0].add(nid)
         if rejected:
             out[r][1].add(nid)
-        out[r][2][nid] = NodeOutcome(nid, True, p, pa, a, rejected)
+        out[r][2][nid] = (p, pa, a, rejected)
     return out
 
 
@@ -276,7 +277,7 @@ def pin_thresholds(tree, P, schedule):
     compared with, in place; the scalar walks keep their decisions."""
     for r, (_, rejected, result) in enumerate(scalar_rows(tree, P, ADAPTIVE_PRUNED, schedule)):
         for nid in rejected:
-            P[r, tree.index_of(nid)] = result.outcome(nid).alpha_applied
+            P[r, tree.index_of(nid)] = result[nid][2]
 
 
 def wide_tree(fanouts, units):
@@ -336,10 +337,10 @@ class TestBatchAgainstScalar:
         # then flip a decision.
         pin_thresholds(tree, P, schedule)
         applied = sorted({
-            o.alpha_applied
+            o[2]
             for variant in VARIANTS.values()
             for *_, result in scalar_rows(tree, P, variant, schedule)
-            for o in result.outcomes.values()
+            for o in result.values()
         })
         on_threshold = data.draw(
             st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, len(tree) - 1),
@@ -354,7 +355,7 @@ class TestBatchAgainstScalar:
             for r, (_, _, want) in enumerate(scalar_rows(tree, P, variant, schedule)):
                 # every tested node's p, adjusted p, threshold and decision,
                 # in the order the scalar walk tests them
-                assert list(got[r][2].items()) == list(want.outcomes.items()), (variant.name, r)
+                assert list(got[r][2].items()) == list(want.items()), (variant.name, r)
 
         leaves = np.flatnonzero(tree.is_leaf)
         for method in ("bu_hommel", "bu_bh"):
@@ -489,7 +490,7 @@ class TestWeakControlProperty:
         for rep in range(replicates):
             rng = np.random.default_rng(np.random.SeedSequence([k, L, rep]))
             result = run_topdown(tree, lambda nid: rng.random(), UNADJUSTED)
-            hits += len(result.rejected_ids()) > 0
+            hits += len(rejected_ids(result, tree)) > 0
         se = np.sqrt(0.05 * 0.95 / replicates)
         assert hits / replicates <= 0.05 + 2 * se
 
@@ -536,6 +537,12 @@ class TestScoring:
         assert score.any_false_rejection_node
         assert score.false_rejection_prop_node == 1.0
         assert score.power_node == 0.0
+
+    def test_walk_of_several_rows_rejected(self, k3l3):
+        labeled = k3l3.label_truth({"5"})
+        walk = run_topdown_batch(labeled, np.full((2, len(labeled)), 0.9))
+        with pytest.raises(GateError, match="one row, not 2"):
+            score_result(walk, labeled)
 
     def test_unlabeled_tree_rejected(self, k3l3):
         result = run_topdown(k3l3, {"1": 0.9}.__getitem__, UNADJUSTED)

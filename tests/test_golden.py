@@ -6,9 +6,10 @@ Each case runs one ``treegate`` command on a committed input under
 cohorts) with larger unions (Monte Carlo at the sites and the root);
 ``sizes.csv`` lists a child before its parent.
 
-To regenerate the expected files after an intended output change::
+To regenerate the expected files of the named cases after an intended
+output change (without names it lists the cases and writes nothing)::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py test_meandiff_bh.json ...
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ CASES = {
     "test_meandiff_adaptive.csv": [
         "test", "trial.csv", "--variant", "adaptive", "--d-hat", "0.5", "--statistic", "mean_diff",
         "--n-perms", "200", "--seed", "8", "--format", "csv",
+    ],
+    "test_meandiff_bh.json": [
+        "test", "trial.csv", "--variant", "local_bh", "--statistic", "mean_diff",
+        "--n-perms", "200", "--seed", "7", "--format", "json",
     ],
     "test_meandiff_hommel.csv": [
         "test", "trial.csv", "--variant", "local_hommel", "--statistic", "mean_diff",
@@ -66,6 +71,12 @@ def test_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    unknown = [case for case in sys.argv[1:] if case not in CASES]
+    if unknown or len(sys.argv) < 2:
+        if unknown:
+            print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
+        print("name the cases to regenerate:", *CASES, sep="\n  ", file=sys.stderr)
+        sys.exit(2 if unknown else 0)
+    for case in sys.argv[1:]:
         _run(case, os.path.join(GOLDEN, case))
         print(f"wrote {case}", file=sys.stderr)

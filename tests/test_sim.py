@@ -28,6 +28,7 @@ from treegate.sim import (
 from treegate.tree import TreeError, build_from_paths, build_regular
 
 from _oracles import (
+    outcomes,
     simulate_dpp_per_replicate,
     simulate_strong_per_replicate,
     simulate_weak_per_replicate,
@@ -129,7 +130,7 @@ class TestSimulateWeak:
             want = topdown_loop(tree, lambda nid: rng.random(), UNADJUSTED, alpha=0.5)
             mine = result.row == rep
             got = dict(zip([tree.ids[i] for i in result.node[mine].tolist()], result.p[mine].tolist()))
-            assert got == {nid: o.p_value for nid, o in want.outcomes.items()}, rep
+            assert got == {nid: o[0] for nid, o in outcomes(want, tree).items()}, rep
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 20, 50, 100])
     def test_fwer_across_branching_sweep(self, k):

@@ -5,8 +5,9 @@ them up, so a refactor that renames or deletes one of them makes a
 ``perfbench/run.py --trace 1`` run stop with an ``AttributeError``, and a
 call that skips the patched name silently drops out of the per-layer counts.
 pytest collects only ``tests/``, so these tests run the tracer in a fresh
-interpreter: once only installing it, once through small studies and a
-``treegate test`` run that must reach every traced name.
+interpreter: once only installing it, once through small studies and
+``treegate test`` runs that must reach every traced name and count what
+the runs wrote.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,20 +73,36 @@ sim.simulate_strong(sim.ScenarioConfig(
 sim.simulate_dpp(sim.DppConfig(
     d=0.4, replicates=100, n_perms=100,
     methods=("td", "td_hommel", "td_adapt_pruned", "bu_hommel")))
+tested = 0  # nodes the CLI runs' JSON marks tested
 with tempfile.TemporaryDirectory() as tmp:
-    status = cli.main([
-        "test", os.path.join("tests", "golden", "trial.csv"), "--variant", "adaptive_pruned",
-        "--d-hat", "0.4", "--n-perms", "200", "--format", "json",
-        "--out", os.path.join(tmp, "result.json"),
-    ])
-assert status == 0
-print(json.dumps(dict(tr.calls)))
+    out = os.path.join(tmp, "result.json")
+    for flags in (["--variant", "adaptive_pruned", "--d-hat", "0.4"],
+                  ["--variant", "local_bh", "--statistic", "mean_diff", "--seed", "7"]):
+        status = cli.main([
+            "test", os.path.join("tests", "golden", "trial.csv"), *flags, "--n-perms", "200",
+            "--format", "json", "--out", out,
+        ])
+        assert status == 0
+        with open(out) as fh:
+            tested += sum(node["tested"] for node in json.load(fh)["nodes"])
+print(json.dumps({"calls": dict(tr.calls), "counts": dict(tr.counts), "tested": tested}))
 """
 
 
-def test_traced_runs_reach_every_call_site():
+@pytest.fixture(scope="module")
+def traced():
     proc = _run_with_tracer(TRACED_RUN)
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_runs_reach_every_call_site(traced):
+    calls = traced["calls"]
     missing = [name for name in TRACED_CALLS if not calls.get(name)]
     assert not missing, calls
+
+
+def test_traced_nodes_tested_is_what_the_cli_wrote(traced):
+    # the studies walk through ``gate.walk``, so only the CLI runs count here
+    assert traced["tested"] > 2  # the local_bh run goes below the root
+    assert traced["counts"]["gate.nodes_tested"] == traced["tested"]

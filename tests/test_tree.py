@@ -145,6 +145,19 @@ class TestBuildFromPaths:
         with pytest.raises(TreeError, match="duplicate node id: 'G'"):
             build_from_paths([("G", ("X", "G"), 5), ("b2", ("G", "b2"), 5)])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([("a", ("a", "a"), 5)], "'a' is both group ('a',) and block 'a'"),
+         ([("root", ("root",), 5)], "'root' is both the root and block 'root'"),
+         ([("x", ("a/b", "x"), 5), ("y", ("a", "b", "y"), 5)],
+          "'a/b' is both group ('a/b',) and group ('a', 'b')")],
+        ids=["block_named_as_group", "block_named_root", "slash_in_group_label"],
+    )
+    def test_id_clash_names_both_nodes(self, rows, message):
+        with pytest.raises(TreeError) as err:
+            build_from_paths(rows)
+        assert str(err.value) == f"duplicate node id: {message}"
+
     def test_block_that_is_also_a_group_rejected(self):
         rows = [("bA", ("X",), 5), ("bB", ("X", "Y", "bB"), 5)]
         with pytest.raises(TreeError, match="group"):
