@@ -15,7 +15,8 @@ so the walk goes below it.  A flat copy of the file, without its hierarchy
 columns and so with its seven blocks in one sibling group under the root,
 is written to a temporary directory and tested with both local Hommel
 variants.  The energy statistic, whose quadratic form no other command
-reaches, runs on ``tests/golden/trial.csv`` in JSON with three variants.
+reaches, and the rank statistic, the CLI's default, each run on
+``tests/golden/trial.csv`` in JSON with three variants.
 Each line is a digest, two spaces and the command.
 """
 
@@ -44,7 +45,7 @@ SIMULATE = [
 ]
 SEEDED = ["--d-hat", "0.4", "--n-perms", "200", "--seed", "7"]
 TEST_ARGS = ["--statistic", "mean_diff", *SEEDED]
-ENERGY_VARIANTS = ("unadjusted", "adaptive", "adaptive_pruned")
+STATISTIC_VARIANTS = ("unadjusted", "adaptive", "adaptive_pruned")
 FLAT = "trial_flat.csv"  # named as printed; written to the temporary directory
 
 
@@ -59,11 +60,12 @@ def commands() -> list[list[str]]:
     for variant in ("local_hommel", "adaptive_hommel"):
         for fmt in ("json", "csv", "dot"):
             out.append(["test", FLAT, "--variant", variant, *TEST_ARGS, "--format", fmt])
-    for variant in ENERGY_VARIANTS:
-        out.append(
-            ["test", "tests/golden/trial.csv", "--variant", variant, "--statistic", "energy",
-             *SEEDED, "--format", "json"]
-        )
+    for statistic in ("energy", "rank"):
+        for variant in STATISTIC_VARIANTS:
+            out.append(
+                ["test", "tests/golden/trial.csv", "--variant", variant, "--statistic", statistic,
+                 *SEEDED, "--format", "json"]
+            )
     return out
 
 

@@ -7,7 +7,7 @@ new array aligned with the input order; adjusted values are clamped to 1.
 1-d functions are the same kernels on a single row.  ``hommel_rows`` makes
 one pass per subset size over each chunk of rows; ``hommel_rejections``
 gives Hommel's decisions at one level without any adjusted value, from the
-same Simes minima.
+same Simes minima, and ``bh_rejections`` gives BH's from one sort.
 """
 
 from __future__ import annotations
@@ -48,6 +48,24 @@ def bh_rows(p: np.ndarray) -> np.ndarray:
     ranked = (m * ps) / np.arange(1, m + 1)
     adjusted = np.minimum.accumulate(ranked[..., ::-1], axis=-1)[..., ::-1]
     return _unsorted_rows(order, adjusted)
+
+
+def bh_rejections(p: np.ndarray, alpha: float) -> np.ndarray:
+    """``bh_rows(p) <= alpha`` for a (rows, m) array of valid p-values,
+    from one sort per row and without any adjusted value.
+
+    With ``k`` the largest rank whose ``(m * p_(k)) / k`` (``bh_rows``'s
+    expression) is at most ``alpha``, a value is rejected exactly when it
+    is at most ``p_(k)``: the adjusted value at rank ``i`` is the minimum of
+    that expression over ranks ``i`` and up, and a value tied with
+    ``p_(k)`` at a higher rank would itself pass at that rank.
+    """
+    ps = np.sort(p, axis=-1)
+    m = ps.shape[-1]
+    passed = (m * ps) / np.arange(1, m + 1) <= alpha
+    k = m - 1 - np.argmax(passed[:, ::-1], axis=-1)  # largest passing rank, 0-based
+    cut = np.where(passed.any(axis=-1), ps[np.arange(len(ps)), k], -np.inf)
+    return p <= cut[:, None]
 
 
 def _simes_minima(tail: np.ndarray) -> np.ndarray:

@@ -78,7 +78,7 @@ VARIANTS: dict[str, GateVariant] = {
 # each decides every row of a (rows, leaves) matrix at level alpha at once
 _BOTTOM_UP_DECISIONS = {
     "bu_hommel": adjust.hommel_rejections,
-    "bu_bh": lambda p, alpha: adjust.bh_rows(p) <= alpha,
+    "bu_bh": adjust.bh_rejections,
 }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ STATISTICS = ("mean_diff", "rank", "energy")
 # Keys drawn and sorted at once by ``block_draws``: a block's Monte Carlo
 # draws take a few temporaries of this many keys, never n_perms * n.
 _KEY_CHUNK = 1 << 15
+
+# Guide-table buckets per treated rank sum (``_rank_sum_null``): about one
+# uniform in this many falls in a bucket that needs a binary search.
+_GUIDE = 16
 
 
 class PermTestError(ValueError):
@@ -154,14 +158,18 @@ def _check_blocks(blocks: Sequence[Block]) -> None:
         raise DegenerateBlockError(bad)
 
 
-def _weighted_diff(n: int, m: int, sum_treated, sum_control) -> np.ndarray:
+def _weighted_diff(statistic: str, n: int, m: int, sum_treated, sum_control) -> np.ndarray:
     """``n`` times (treated mean - control mean), from the arms' score sums.
 
     The sums have shape (..., q) and the result keeps it.  A node's
     statistic is the sum of its blocks' weighted differences divided by the
     node's unit count, so a node is formed from its blocks' rows by
-    addition alone.
+    addition alone.  Rank rows are formed over one common denominator: on a
+    balanced block that is an exact integer, so assignments with equal rank
+    totals give equal rows and count as ties.
     """
+    if statistic == "rank":
+        return n * ((n - m) * sum_treated - m * sum_control) / (m * (n - m))
     return n * (sum_treated / m - sum_control / (n - m))
 
 
@@ -177,6 +185,81 @@ def _uint32_keys(bitgen, rows: int, n: int) -> np.ndarray:
     return bitgen.random_raw(-(-size // 2)).view(np.uint32)[:size].reshape(rows, n)
 
 
+def _rank_sum_counts(n: int, m: int) -> np.ndarray:
+    """Counts of the m-subsets of ranks 1..n by their sum W: entry ``u``
+    counts the subsets with ``W = m(m+1)/2 + u``, and the entries add up to
+    ``C(n, m)``.
+
+    They are the coefficients of the Gaussian binomial ``prod_{i<=k} (1 -
+    q^(n-k+i)) / (1 - q^i)`` with ``k = min(m, n - m)`` (the same for m and
+    n - m), built one factor pair at a time, as scipy's Mann-Whitney
+    ``build_u_freqs_array`` does.  After pair ``i`` they count the i-subsets
+    of n - k + i ranks, at most ``C(n, m)``, so no step overflows int64
+    while ``C(n, m) < 2^63``.
+    """
+    k = min(m, n - m)
+    size = k * (n - k) + 1
+    counts = np.zeros(size, dtype=np.int64)
+    counts[0] = 1
+    for i in range(1, k + 1):
+        a = n - k + i
+        counts[a:] -= counts[:-a].copy()  # times (1 - q^a)
+        padded = np.zeros(-(-size // i) * i, dtype=np.int64)
+        padded[:size] = counts
+        counts = padded.reshape(-1, i).cumsum(axis=0).ravel()[:size]  # over (1 - q^i)
+    return counts
+
+
+@dataclass(frozen=True)
+class _RankSumNull:
+    """Lookup tables of one block shape's treated rank sum W, by ``u = W -
+    m(m+1)/2``: the cumulative ``_rank_sum_counts``, whose last entry is
+    ``C(n, m)``; a guide table over ``[0, C(n, m))`` in buckets of
+    ``width``, holding the index of the bucket's uniforms where they all
+    share one, else -1; and the block row (``_weighted_diff``) of each W."""
+
+    cdf: np.ndarray
+    guide: np.ndarray
+    width: int
+    rows: np.ndarray
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self.cdf, u, side="right")``, from the guide
+        table, with a search only for uniforms in a bucket that holds a step
+        of the cdf."""
+        at = self.guide[u // self.width]
+        open_ = np.flatnonzero(at < 0)
+        at[open_] = np.searchsorted(self.cdf, u[open_], side="right")
+        return at
+
+
+@lru_cache(maxsize=256)  # one entry per block shape in use
+def _rank_sum_null(n: int, m: int) -> _RankSumNull:
+    """The ``_RankSumNull`` of a block of n units, m of them treated, with
+    about ``_GUIDE`` guide buckets per rank sum."""
+    cdf = np.cumsum(_rank_sum_counts(n, m))
+    total = int(cdf[-1])
+    width = -(-total // (_GUIDE * cdf.size))
+    starts = np.arange(0, total, width)
+    ends = starts + np.minimum(width - 1, total - 1 - starts)  # no int64 overflow
+    first, last = (np.searchsorted(cdf, u, side="right") for u in (starts, ends))
+    guide = np.where(first == last, first, -1)
+    w = np.arange(cdf.size) + m * (m + 1) / 2
+    rows = _weighted_diff("rank", n, m, w, n * (n + 1) / 2 - w)
+    for table in (cdf, guide, rows):
+        table.flags.writeable = False
+    return _RankSumNull(cdf, guide, width, rows)
+
+
+def _untied_rank_sum(block: Block) -> int | None:
+    """The treated units' rank sum, or None if the outcomes have ties."""
+    order = np.argsort(block.outcome)
+    ordered = block.outcome[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return int(np.flatnonzero(block.treatment[order]).sum()) + block.n_treated
+
+
 def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     """One block's Monte Carlo rows, shape ``(spec.n_perms + 1, q)``.
 
@@ -186,13 +269,22 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     by ``(spec.seed, stream_key, block.block_id)``, so every node evaluated
     with one ``stream_key`` sums the same draws of a block.
 
-    Each assignment gives every unit an independent uniform 32-bit key and
-    treats the units whose keys are among the m smallest.  A row whose m-th
-    and (m+1)-th smallest keys are equal has all its keys drawn again from
-    the same stream, rows in order, until no row has such a tie.  Whether a
-    row ties does not depend on which unit holds which key, so the kept
-    keys stay exchangeable and each treated set is exactly uniform over the
-    m-sets of units.
+    A rank block without ties and with fewer than 2^63 assignments has a
+    row that depends on the assignment only through the treated rank sum
+    W.  It draws each W directly: one uniform integer in ``[0, C(n, m))``
+    from the stream, looked up in the cumulative counts of the m-subsets of
+    1..n by sum (``_rank_sum_null``).  W then has exactly the distribution
+    a uniform treated set gives it, and the rows are ``_weighted_diff``'s
+    rows of those sums, bit for bit.  Whether a block draws W depends only
+    on its outcomes' ties, n and m.
+
+    Every other block draws treated sets.  Each assignment gives every unit
+    an independent uniform 32-bit key and treats the units whose keys are
+    among the m smallest.  A row whose m-th and (m+1)-th smallest keys are
+    equal has all its keys drawn again from the same stream, rows in order,
+    until no row has such a tie.  Whether a row ties does not depend on
+    which unit holds which key, so the kept keys stay exchangeable and each
+    treated set is exactly uniform over the m-sets of units.
 
     Keys are drawn and sorted in chunks of an even number of rows, at most
     ``_KEY_CHUNK`` keys unless two rows are longer, so each chunk starts on
@@ -201,14 +293,24 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     """
     seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
     bitgen = np.random.PCG64(seq)
-    scores = _score_matrix(spec.statistic, block.outcome)
     n, m = block.n, block.n_treated
+    w_obs = None
+    if spec.statistic == "rank" and math.comb(n, m) < 2**63:
+        w_obs = _untied_rank_sum(block)
+    if w_obs is None:  # scored before the rows exist, so their temporaries are freed first
+        scores = _score_matrix(spec.statistic, block.outcome)
     try:
-        ind = np.empty((spec.n_perms + 1, n))
+        ind = np.empty((spec.n_perms + 1, n if w_obs is None else 1))
     except ValueError:  # past numpy's index range, which is not a MemoryError
         raise MemoryError(
             f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
         ) from None
+    if w_obs is not None:  # ind holds the rows themselves
+        null = _rank_sum_null(n, m)
+        u = np.random.Generator(bitgen).integers(0, null.cdf[-1], spec.n_perms, dtype=np.int64)
+        ind[:-1, 0] = null.rows[null.index(u)]
+        ind[-1, 0] = null.rows[w_obs - m * (m + 1) // 2]
+        return ind
     chunk = max(2, _KEY_CHUNK // n // 2 * 2)  # rows
     tied = np.empty(spec.n_perms, dtype=bool)
     for lo in range(0, spec.n_perms, chunk):
@@ -225,7 +327,7 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
         tied = tied[bounds[:, 0] == bounds[:, 1]]
     ind[-1] = block.treatment
     sums = ind @ scores
-    return _weighted_diff(n, m, sums, scores.sum(axis=0) - sums)
+    return _weighted_diff(spec.statistic, n, m, sums, scores.sum(axis=0) - sums)
 
 
 def _exact_rows(blocks: Sequence[Block], spec: TestSpec) -> tuple[np.ndarray, int]:
@@ -244,7 +346,9 @@ def _exact_rows(blocks: Sequence[Block], spec: TestSpec) -> tuple[np.ndarray, in
         control = np.ones((len(combos), b.n), dtype=bool)
         control[np.arange(len(combos))[:, None], combos] = False
         rest = np.nonzero(control)[1].reshape(len(combos), b.n - m)
-        contrib = _weighted_diff(b.n, m, scores[combos].sum(axis=1), scores[rest].sum(axis=1))
+        contrib = _weighted_diff(
+            spec.statistic, b.n, m, scores[combos].sum(axis=1), scores[rest].sum(axis=1)
+        )
         row = int(np.flatnonzero((combos == np.flatnonzero(b.treatment == 1)).all(axis=1))[0])
         if acc is None:
             acc, obs_row = contrib, row

@@ -193,7 +193,7 @@ def block_draws_unchunked(block, spec, stream_key=""):
     np.less_equal(keys, bounds[:, :1], out=ind[:-1])
     ind[-1] = block.treatment
     sums = ind @ scores
-    return _weighted_diff(n, m, sums, scores.sum(axis=0) - sums)
+    return _weighted_diff(spec.statistic, n, m, sums, scores.sum(axis=0) - sums)
 
 
 class ReferenceTree:

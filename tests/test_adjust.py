@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegate import adjust
-from treegate.adjust import adjust_bh, adjust_hommel, bh_rows, hommel_rejections, hommel_rows
+from treegate.adjust import (
+    adjust_bh, adjust_hommel, bh_rejections, bh_rows, hommel_rejections, hommel_rows,
+)
 
 from _oracles import bh_stepup_reject, closed_testing_hommel, hommel_loop
 
@@ -188,3 +190,43 @@ def test_hommel_rejections_on_seeded_matrices_equal_thresholded_adjusted_values(
         pinned = rng.choice(adjusted.ravel(), 20).tolist()
         for alpha in [0.0, 0.01, 0.05, 0.2, 1.0] + pinned:
             np.testing.assert_array_equal(hommel_rejections(P, alpha), adjusted <= alpha)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda m: st.lists(
+            st.lists(decision_pvalues, min_size=m, max_size=m), min_size=1, max_size=20
+        )
+    ),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bh_rejections_equal_thresholded_adjusted_values(rows, data):
+    P = np.array(rows)
+    adjusted = bh_rows(P)
+    # alpha at 0 and 1, anywhere, and pinned to a value the kernel produced
+    alpha = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0]),
+            st.floats(0, 1),
+            st.sampled_from(sorted(set(adjusted.ravel().tolist()))),
+        ),
+        label="alpha",
+    )
+    np.testing.assert_array_equal(bh_rejections(P, alpha), adjusted <= alpha)
+
+
+def test_bh_rejections_on_seeded_matrices_equal_thresholded_adjusted_values():
+    # ties on a lattice, rows that reject everything, and rows of one value
+    rng = np.random.default_rng(14)
+    for P in (
+        rng.random((300, 64)),
+        rng.beta(0.1, 1.0, (300, 64)),
+        rng.integers(0, 502, (40, 150)) / 501.0,
+        np.full((5, 64), 1e-6),
+        np.array([[0.0], [0.05], [0.0500001], [1.0]]),
+    ):
+        adjusted = bh_rows(P)
+        pinned = rng.choice(adjusted.ravel(), 20).tolist()
+        for alpha in [0.0, 0.01, 0.05, 0.2, 1.0] + pinned:
+            np.testing.assert_array_equal(bh_rejections(P, alpha), adjusted <= alpha)

@@ -681,7 +681,8 @@ def test_committed_configs_build_their_studies():
     paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
     names = [os.path.basename(p) for p in paths]
     assert names == [
-        "dpp.cfg", "strong.cfg", "strong_audit.cfg", "strong_gating_counterexample.cfg", "weak.cfg"
+        "dpp.cfg", "dpp_headline.cfg", "strong.cfg", "strong_audit.cfg",
+        "strong_gating_counterexample.cfg", "weak.cfg",
     ]
     for path, name in zip(paths, names):
         kind = re.match(r"weak|strong|dpp", name)[0]

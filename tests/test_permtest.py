@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import re
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -300,6 +302,8 @@ class TestMonteCarloMode:
             monkeypatch.setattr(permtest, "_KEY_CHUNK", key_chunk)
         rng = np.random.default_rng(n)
         outcome = np.round(rng.normal(size=n), 1)  # with ties
+        if statistic == "rank":
+            outcome[1] = outcome[0]  # untied rank blocks draw rank sums, not keys
         block = make_block(outcome, rng.permutation(n)[:m], "b7")
         spec = TestSpec(statistic=statistic, n_perms=n_perms, seed=9)
         got = block_draws(block, spec, "node")
@@ -538,3 +542,142 @@ def test_power_at_reference_design_point():
         block = make_block(outcome, treated)
         hits += permutation_pvalue([block], spec, stream_key=str(rep)) <= 0.05
     assert hits / replicates == pytest.approx(0.79, abs=0.08)
+
+
+class TestRankSumDraws:
+    """Rank blocks without ties draw their treated rank sum W from its
+    exact null: one uniform integer per draw, looked up in the counts of the
+    m-subsets of 1..n by sum."""
+
+    def test_counts_equal_brute_force(self):
+        for n in range(2, 15):
+            for m in range(1, n):
+                sums = Counter(map(sum, itertools.combinations(range(1, n + 1), m)))
+                low = m * (m + 1) // 2
+                want = [sums[low + u] for u in range(m * (n - m) + 1)]
+                assert permtest._rank_sum_counts(n, m).tolist() == want, (n, m)
+
+    def test_counts_add_up_to_the_assignments_and_are_symmetric(self):
+        for n in range(2, 67):  # C(66, 33) < 2^63 < C(67, 33)
+            for m in range(1, n):
+                counts = permtest._rank_sum_counts(n, m)
+                assert sum(counts.tolist()) == math.comb(n, m), (n, m)
+                assert counts.min() >= 1 and np.array_equal(counts, counts[::-1]), (n, m)
+
+    @pytest.mark.parametrize("n, m", [(7, 3), (12, 5), (50, 25), (66, 33), (300, 4)])
+    def test_guide_lookup_is_the_inverse_cdf(self, n, m):
+        null = permtest._rank_sum_null(n, m)
+        total = math.comb(n, m)
+        assert int(null.cdf[-1]) == total
+        steps = null.cdf[:-1]
+        u = np.concatenate([
+            [0, total - 1], steps - 1, steps, steps + 1,
+            np.random.default_rng(n).integers(0, total, 20_000, dtype=np.int64),
+        ])
+        u = u[(u >= 0) & (u < total)]
+        assert np.array_equal(null.index(u), np.searchsorted(null.cdf, u, side="right"))
+
+    def test_drawn_rank_sums_follow_the_counts(self):
+        n, m, draws = 12, 5, 200_000
+        block = make_block(np.random.default_rng(2).normal(size=n), [0, 3, 4, 8, 11])
+        rows = block_draws(block, TestSpec(statistic="rank", n_perms=draws, seed=3), "k")
+        assert rows.shape == (draws + 1, 1)
+        table = permtest._rank_sum_null(n, m).rows
+        u = np.searchsorted(table, rows[:-1, 0])
+        assert np.array_equal(table[u], rows[:-1, 0])  # every row is the row of a rank sum
+        observed = np.bincount(u, minlength=table.size)
+        expected = draws * permtest._rank_sum_counts(n, m) / math.comb(n, m)
+        assert expected.min() >= 5
+        statistic = ((observed - expected) ** 2 / expected).sum()
+        assert chi2.sf(statistic, table.size - 1) > 1e-3
+
+    def test_rows_are_the_weighted_differences_of_the_drawn_sums(self):
+        n, m = 9, 4
+        block = make_block(np.random.default_rng(4).normal(size=n), [1, 2, 6, 7])
+        rows = block_draws(block, TestSpec(statistic="rank", n_perms=500, seed=1), "k")
+        ranks = rankdata(block.outcome)
+        sums = np.arange(m * (m + 1) // 2, m * (2 * n - m + 1) // 2 + 1)
+        w = np.append(sums, ranks[[1, 2, 6, 7]].sum())
+        want = permtest._weighted_diff("rank", n, m, w, n * (n + 1) / 2 - w)
+        assert set(rows[:-1, 0].tolist()) <= set(want[:-1].tolist())
+        assert rows[-1, 0] == want[-1]
+
+    def test_draws_depend_on_neither_the_cache_nor_the_draw_count(self):
+        block = make_block(np.random.default_rng(6).normal(size=10), [0, 2, 5, 9], "b3")
+        spec = TestSpec(statistic="rank", n_perms=1000, seed=5)
+        permtest._rank_sum_null.cache_clear()
+        cold = block_draws(block, spec, "k")
+        warm = block_draws(block, spec, "k")
+        assert cold.tobytes() == warm.tobytes()
+        fewer = block_draws(block, TestSpec(statistic="rank", n_perms=100, seed=5), "k")
+        assert np.array_equal(fewer[:-1], cold[:100]) and fewer[-1] == cold[-1]
+
+    @pytest.mark.parametrize(
+        "n, m, tie", [(9, 4, True), (70, 35, False)], ids=["tied", "past_2_63_assignments"]
+    )
+    def test_other_rank_blocks_draw_keys_as_the_unchunked_sampler(self, n, m, tie):
+        rng = np.random.default_rng(n)
+        outcome = rng.normal(size=n)
+        if tie:
+            outcome[5] = outcome[2]
+        else:
+            assert math.comb(n, m) >= 2**63
+        block = make_block(outcome, rng.permutation(n)[:m], "b8")
+        spec = TestSpec(statistic="rank", n_perms=300, seed=4)
+        got = block_draws(block, spec, "node")
+        want = block_draws_unchunked(block, spec, "node")
+        assert got.shape == (301, 1) and got.tobytes() == want.tobytes()
+
+
+def doubled_rank_tail(blocks, sides):
+    """Exact tail count of a node of balanced blocks, by integer brute force
+    over every joint assignment.  With doubled mid-ranks every score is an
+    integer, and a balanced block's weighted difference is its treated sum
+    minus its control sum of them."""
+    per_block, observed = [], 0
+    for b in blocks:
+        r2 = (2 * rankdata(b.outcome)).astype(int).tolist()
+        total = sum(r2)
+        per_block.append([
+            2 * sum(r2[i] for i in combo) - total
+            for combo in itertools.combinations(range(b.n), b.n_treated)
+        ])
+        observed += 2 * sum(r for r, t in zip(r2, b.treatment) if t) - total
+    count = 0
+    for values in itertools.product(*per_block):
+        t = sum(values)
+        count += abs(t) >= abs(observed) if sides == "two" else t >= observed
+    return count
+
+
+class TestExactRankTies:
+    """Exact rank p-values count every assignment whose rank total ties the
+    observed one."""
+
+    def test_golden_trial_node_s2a(self):
+        from treegate.cli import read_dataset
+
+        dataset = read_dataset(os.path.join(os.path.dirname(__file__), "golden", "trial.csv"))
+        blocks = [b for b in dataset.blocks if b.block_id in ("b04", "b05")]
+        spec = TestSpec(statistic="rank")
+        assert total_assignments(blocks) == 5040
+        assert doubled_rank_tail(blocks, "two") == 558
+        assert permutation_pvalue(blocks, spec) == 558 / 5040
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["no_ties", "ties"])
+    def test_balanced_nodes_match_integer_brute_force(self, ties):
+        rng = np.random.default_rng(27 + ties)
+        checked = 0
+        while checked < 40:
+            sizes = rng.choice([4, 6, 8], size=rng.integers(1, 4))
+            if math.prod(math.comb(int(n), int(n) // 2) for n in sizes) > 5000:
+                continue
+            blocks = []
+            for i, n in enumerate(sizes):
+                y = rng.integers(0, 4, n).astype(float) if ties else rng.normal(size=n)
+                blocks.append(make_block(y, rng.permutation(n)[: n // 2], f"b{i}"))
+            M = total_assignments(blocks)
+            for sides in ("one", "two"):
+                p = permutation_pvalue(blocks, TestSpec(statistic="rank", sides=sides))
+                assert p == doubled_rank_tail(blocks, sides) / M, (sizes, sides)
+            checked += 1
