@@ -178,6 +178,12 @@ def _key_int(key) -> int:
     return int.from_bytes(b"\x01" + str(key).encode("utf-8"), "big")
 
 
+def block_entropy(spec: TestSpec, stream_key, block_id: str) -> tuple[int, int, int]:
+    """The SeedSequence entropy of one block's Monte Carlo stream:
+    ``(spec.seed, stream_key, block_id)``, each key as an integer."""
+    return spec.seed, _key_int(stream_key), _key_int(block_id)
+
+
 def _uint32_keys(bitgen, rows: int, n: int) -> np.ndarray:
     """``rows`` x ``n`` independent uniform 32-bit keys, two from each
     64-bit word of ``bitgen``."""
@@ -260,14 +266,16 @@ def _untied_rank_sum(block: Block) -> int | None:
     return int(np.flatnonzero(block.treatment[order]).sum()) + block.n_treated
 
 
-def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
+def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.ndarray:
     """One block's Monte Carlo rows, shape ``(spec.n_perms + 1, q)``.
 
     Rows are the block's weighted differences (``_weighted_diff``) for
     ``spec.n_perms`` random within-block assignments, followed by the
     observed assignment as the last row.  The draws come from a stream keyed
-    by ``(spec.seed, stream_key, block.block_id)``, so every node evaluated
-    with one ``stream_key`` sums the same draws of a block.
+    by ``(spec.seed, stream_key, block.block_id)`` (``block_entropy``), so
+    every node evaluated with one ``stream_key`` sums the same draws of a
+    block.  A caller that seeds many blocks at once passes ``bitgen``, a
+    PCG64 at the start of that stream; otherwise the stream is seeded here.
 
     A rank block without ties and with fewer than 2^63 assignments has a
     row that depends on the assignment only through the treated rank sum
@@ -291,8 +299,9 @@ def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     a 64-bit word and the stream is read as if all keys came at once.  Tied
     rows are drawn again only after the last chunk.
     """
-    seq = np.random.SeedSequence([spec.seed, _key_int(stream_key), _key_int(block.block_id)])
-    bitgen = np.random.PCG64(seq)
+    if bitgen is None:
+        entropy = block_entropy(spec, stream_key, block.block_id)
+        bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
     n, m = block.n, block.n_treated
     w_obs = None
     if spec.statistic == "rank" and math.comb(n, m) < 2**63:

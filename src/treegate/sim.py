@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gate
+from . import gate, streams
 from .errorload import PowerModel, ScheduleError, adaptive_schedule, power_normal_approx
 from .gate import GateVariant, run_bottom_up_batch, run_topdown_batch, score_batch, walk
 # unused here; the benchmark tracer binds these names on this module until its next change
@@ -37,6 +37,7 @@ from .permtest import (
     PermTestError,
     TestSpec,
     block_draws,
+    block_entropy,
     is_exact,
     permutation_pvalue,
 )
@@ -180,24 +181,35 @@ def simulate_weak(
 
 def _uniform_draws(key: tuple[int, ...]):
     """A source of independent uniform p-values for ``gate.walk``: row r
-    draws from its own generator, seeded ``(*key, r)``, one value per pair
-    in the order the walk lists them.  A breadth-first walk of one row
-    asks for its nodes in that order, one at a time, and ``random(n)``
-    gives the same values as n calls of ``random()``."""
-    generators: dict[int, np.random.Generator] = {}
+    draws from its own stream, seeded ``(*key, r)``, one value per pair in
+    the order the walk lists them.  A breadth-first walk of one row asks
+    for its nodes in that order, one at a time, and ``random(n)`` gives the
+    same values as n calls of ``random()``.
+
+    The rows new at a depth are seeded in one batch (``streams``), and
+    every row is drawn from one generator: a row keeps its stream's start
+    and the count it has drawn, and continues by loading the start and
+    advancing past that count, one 64-bit step per uniform."""
+    rows: dict[int, list] = {}  # row -> [its stream's (state, inc), uniforms drawn]
+    rng = np.random.Generator(np.random.PCG64(0))  # any seed: each row loads its own state
 
     def draw(row: np.ndarray, node: np.ndarray) -> np.ndarray:
-        nonlocal generators
+        nonlocal rows
         reps, counts = np.unique(row, return_counts=True)
+        reps = reps.tolist()
+        new = [r for r in reps if r not in rows]
+        starts = dict(zip(new, streams.pcg64_states([(*key, r) for r in new])))
         # a row missing from this depth is never tested again
-        generators = {
-            r: generators[r] if r in generators
-            else np.random.default_rng(np.random.SeedSequence([*key, r]))
-            for r in reps.tolist()
-        }
-        return np.concatenate(
-            [generators[r].random(c) for r, c in zip(reps.tolist(), counts.tolist())]
-        )
+        rows = {r: rows[r] if r in rows else [starts[r], 0] for r in reps}
+        out = []
+        for r, c in zip(reps, counts.tolist()):
+            stream = rows[r]
+            streams.load(rng.bit_generator, stream[0])
+            if stream[1]:
+                rng.bit_generator.advance(stream[1])
+            out.append(rng.random(c))
+            stream[1] += c
+        return np.concatenate(out)
 
     return draw
 
@@ -403,8 +415,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     for start in range(0, config.replicates, per_block):
         reps = range(start, min(start + per_block, config.replicates))
         P = np.empty((len(reps), len(tree)))
-        for row, rep in zip(P, reps):
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
+        for row, rng in zip(P, streams.generators([(config.seed, rep) for rep in reps])):
             row[:] = rng.random(len(tree))
         P **= exponents
         _add_scores(sums, tree, labeled, P, config.alpha, schedule)
@@ -519,7 +530,8 @@ def node_pvalues(
     rows once, from the stream keyed ``(spec.seed, prefix, block_id)``, and
     adds them into a running sum held by its leaf and by each ancestor
     tested by Monte Carlo; a node's p-value is computed, and its sum
-    dropped, as soon as its last block is in.  Nodes within
+    dropped, as soon as its last block is in.  The drawing blocks' streams
+    are seeded in one batch (``streams``).  Nodes within
     ``spec.exact_cap`` are enumerated exactly.  Entry ``i`` equals
     ``permutation_pvalue(node_blocks, spec, prefix)`` for node ``i``.
 
@@ -561,12 +573,13 @@ def node_pvalues(
         else:
             pending[i] = len(node_blocks)
 
+    # the blocks summed into a Monte Carlo node, with those nodes; their streams are seeded at once
+    drawing = [(b, [i for i in path if i in pending]) for b, path in zip(blocks, paths)]
+    drawing = [(b, summed_into) for b, summed_into in drawing if summed_into]
+    rngs = streams.generators([block_entropy(spec, prefix, b.block_id) for b, _ in drawing])
     sums: dict[int, np.ndarray] = {}
-    for b, path in zip(blocks, paths):
-        summed_into = [i for i in path if i in pending]
-        if not summed_into:
-            continue
-        draws = block_draws(b, spec, prefix)
+    for (b, summed_into), rng in zip(drawing, rngs):
+        draws = block_draws(b, spec, prefix, rng.bit_generator)
         for i in summed_into:
             sums[i] = draws if i not in sums else sums[i] + draws
             pending[i] -= 1
