@@ -13,6 +13,7 @@ import time
 
 from treegate import ScenarioConfig, simulate_strong
 from treegate.cli import csv_text
+from treegate.sim import SimError
 
 EFFECTS = (0.04, 0.10, 0.15)
 NULL_PROPS = (0.5, 0.8)
@@ -43,9 +44,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="strong_grid.csv")
     args = parser.parse_args(argv)
 
+    try:
+        configs = list(scenario_rows(args))
+    except SimError as exc:
+        parser.error(str(exc))
+
     rows = []
-    t0 = time.time()
-    for config in scenario_rows(args):
+    t0 = time.perf_counter()
+    for config in configs:
         summary = simulate_strong(config)
         row = {
             "k": config.k,
@@ -68,7 +74,7 @@ def main(argv=None) -> int:
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
-    print(f"wrote {args.out} in {time.time()-t0:.0f}s")
+    print(f"wrote {args.out} in {time.perf_counter() - t0:.0f}s")
     return 0
 
 

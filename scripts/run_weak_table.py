@@ -13,6 +13,8 @@ import time
 
 from treegate import simulate_weak
 from treegate.cli import csv_text
+from treegate.gate import GateError
+from treegate.sim import SimError
 
 DESK_ROWS = [(2, 7), (4, 5), (6, 4), (8, 4), (10, 4), (20, 3), (50, 3), (100, 3)]
 
@@ -27,10 +29,13 @@ def main(argv=None) -> int:
 
     rows = []
     for k, L in DESK_ROWS:
-        t0 = time.time()
-        summary = simulate_weak(
-            k, L, alpha=args.alpha, replicates=args.replicates, seed=args.seed
-        )
+        t0 = time.perf_counter()
+        try:
+            summary = simulate_weak(
+                k, L, alpha=args.alpha, replicates=args.replicates, seed=args.seed
+            )
+        except (GateError, SimError) as exc:
+            parser.error(str(exc))
         rows.append(
             {
                 "k": k,
@@ -41,7 +46,7 @@ def main(argv=None) -> int:
                 "fwer_se": round(summary.fwer_se, 4),
                 "mean_tests": round(summary.mean_tests, 4),
                 "mean_nodes_tested": round(summary.mean_nodes_tested, 4),
-                "seconds": round(time.time() - t0, 2),
+                "seconds": round(time.perf_counter() - t0, 2),
             }
         )
         print(rows[-1])

@@ -181,35 +181,41 @@ def simulate_weak(
 
 def _uniform_draws(key: tuple[int, ...]):
     """A source of independent uniform p-values for ``gate.walk``: row r
-    draws from its own stream, seeded ``(*key, r)``, one value per pair in
-    the order the walk lists them.  A breadth-first walk of one row asks
-    for its nodes in that order, one at a time, and ``random(n)`` gives the
-    same values as n calls of ``random()``.
+    draws from its own stream, seeded ``(*key, r)``, and a row's pairs
+    take the stream's next uniforms in the order they are listed, in any
+    order of rows, as ``random()`` calls on ``np.random.default_rng(
+    np.random.SeedSequence([*key, r]))`` would give them.
 
-    The rows new at a depth are seeded in one batch (``streams``), and
-    every row is drawn from one generator: a row keeps its stream's start
-    and the count it has drawn, and continues by loading the start and
-    advancing past that count, one 64-bit step per uniform."""
-    rows: dict[int, list] = {}  # row -> [its stream's (state, inc), uniforms drawn]
-    rng = np.random.Generator(np.random.PCG64(0))  # any seed: each row loads its own state
+    Every row's PCG64 state is held in arrays indexed by row number.  The
+    rows first seen at a call are seeded in one batch (``streams``), and
+    in one pass each pair's state is its row's jumped ahead by the pair's
+    rank among that row's pairs in the call."""
+    # per row: state high, state low, inc high, inc low; a seeded inc is odd
+    state = np.zeros((4, 0), dtype=np.uint64)
 
     def draw(row: np.ndarray, node: np.ndarray) -> np.ndarray:
-        nonlocal rows
-        reps, counts = np.unique(row, return_counts=True)
-        reps = reps.tolist()
-        new = [r for r in reps if r not in rows]
-        starts = dict(zip(new, streams.pcg64_states([(*key, r) for r in new])))
-        # a row missing from this depth is never tested again
-        rows = {r: rows[r] if r in rows else [starts[r], 0] for r in reps}
-        out = []
-        for r, c in zip(reps, counts.tolist()):
-            stream = rows[r]
-            streams.load(rng.bit_generator, stream[0])
-            if stream[1]:
-                rng.bit_generator.advance(stream[1])
-            out.append(rng.random(c))
-            stream[1] += c
-        return np.concatenate(out)
+        nonlocal state
+        row = np.asarray(row, dtype=np.intp)
+        if not row.size:
+            return np.empty(0)
+        if row.max() >= state.shape[1]:
+            grow = int(row.max()) + 1 - state.shape[1]
+            state = np.concatenate([state, np.zeros((4, grow), dtype=np.uint64)], axis=1)
+        # the pairs grouped by row; a stable sort keeps each row's in listed order
+        order = np.argsort(row, kind="stable")
+        grouped = row[order]
+        first = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+        counts = np.diff(first, append=row.size)
+        reps = grouped[first]
+        new = reps[state[3, reps] == 0]
+        if new.size:
+            state[:, new] = streams.pcg64_arrays([(*key, r) for r in new.tolist()])
+        steps = np.empty_like(row)
+        steps[order] = np.arange(1, row.size + 1) - np.repeat(first, counts)
+        hi, lo = streams.advance(*state[:, row], steps)
+        last = order[first + counts - 1]  # each row's last pair leaves the row's state
+        state[:2, reps] = hi[last], lo[last]
+        return streams.uniforms(hi, lo)
 
     return draw
 

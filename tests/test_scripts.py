@@ -3,7 +3,8 @@
 The scripts import public names from ``treegate``; deleting or renaming one
 of them breaks the script without failing any library test.  Each script
 runs with ``--help`` in a fresh interpreter, which imports everything it
-uses and exits before any study starts.
+uses and exits before any study starts.  Bad input to a study ends in a
+one-line argparse error, not a traceback.
 """
 
 from __future__ import annotations
@@ -19,16 +20,37 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=os.path.basename)
-def test_script_help_runs(script):
+def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, script, "--help"],
+    return subprocess.run(
+        [sys.executable, script, *args],
         env=env,
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=os.path.basename)
+def test_script_help_runs(script):
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [("run_weak_table.py", ["--replicates", "10"], "replicates must be at least 100"),
+     ("run_weak_table.py", ["--alpha", "2"], "alpha must lie in [0, 1]"),
+     ("run_strong_grid.py", ["--replicates", "10"], "replicates must be at least 100")],
+    ids=["weak_replicates", "weak_alpha", "strong_replicates"],
+)
+def test_bad_study_input_is_a_one_line_error(tmp_path, script, args, message):
+    out = tmp_path / "table.csv"
+    proc = run_script(os.path.join(ROOT, "scripts", script), *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert errors == [f"{script}: error: {message}"]
+    assert not out.exists()

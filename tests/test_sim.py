@@ -544,3 +544,29 @@ def test_worker_count_env(monkeypatch):
         monkeypatch.setenv("TREEGATE_THREADS", raw)
         with pytest.raises(SimError, match=f"^TREEGATE_THREADS must be at least 1: '{raw}'$"):
             worker_count()
+
+
+def scalar_draws(key, calls):
+    """Each call's uniforms from one numpy generator per row, pair by pair."""
+    rngs = {}
+    return [
+        [rngs.setdefault(r, np.random.default_rng(np.random.SeedSequence([*key, r]))).random() for r in rows]
+        for rows in calls
+    ]
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [[0, 1], [1, 3, 3], [3, 4, 1, 4]],
+        [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+        [[3, 0, 2, 1], [2, 0, 2, 3, 0, 2], [0, 3, 0, 0, 3, 1]],
+        [[0] * 150 + [1] * 70, [1, 0] * 33, []],
+    ],
+    ids=["row_first_seen_later", "rows_drop_out", "pairs_not_grouped_or_sorted", "long_runs"],
+)
+def test_uniform_draws_match_one_generator_per_row(calls):
+    key = (4, 2, 9)
+    draw = sim._uniform_draws(key)
+    got = [draw(np.array(rows, dtype=int), np.zeros(len(rows), dtype=int)).tolist() for rows in calls]
+    assert got == scalar_draws(key, calls)

@@ -106,3 +106,38 @@ def test_a_float_raises_as_numpy_does():
         np.random.SeedSequence([1, 1.5])
     with pytest.raises(TypeError):
         streams.pcg64_states([(1, 1.5)])
+
+
+def test_arrays_keep_key_order_across_word_counts():
+    keys = [(2**40, 1), (3,), (0, 0, 0, 0, 0), (2**64 + 1,), (7, 2)]
+    state_hi, state_lo, inc_hi, inc_lo = streams.pcg64_arrays(keys)
+    assert state_hi.dtype == np.uint64 and state_hi.shape == (len(keys),)
+    want = [numpy_bitgen(key).state["state"] for key in keys]
+    assert ((state_hi.astype(object) << 64) | state_lo.astype(object)).tolist() == [w["state"] for w in want]
+    assert ((inc_hi.astype(object) << 64) | inc_lo.astype(object)).tolist() == [w["inc"] for w in want]
+
+
+def test_stepping_equals_numpy_raw_and_random():
+    start = streams.pcg64_arrays(KEYS)
+    raw = np.array([numpy_bitgen(key).random_raw(200) for key in KEYS])
+    uniform = np.array([np.random.Generator(numpy_bitgen(key)).random(200) for key in KEYS])
+    hi, lo, inc_hi, inc_lo = start
+    rotations = set()
+    for j in range(200):
+        hi, lo = streams.step(hi, lo, inc_hi, inc_lo)
+        assert np.array_equal(streams._xsl_rr(hi, lo), raw[:, j]), j
+        assert np.array_equal(streams.uniforms(hi, lo), uniform[:, j]), j
+        rotations.update((hi >> np.uint64(58)).tolist())
+    # a rotation of 0 is the edge where the left shift would be by 64
+    assert 0 in rotations and 63 in rotations
+
+
+def test_jumps_equal_numpy_advance():
+    steps = np.array([1, 2, 3, 63, 64, 65, 200, 1000, 4097])
+    start = np.repeat(streams.pcg64_arrays(KEYS[:4]), steps.size, axis=1)
+    hi, lo = streams.advance(*start, np.tile(steps, 4))
+    want = []
+    for key in KEYS[:4]:
+        for n in steps.tolist():
+            want.append(numpy_bitgen(key).advance(n - 1).random_raw())
+    assert streams._xsl_rr(hi, lo).tolist() == want
