@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -257,13 +257,24 @@ def _rank_sum_null(n: int, m: int) -> _RankSumNull:
     return _RankSumNull(cdf, guide, width, rows)
 
 
-def _untied_rank_sum(block: Block) -> int | None:
-    """The treated units' rank sum, or None if the outcomes have ties."""
-    order = np.argsort(block.outcome)
-    ordered = block.outcome[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    return int(np.flatnonzero(block.treatment[order]).sum()) + block.n_treated
+def _untied_rank_sums(blocks: Sequence[Block]) -> list[int]:
+    """Each block's treated rank sum, or -1 where its outcomes have ties.
+    The blocks of each size are sorted in one argsort of their stacked
+    outcomes."""
+    out = [-1] * len(blocks)
+    by_size: dict[int, list[int]] = {}
+    for i, b in enumerate(blocks):
+        by_size.setdefault(b.n, []).append(i)
+    for n, members in by_size.items():
+        y = np.array([blocks[i].outcome for i in members])
+        order = np.argsort(y, axis=1)
+        treated = np.array([blocks[i].treatment for i in members])
+        w = treated[np.arange(len(members))[:, None], order] @ np.arange(1, n + 1)
+        y.sort(axis=1)
+        tied = (y[:, 1:] == y[:, :-1]).any(axis=1)
+        for i, w_i in zip(members, np.where(tied, -1, w).tolist()):
+            out[i] = w_i
+    return out
 
 
 def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.ndarray:
@@ -276,6 +287,7 @@ def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.
     every node evaluated with one ``stream_key`` sums the same draws of a
     block.  A caller that seeds many blocks at once passes ``bitgen``, a
     PCG64 at the start of that stream; otherwise the stream is seeded here.
+    It is the one-block call of ``chunk_draws``.
 
     A rank block without ties and with fewer than 2^63 assignments has a
     row that depends on the assignment only through the treated rank sum
@@ -302,24 +314,94 @@ def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.
     if bitgen is None:
         entropy = block_entropy(spec, stream_key, block.block_id)
         bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
-    n, m = block.n, block.n_treated
-    w_obs = None
-    if spec.statistic == "rank" and math.comb(n, m) < 2**63:
-        w_obs = _untied_rank_sum(block)
-    if w_obs is None:  # scored before the rows exist, so their temporaries are freed first
-        scores = _score_matrix(spec.statistic, block.outcome)
+    return next(chunk_draws([[block]], spec, [bitgen]))[0]
+
+
+def chunk_draws(
+    positions: Sequence[Sequence[Block]], spec: TestSpec, bitgens
+) -> Iterator[np.ndarray]:
+    """``block_draws``' rows of a chunk of datasets, block position by
+    block position: for each position in turn, the rows of its blocks, one
+    of each dataset and all of one shape, as a ``(datasets, spec.n_perms +
+    1, q)`` array.
+
+    Block d of a position draws from the next PCG64 of ``bitgens``,
+    positions in order and datasets in order within each, which must be at
+    the start of the block's stream.  Each is done with before the next is
+    taken, so ``bitgens`` may be one bit generator set to each stream in
+    turn (``streams.generators``).  The blocks that draw their treated rank
+    sum share the per-block work.  Their ties and observed sums are found
+    for a batch of positions at once, by one stacked argsort per block
+    size; a batch holds about as many outcomes as one position holds rows.
+    Each position looks up all its drawn sums in one ``_RankSumNull.index``
+    call.  Every other block draws its treated sets on its own.
+    """
+    shapes = []
+    for blocks in positions:
+        n, m = blocks[0].n, blocks[0].n_treated
+        if any(b.n != n or b.n_treated != m for b in blocks):
+            raise PermTestError("the blocks of a position must have one shape")
+        shapes.append((n, m))
+    by_sum = [spec.statistic == "rank" and math.comb(n, m) < 2**63 for n, m in shapes]
+    bitgens = iter(bitgens)
+    w_obs: dict[int, list[int]] = {}  # position -> its observed rank sums, found a batch at a time
+    for p, blocks in enumerate(positions):
+        if by_sum[p] and p not in w_obs:
+            batch, held = [p], shapes[p][0]  # held: the batch's outcomes per dataset
+            for q in range(p + 1, len(positions)):
+                if held + shapes[q][0] > spec.n_perms + 1:
+                    break
+                held += shapes[q][0]
+                batch += [q] if by_sum[q] else []
+            sums = iter(_untied_rank_sums([b for q in batch for b in positions[q]]))
+            w_obs.update((q, [next(sums) for _ in positions[q]]) for q in batch)
+        yield _position_draws(blocks, *shapes[p], spec, bitgens, w_obs.get(p, [-1] * len(blocks)))
+
+
+def _position_draws(blocks: Sequence[Block], n: int, m: int, spec: TestSpec, bitgens, w_obs):
+    """One position's rows for ``chunk_draws``: block j draws its treated
+    rank sum where its observed sum ``w_obs[j]`` is known, else treated
+    sets."""
     try:
-        ind = np.empty((spec.n_perms + 1, n if w_obs is None else 1))
+        out = np.empty((len(blocks), spec.n_perms + 1, 6 if spec.statistic == "energy" else 1))
     except ValueError:  # past numpy's index range, which is not a MemoryError
         raise MemoryError(
             f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
         ) from None
-    if w_obs is not None:  # ind holds the rows themselves
+    by_sum = [j for j, w in enumerate(w_obs) if w >= 0]
+    if not by_sum and len(blocks) == 1:  # a lone block of treated sets: no copy into a stack
+        return _treated_set_draws(blocks[0], spec, next(bitgens))[None]
+    if by_sum:
         null = _rank_sum_null(n, m)
-        u = np.random.Generator(bitgen).integers(0, null.cdf[-1], spec.n_perms, dtype=np.int64)
-        ind[:-1, 0] = null.rows[null.index(u)]
-        ind[-1, 0] = null.rows[w_obs - m * (m + 1) // 2]
-        return ind
+    u = []  # per block that draws its sum: uniform integers in [0, C(n, m))
+    for j, (b, w) in enumerate(zip(blocks, w_obs)):
+        bitgen = next(bitgens)
+        if w >= 0:
+            rng = np.random.Generator(bitgen)
+            u.append(rng.integers(0, null.cdf[-1], spec.n_perms, dtype=np.int64))
+        else:
+            out[j] = _treated_set_draws(b, spec, bitgen)
+    if by_sum:
+        if len(by_sum) == len(blocks):
+            by_sum = slice(None)  # every block drew its sum: write through a slice
+        u = u[0] if len(u) == 1 else np.concatenate(u)
+        out[by_sum, :-1, 0] = null.rows[null.index(u)].reshape(-1, spec.n_perms)
+        out[by_sum, -1, 0] = null.rows[np.array(w_obs)[by_sum] - m * (m + 1) // 2]
+    return out
+
+
+def _treated_set_draws(block: Block, spec: TestSpec, bitgen) -> np.ndarray:
+    """``block_draws``' rows from uniformly drawn treated sets, the stream
+    read from ``bitgen``."""
+    n, m = block.n, block.n_treated
+    # scored before the rows exist, so their temporaries are freed first
+    scores = _score_matrix(spec.statistic, block.outcome)
+    try:
+        ind = np.empty((spec.n_perms + 1, n))
+    except ValueError:
+        raise MemoryError(
+            f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
+        ) from None
     chunk = max(2, _KEY_CHUNK // n // 2 * 2)  # rows
     tied = np.empty(spec.n_perms, dtype=bool)
     for lo in range(0, spec.n_perms, chunk):
@@ -434,7 +516,10 @@ def permutation_pvalue(
     randomization distribution, only the p-values of different nodes
     become dependent.  A caller that already holds that sum of
     ``block_draws`` rows may pass it as ``draws``; it is ignored in exact
-    mode.  A caller that has already decided the node's mode with
+    mode.  Such sums of several datasets on the same block shapes may come
+    stacked, shape ``(datasets, n_perms + 1, q)``, and then the p-values
+    come back as an array, one per dataset; ``blocks`` are any one
+    dataset's.  A caller that has already decided the node's mode with
     ``is_exact`` passes it as ``exact``, and the blocks are not checked
     again.
     """
@@ -448,7 +533,16 @@ def permutation_pvalue(
             draws = reduce(np.add, (block_draws(b, spec, stream_key) for b in blocks))
         rows, obs_row = draws, spec.n_perms
     rows = rows / n_total
+    if rows.ndim == 3 and spec.statistic == "energy":  # one quadratic form per dataset
+        return np.array([_tail_share(r, obs_row, spec) for r in rows])
+    return _tail_share(rows, obs_row, spec)
 
+
+def _tail_share(rows: np.ndarray, obs_row: int, spec: TestSpec):
+    """The share of a node's null rows at least as extreme as row
+    ``obs_row``, over the rows' second-to-last axis: a float for one
+    dataset's (rows, q), an array for a stack of datasets' rank or
+    mean-difference rows."""
     if spec.statistic == "energy":
         vals, rank = _energy_quadratic(rows)
         if spec.chi2_approx:
@@ -457,7 +551,8 @@ def permutation_pvalue(
 
             return 1.0 if rank == 0 else float(chdtrc(rank, vals[obs_row]))
     else:
-        vals = rows[:, 0]
+        vals = rows[..., 0]
         if spec.sides == "two":
             vals = np.abs(vals)
-    return int((vals >= vals[obs_row]).sum()) / len(vals)
+    counts = (vals >= vals[..., obs_row, None]).sum(axis=-1)
+    return counts / vals.shape[-1] if counts.ndim else int(counts) / vals.shape[-1]

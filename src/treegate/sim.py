@@ -36,8 +36,8 @@ from .permtest import (
     DegenerateBlockError,
     PermTestError,
     TestSpec,
-    block_draws,
     block_entropy,
+    chunk_draws,
     is_exact,
     permutation_pvalue,
 )
@@ -101,6 +101,9 @@ def _check_methods(methods: Sequence[str]) -> None:
         raise SimError(f"unknown methods: {unknown}")
     if not methods:
         raise SimError("empty method set")
+    repeated = sorted({m for m in methods if methods.count(m) > 1}, key=methods.index)
+    if repeated:
+        raise SimError(f"repeated methods: {repeated}")
 
 
 def _planning_model(config: ScenarioConfig | DppConfig) -> PowerModel:
@@ -210,9 +213,10 @@ def _uniform_draws(key: tuple[int, ...]):
         new = reps[state[3, reps] == 0]
         if new.size:
             state[:, new] = streams.pcg64_arrays([(*key, r) for r in new.tolist()])
-        steps = np.empty_like(row)
+        steps, stream = np.empty_like(row), np.empty_like(row)
         steps[order] = np.arange(1, row.size + 1) - np.repeat(first, counts)
-        hi, lo = streams.advance(*state[:, row], steps)
+        stream[order] = np.repeat(np.arange(reps.size), counts)  # each pair's row among reps
+        hi, lo = streams.advance(*state[:, reps], steps, row=stream)
         last = order[first + counts - 1]  # each row's last pair leaves the row's state
         state[:2, reps] = hi[last], lo[last]
         return streams.uniforms(hi, lo)
@@ -394,7 +398,8 @@ def _summaries(sums: dict, replicates: int) -> dict[str, MethodSummary]:
 
 
 # Replicates per block of ``simulate_strong`` hold about this many node
-# p-values, so a study's memory does not grow with its replicate count.
+# p-values, and per chunk of ``simulate_dpp`` about this many block draws,
+# so a study's memory does not grow with its replicate count.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -529,89 +534,136 @@ class DppConfig:
 def node_pvalues(
     tree: HypothesisTree, blocks: Sequence[Block], spec: TestSpec, prefix: str = ""
 ) -> np.ndarray:
-    """Randomization p-value of every node of one dataset, in node-index order.
-
-    Each node's mode is decided once, by ``is_exact``.  Then one pass runs
-    over the blocks, in dataset order.  Each block draws its Monte Carlo
-    rows once, from the stream keyed ``(spec.seed, prefix, block_id)``, and
-    adds them into a running sum held by its leaf and by each ancestor
-    tested by Monte Carlo; a node's p-value is computed, and its sum
-    dropped, as soon as its last block is in.  The drawing blocks' streams
-    are seeded in one batch (``streams``).  Nodes within
-    ``spec.exact_cap`` are enumerated exactly.  Entry ``i`` equals
+    """Randomization p-value of every node of one dataset, in node-index
+    order: the one-dataset row of ``_pvalue_matrix``.  Entry ``i`` equals
     ``permutation_pvalue(node_blocks, spec, prefix)`` for node ``i``.
 
     Every leaf takes exactly one block, the one with its id; any other
     block, a second block with one id, or a leaf without a block is a
     PermTestError that names it.
     """
-    leaf_index = dict(zip(tree.leaves, np.flatnonzero(tree.is_leaf).tolist()))
-    parent = tree.parent.tolist()
-    under: list[list[Block]] = [[] for _ in range(len(tree))]
-    paths = []  # per block: its leaf, then the leaf's ancestors
+    return _pvalue_matrix(tree, [blocks], spec, [prefix])[0]
+
+
+def _block_leaves(leaf_index: dict[str, int], blocks: Sequence[Block]) -> list[int]:
+    """The leaf of each block, in dataset order, each leaf taken once."""
+    leaves, seen = [], set()
     for b in blocks:
         i = leaf_index.get(b.block_id)
         if i is None:
             raise PermTestError(f"block {b.block_id!r} is not a leaf of the tree")
-        if under[i]:
+        if i in seen:
             raise PermTestError(f"two blocks have the id {b.block_id!r}")
+        seen.add(i)
+        leaves.append(i)
+    empty = [nid for nid, i in leaf_index.items() if i not in seen]
+    if empty:
+        raise PermTestError(f"no block for leaf {empty[0]!r}")
+    return leaves
+
+
+def _pvalue_matrix(
+    tree: HypothesisTree, datasets: Sequence[Sequence[Block]], spec: TestSpec,
+    prefixes: Sequence[str],
+) -> np.ndarray:
+    """Every node's randomization p-value in each of a chunk of datasets on
+    ``tree``: a (datasets, nodes) matrix.  Dataset d's blocks draw from the
+    streams keyed ``(spec.seed, prefixes[d], block_id)``, and its row equals
+    ``node_pvalues(tree, datasets[d], spec, prefixes[d])``.
+
+    Datasets that list the same leaves' blocks in one order with the same
+    shapes are computed together; otherwise each dataset is its own chunk.
+    Each node's mode is decided once, by ``is_exact``, which depends only
+    on the shapes.  Nodes within ``spec.exact_cap`` are enumerated exactly,
+    dataset by dataset.  Then one pass runs over the block positions, in
+    dataset order.  Each position draws its Monte Carlo rows once for the
+    whole chunk (``chunk_draws``), and adds them into a running sum held by
+    its leaf and by each ancestor tested by Monte Carlo; a node's p-values
+    are counted, and its sum dropped, as soon as its last block is in.  The
+    drawing blocks' streams are all seeded in one batch (``streams``).
+    """
+    leaf_index = dict(zip(tree.leaves, np.flatnonzero(tree.is_leaf).tolist()))
+    layouts = [
+        [(i, b.n, b.n_treated) for i, b in zip(_block_leaves(leaf_index, blocks), blocks)]
+        for blocks in datasets
+    ]
+    if any(layout != layouts[0] for layout in layouts[1:]):
+        return np.vstack([
+            _pvalue_matrix(tree, [blocks], spec, [prefix])
+            for blocks, prefix in zip(datasets, prefixes)
+        ])
+    parent = tree.parent.tolist()
+    under: list[list[int]] = [[] for _ in range(len(tree))]  # each node's block positions
+    paths = []  # per block position: its leaf, then the leaf's ancestors
+    for j, (i, _, _) in enumerate(layouts[0]):
         path = []
         while i >= 0:
-            under[i].append(b)
+            under[i].append(j)
             path.append(i)
             i = parent[i]
         paths.append(path)
-    empty = [nid for nid, i in leaf_index.items() if not under[i]]
-    if empty:
-        raise PermTestError(f"no block for leaf {empty[0]!r}")
 
-    p = np.empty(len(tree))
+    P = np.empty((len(datasets), len(tree)))
     pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
-    for i, node_blocks in enumerate(under):
+    for i, positions in enumerate(under):
         try:
-            exact = is_exact(node_blocks, spec)
+            exact = is_exact([datasets[0][j] for j in positions], spec)
         except DegenerateBlockError as exc:
             raise PermTestError(
                 f"degenerate blocks under node {tree.ids[i]!r}: {exc.block_ids}"
             ) from None
         if exact:
-            p[i] = permutation_pvalue(node_blocks, spec, prefix, exact=True)
+            for d, (blocks, prefix) in enumerate(zip(datasets, prefixes)):
+                node_blocks = [blocks[j] for j in positions]
+                P[d, i] = permutation_pvalue(node_blocks, spec, prefix, exact=True)
         else:
-            pending[i] = len(node_blocks)
+            pending[i] = len(positions)
 
-    # the blocks summed into a Monte Carlo node, with those nodes; their streams are seeded at once
-    drawing = [(b, [i for i in path if i in pending]) for b, path in zip(blocks, paths)]
-    drawing = [(b, summed_into) for b, summed_into in drawing if summed_into]
-    rngs = streams.generators([block_entropy(spec, prefix, b.block_id) for b, _ in drawing])
+    # the block positions summed into a Monte Carlo node, with those nodes
+    drawing = [(j, [i for i in path if i in pending]) for j, path in enumerate(paths)]
+    drawing = [(j, summed_into) for j, summed_into in drawing if summed_into]
+    rngs = streams.generators([
+        block_entropy(spec, prefix, blocks[j].block_id)
+        for j, _ in drawing for blocks, prefix in zip(datasets, prefixes)
+    ])
+    bitgens = (rng.bit_generator for rng in rngs)
+    positions = chunk_draws([[blocks[j] for blocks in datasets] for j, _ in drawing], spec, bitgens)
     sums: dict[int, np.ndarray] = {}
-    for (b, summed_into), rng in zip(drawing, rngs):
-        draws = block_draws(b, spec, prefix, rng.bit_generator)
+    for (_, summed_into), draws in zip(drawing, positions):
         for i in summed_into:
             sums[i] = draws if i not in sums else sums[i] + draws
             pending[i] -= 1
             if not pending[i]:
-                p[i] = permutation_pvalue(under[i], spec, prefix, exact=False, draws=sums.pop(i))
-    return p
+                node_blocks = [datasets[0][k] for k in under[i]]
+                P[:, i] = permutation_pvalue(node_blocks, spec, exact=False, draws=sums.pop(i))
+    return P
 
 
 def _dpp_pvalues(config: DppConfig, design: DppDesign, rep_range) -> np.ndarray:
-    """Every node's p-value in each of the given replicates, one row each."""
+    """Every node's p-value in each of the given replicates, one row each,
+    computed for chunks of replicates at once (``_pvalue_matrix``)."""
     spec = _test_spec(config)
-    rows = []
-    for rep in rep_range:
-        tree, blocks, _ = generate_dpp_data(design, config.d, config.seed, rep=rep)
-        rows.append(node_pvalues(tree, blocks, spec, prefix=f"{rep}/"))
-    return np.array(rows)
+    reps = list(rep_range)
+    per_chunk = max(1, _BLOCK_ELEMENTS // (len(design.tree.leaves) * (spec.n_perms + 1)))
+    P = np.empty((len(reps), len(design.tree)))
+    for start in range(0, len(reps), per_chunk):
+        chunk = reps[start : start + per_chunk]
+        datasets = [generate_dpp_data(design, config.d, config.seed, rep=rep)[1] for rep in chunk]
+        P[start : start + len(chunk)] = _pvalue_matrix(
+            design.tree, datasets, spec, [f"{rep}/" for rep in chunk]
+        )
+    return P
 
 
 def simulate_dpp(config: DppConfig) -> SimSummary:
     """Run the 44-block study; honors TREEGATE_THREADS for replicate workers.
 
-    The design is built once.  Workers compute each replicate's node
-    p-values, and the replicates are walked together once the rows are in.
-    Every method within a replicate shares one dataset and its p-values, so
-    method comparisons are paired; results are identical for any worker
-    count.
+    The design is built once.  Workers compute the replicates' node
+    p-values a chunk of replicates at a time (``_dpp_pvalues``), and the
+    replicates are walked together once the rows are in.  Every method
+    within a replicate shares one dataset and its p-values, so method
+    comparisons are paired; results are identical for any chunk size and
+    worker count.
     """
     design = dpp_design(config.students_per_block)
     workers = worker_count(config.replicates)

@@ -324,7 +324,7 @@ class TestCmdTest:
         def draws(*args):
             raise error  # nothing of the 43.7 TiB is allocated
 
-        monkeypatch.setattr(sim, "block_draws", draws)
+        monkeypatch.setattr(sim, "chunk_draws", draws)
         data = os.path.join(GOLDEN, "trial.csv")
         assert main(["test", data, "--n-perms", "1000000000000"]) == 1
         assert capsys.readouterr().err == message
@@ -600,17 +600,19 @@ class TestSimulateCommand:
          ("d=0.2\nstudents_per_block=-1\n", "students_per_block must be at least 2: -1"),
          ("d=0.2\nstudents_per_block=1\n", "students_per_block must be at least 2: 1"),
          ("d=0.2\nstatistic=energy\nsides=one\nn_perms=100\n",
-          "the energy statistic has no one-sided test; use sides='two'")],
+          "the energy statistic has no one-sided test; use sides='two'"),
+         ("d=0.2\nmethods=td, bu_hommel, td\n", "repeated methods: ['td']")],
         ids=["negative_d_hat", "alpha_above_half", "negative_d_without_d_hat",
              "unknown_statistic", "bad_sides", "too_few_perms",
-             "negative_students_per_block", "one_student_per_block", "one_sided_energy"],
+             "negative_students_per_block", "one_student_per_block", "one_sided_energy",
+             "repeated_methods"],
     )
     def test_bad_dpp_config_fails_before_any_draw(
         self, tmp_path, capsys, monkeypatch, body, message
     ):
         monkeypatch.setenv("TREEGATE_THREADS", "1")  # draws in this process, where they are counted
         calls = []
-        for name in ("generate_dpp_data", "block_draws"):
+        for name in ("generate_dpp_data", "chunk_draws"):
             fn = getattr(sim, name)
             monkeypatch.setattr(sim, name, lambda *a, fn=fn, **kw: calls.append(1) or fn(*a, **kw))
         cfg = tmp_path / "dpp.cfg"

@@ -628,6 +628,48 @@ class TestRankSumDraws:
         want = block_draws_unchunked(block, spec, "node")
         assert got.shape == (301, 1) and got.tobytes() == want.tobytes()
 
+    def test_a_chunk_draws_each_block_as_alone(self):
+        # two block positions of five datasets, the blocks of a position of
+        # one shape; blocks with tied outcomes draw keys, the others rank sums
+        spec = TestSpec(statistic="rank", n_perms=400, seed=2)
+        rng = np.random.default_rng(11)
+        positions, tied = [], []
+        for bid, n, m, ties in [("b1", 10, 5, (1, 4)), ("b2", 7, 3, (0,))]:
+            blocks = []
+            for d in range(5):
+                outcome = rng.normal(size=n)
+                if d in ties:
+                    outcome[3] = outcome[5]
+                blocks.append(make_block(outcome, rng.permutation(n)[:m], bid))
+                tied.append(d in ties)
+            positions.append(blocks)
+
+        def stream(block, d):
+            entropy = permtest.block_entropy(spec, f"{d}/", block.block_id)
+            return np.random.PCG64(np.random.SeedSequence(entropy))
+
+        bitgens = (stream(b, d) for blocks in positions for d, b in enumerate(blocks))
+        got = list(permtest.chunk_draws(positions, spec, bitgens))
+        assert [g.shape for g in got] == [(5, spec.n_perms + 1, 1)] * 2
+        blocks = [(b, d) for ps in positions for d, b in enumerate(ps)]
+        for (block, d), drawn, ties in zip(blocks, (row for g in got for row in g), tied):
+            if ties:
+                want = block_draws_unchunked(block, spec, f"{d}/")
+            else:
+                n, m = block.n, block.n_treated
+                null = permtest._rank_sum_null(n, m)
+                u = np.random.Generator(stream(block, d)).integers(0, math.comb(n, m), spec.n_perms)
+                w = int(rankdata(block.outcome)[block.treatment == 1].sum())
+                rows = null.rows[np.searchsorted(null.cdf, u, side="right")]
+                want = np.append(rows, null.rows[w - m * (m + 1) // 2])[:, None]
+            assert drawn.tobytes() == want.tobytes(), (block.block_id, d)
+
+    def test_the_blocks_of_a_position_must_have_one_shape(self):
+        blocks = [make_block(np.arange(6.0), [0, 1, 2]), make_block(np.arange(6.0), [0, 1])]
+        draws = permtest.chunk_draws([blocks], TestSpec(statistic="rank"), [None, None])
+        with pytest.raises(PermTestError, match="^the blocks of a position must have one shape$"):
+            next(draws)
+
 
 def doubled_rank_tail(blocks, sides):
     """Exact tail count of a node of balanced blocks, by integer brute force

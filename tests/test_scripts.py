@@ -3,12 +3,14 @@
 The scripts import public names from ``treegate``; deleting or renaming one
 of them breaks the script without failing any library test.  Each script
 runs with ``--help`` in a fresh interpreter, which imports everything it
-uses and exits before any study starts.  Bad input to a study ends in a
-one-line argparse error, not a traceback.
+uses and exits before any study starts; the dpp sweep also runs once on a
+tiny config.  Bad input to a study ends in a one-line argparse error, not a
+traceback.
 """
 
 from __future__ import annotations
 
+import csv
 import glob
 import os
 import subprocess
@@ -43,8 +45,14 @@ def test_script_help_runs(script):
     "script, args, message",
     [("run_weak_table.py", ["--replicates", "10"], "replicates must be at least 100"),
      ("run_weak_table.py", ["--alpha", "2"], "alpha must lie in [0, 1]"),
-     ("run_strong_grid.py", ["--replicates", "10"], "replicates must be at least 100")],
-    ids=["weak_replicates", "weak_alpha", "strong_replicates"],
+     ("run_strong_grid.py", ["--replicates", "10"], "replicates must be at least 100"),
+     ("run_dpp_sweep.py", ["--replicates", "10"], "replicates must be at least 100"),
+     ("run_dpp_sweep.py", ["--n-perms", "99"], "n_perms must be at least 100"),
+     ("run_dpp_sweep.py", ["--d", "0.2,inf"], "d must be finite: inf"),
+     ("run_dpp_sweep.py", ["--d", "0.2,x"],
+      "argument --d: not a comma-separated list of numbers: '0.2,x'")],
+    ids=["weak_replicates", "weak_alpha", "strong_replicates", "dpp_replicates",
+         "dpp_n_perms", "dpp_infinite_d", "dpp_d_not_a_number"],
 )
 def test_bad_study_input_is_a_one_line_error(tmp_path, script, args, message):
     out = tmp_path / "table.csv"
@@ -54,3 +62,24 @@ def test_bad_study_input_is_a_one_line_error(tmp_path, script, args, message):
     errors = [line for line in proc.stderr.splitlines() if "error" in line]
     assert errors == [f"{script}: error: {message}"]
     assert not out.exists()
+
+
+def test_dpp_sweep_writes_a_row_per_effect_and_method(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script(
+        os.path.join(ROOT, "scripts", "run_dpp_sweep.py"),
+        "--d", "0.3,0.9", "--replicates", "100", "--n-perms", "100", "--seed", "2",
+        "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    methods = ["td", "td_hommel", "td_bh", "td_adapt", "td_adapt_pruned", "bu_hommel"]
+    assert [(r["d"], r["method"]) for r in rows] == [
+        (d, m) for d in ("0.3", "0.9") for m in methods
+    ]
+    for r in rows:
+        values = [float(v) for k, v in r.items() if k not in ("d", "method")]
+        assert all(0.0 <= v <= 1.0 for v in values), r
+    td = {r["d"]: float(r["leaf_detection"]) for r in rows if r["method"] == "td"}
+    assert 0.0 < td["0.3"] < td["0.9"]

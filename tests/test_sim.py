@@ -156,6 +156,13 @@ class TestScenarioConfig:
                 methods=("td", "holm"), replicates=100,
             )
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(SimError, match=r"^repeated methods: \['td'\]$"):
+            ScenarioConfig(
+                k=2, L=3, units_per_leaf=10, null_proportion=1.0, d=0.1,
+                methods=("td", "bu_bh", "td"), replicates=100,
+            )
+
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_effect_rejected(self, d):
         with pytest.raises(SimError, match="d must be finite"):
@@ -318,6 +325,24 @@ class TestDppAgainstPerReplicateWalks:
         got = json.dumps(asdict(simulate_dpp(config)), sort_keys=True)
         want = json.dumps(asdict(simulate_dpp_per_replicate(config)), sort_keys=True)
         assert got == want
+
+    # 103 replicates: no chunk size below takes them in whole chunks
+    CHUNKED = DppConfig(d=0.5, replicates=103, n_perms=100, seed=3, methods=ALL_METHODS)
+
+    @pytest.fixture(scope="class")
+    def per_replicate(self):
+        return json.dumps(asdict(simulate_dpp_per_replicate(self.CHUNKED)), sort_keys=True)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("chunk", [1, 10, 103], ids=["one", "ten", "all"])
+    def test_summary_does_not_depend_on_chunks_or_workers(
+        self, monkeypatch, per_replicate, chunk, threads
+    ):
+        config = self.CHUNKED
+        draws_per_replicate = len(dpp_design().tree.leaves) * (config.n_perms + 1)
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", chunk * draws_per_replicate)
+        monkeypatch.setenv("TREEGATE_THREADS", threads)
+        assert json.dumps(asdict(simulate_dpp(config)), sort_keys=True) == per_replicate
 
 
 class TestGenerateDppData:
@@ -526,9 +551,68 @@ class TestNodePValues:
             node_pvalues(tree, blocks, TestSpec(statistic="mean_diff"))
 
 
+class TestPValueMatrix:
+    """A chunk of datasets' node p-values at once against per-node evaluation."""
+
+    ROWS = [("b0", ("G0", "b0"), 4), ("b1", ("G0", "b1"), 4),
+            ("b2", ("G1", "b2"), 20), ("b3", ("G1", "b3"), 20)]
+
+    def chunk(self):
+        # G0 and its 4-unit blocks are exact, G1, its 20-unit blocks and the
+        # root Monte Carlo; b2 has tied outcomes in replicates 1 and 3, and
+        # the last dataset lists replicate 4's blocks in reverse order
+        tree = build_from_paths(self.ROWS)
+        datasets = []
+        for rep in range(5):
+            rng = np.random.default_rng(np.random.SeedSequence([9, rep]))
+            blocks = []
+            for bid, _, n in self.ROWS:
+                t = np.zeros(n, dtype=np.int8)
+                t[rng.permutation(n)[: n // 2]] = 1
+                y = rng.normal(10.0, 3.0, n) + t
+                tied = (rep, bid) in {(1, "b2"), (3, "b2")}
+                blocks.append(Block(bid, t, np.round(y) if tied else y))
+            datasets.append(blocks)
+        datasets.append(datasets[-1][::-1])
+        return tree, datasets, [f"{rep}/" for rep in range(len(datasets))]
+
+    @pytest.mark.parametrize("stat", ["rank", "mean_diff", "energy"])
+    def test_every_entry_equals_permutation_pvalue(self, stat):
+        tree, datasets, prefixes = self.chunk()
+        tied = [len(np.unique(b.outcome)) < b.n for blocks in datasets for b in blocks]
+        assert [i for i, t in enumerate(tied) if t] == [6, 14]  # replicates 1 and 3's b2
+        spec = TestSpec(statistic=stat, n_perms=200, seed=7)
+        P = sim._pvalue_matrix(tree, datasets, spec, prefixes)
+        assert P.shape == (len(datasets), len(tree))
+        modes = set()
+        for row, blocks, prefix in zip(P, datasets, prefixes):
+            for i, nid in enumerate(tree.ids):
+                node_blocks = TestNodePValues.node_blocks(tree, blocks, nid)
+                modes.add(is_exact(node_blocks, spec))
+                assert row[i] == permutation_pvalue(node_blocks, spec, stream_key=prefix), (
+                    prefix, nid
+                )
+        assert modes == {True, False}
+
+    def test_decides_each_node_mode_once_per_chunk(self, monkeypatch):
+        counts = []
+        total = permtest.total_assignments
+        monkeypatch.setattr(
+            permtest, "total_assignments", lambda blocks: counts.append(1) or total(blocks)
+        )
+        tree, datasets, prefixes = self.chunk()
+        sim._pvalue_matrix(tree, datasets[:5], TestSpec(n_perms=100), prefixes[:5])
+        assert len(counts) == len(tree)
+
+
 def test_dpp_empty_method_set_rejected():
     with pytest.raises(SimError, match="empty method set"):
         DppConfig(d=0.2, methods=())
+
+
+def test_dpp_repeated_methods_rejected():
+    with pytest.raises(SimError, match=r"^repeated methods: \['td_bh', 'td'\]$"):
+        DppConfig(d=0.2, methods=("td_bh", "td", "bu_hommel", "td", "td_bh"))
 
 
 def test_worker_count_env(monkeypatch):

@@ -141,3 +141,16 @@ def test_jumps_equal_numpy_advance():
         for n in steps.tolist():
             want.append(numpy_bitgen(key).advance(n - 1).random_raw())
     assert streams._xsl_rr(hi, lo).tolist() == want
+
+
+def test_jumps_from_stream_states_equal_numpy_advance():
+    # pairs in no order of streams; streams 2 and 5 have no pair
+    streams_of = streams.pcg64_arrays(KEYS[:6])
+    row = np.array([3, 0, 3, 1, 4, 0, 4, 3, 1])
+    steps = np.array([1, 4097, 64, 2, 200, 63, 1, 65, 1000])
+    hi, lo = streams.advance(*streams_of, steps, row=row)
+    want = [
+        numpy_bitgen(KEYS[r]).advance(n - 1).random_raw()
+        for r, n in zip(row.tolist(), steps.tolist())
+    ]
+    assert streams._xsl_rr(hi, lo).tolist() == want
