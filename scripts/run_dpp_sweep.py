@@ -11,6 +11,7 @@ Replicate workers follow TREEGATE_THREADS.
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -18,7 +19,7 @@ from treegate import DppConfig, dpp_design, simulate_dpp
 from treegate.cli import csv_text
 from treegate.errorload import ScheduleError
 from treegate.permtest import STATISTICS, PermTestError
-from treegate.sim import SimError
+from treegate.sim import SimError, worker_count
 
 EFFECTS = "0.2,0.4,0.5,0.6,0.65,0.7"
 COLUMNS = [
@@ -44,6 +45,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=16)
     parser.add_argument("--out", default="dpp_sweep.csv")
     args = parser.parse_args(argv)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"{args.out}: no such directory")
 
     try:
         configs = [
@@ -51,6 +54,7 @@ def main(argv=None) -> int:
                       statistic=args.statistic, seed=args.seed)
             for d in args.d
         ]
+        worker_count()
     except (SimError, ScheduleError, PermTestError) as exc:
         parser.error(str(exc))
 
@@ -58,7 +62,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     for config in configs:
         summary = simulate_dpp(config)
-        n_non_null = len(dpp_design(config.students_per_block).non_null)
+        tree = dpp_design(config.students_per_block)
+        n_non_null = int((tree.is_leaf & ~tree.is_null).sum())
         for method, ms in summary.methods.items():
             detection = ms.true_rejections_leaf / n_non_null
             se = math.sqrt(detection * (1.0 - detection) / config.replicates)
@@ -69,8 +74,11 @@ def main(argv=None) -> int:
             ])
             print(dict(zip(COLUMNS, rows[-1])))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text(rows))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text(rows))
+    except OSError as exc:
+        parser.error(f"{args.out}: {exc.strerror}")
     print(f"wrote {args.out} in {time.perf_counter() - t0:.0f}s")
     return 0
 

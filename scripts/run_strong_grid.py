@@ -8,6 +8,7 @@ Hommel.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -43,6 +44,8 @@ def main(argv=None) -> int:
                         choices=("scattered", "contiguous"))
     parser.add_argument("--out", default="strong_grid.csv")
     args = parser.parse_args(argv)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"{args.out}: no such directory")
 
     try:
         configs = list(scenario_rows(args))
@@ -72,8 +75,11 @@ def main(argv=None) -> int:
         rows.append(row)
         print(row)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
+    except OSError as exc:
+        parser.error(f"{args.out}: {exc.strerror}")
     print(f"wrote {args.out} in {time.perf_counter() - t0:.0f}s")
     return 0
 

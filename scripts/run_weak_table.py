@@ -8,6 +8,7 @@ replicate thanks to the stopping rule.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -26,6 +27,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=16)
     parser.add_argument("--out", default="weak_table.csv")
     args = parser.parse_args(argv)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"{args.out}: no such directory")
 
     rows = []
     for k, L in DESK_ROWS:
@@ -51,8 +54,11 @@ def main(argv=None) -> int:
         )
         print(rows[-1])
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text([list(rows[0]), *(row.values() for row in rows)]))
+    except OSError as exc:
+        parser.error(f"{args.out}: {exc.strerror}")
     print(f"wrote {args.out}")
     return 0
 

@@ -367,16 +367,16 @@ _SCORE_FIELDS = {
 _SCORE_KEYS = tuple(_SCORE_FIELDS)
 
 
-def _add_scores(sums: dict, tree, labeled, P: np.ndarray, alpha: float, schedule) -> None:
+def _add_scores(sums: dict, tree, P: np.ndarray, alpha: float, schedule) -> None:
     """Run every method of ``sums`` on the rows of the (replicates, nodes)
-    p-value matrix ``P`` and add each row's scores to the method's sums,
-    left to right in row order."""
+    p-value matrix ``P`` over the truth-labeled ``tree`` and add each row's
+    scores to the method's sums, left to right in row order."""
     for method in sums:
         if method in TD_METHODS:
             result = run_topdown_batch(tree, P, TD_METHODS[method], alpha=alpha, schedule=schedule)
         else:
             result = run_bottom_up_batch(tree, P, method, alpha)
-        scores = score_batch(result, labeled)
+        scores = score_batch(result, tree)
         block = np.column_stack([scores[attr] for attr in _SCORE_FIELDS.values()])
         sums[method] = np.add.accumulate(np.vstack([sums[method], block]))[-1]
 
@@ -412,14 +412,12 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
     once per method, and score sums are added in replicate order.
     """
     tree = build_regular(config.k, config.L, config.units_per_leaf)
-    non_null = _non_null_leaves(
-        tree.leaves, config.null_proportion, config.placement
-    )
-    labeled = tree.label_truth(non_null)
+    non_null = _non_null_leaves(tree.leaves, config.null_proportion, config.placement)
+    tree = tree.label_truth(non_null)
     model = _planning_model(config)
     schedule = adaptive_schedule(tree, model)
     # the data follow the true effect d; only the schedule plans with d_hat
-    exponents = _beta_inverse_exponents(labeled, config, replace(model, d_hat=config.d or 0.0))
+    exponents = _beta_inverse_exponents(tree, config, replace(model, d_hat=config.d or 0.0))
 
     sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
     per_block = max(1, _BLOCK_ELEMENTS // len(tree))
@@ -429,7 +427,7 @@ def simulate_strong(config: ScenarioConfig) -> SimSummary:
         for row, rng in zip(P, streams.generators([(config.seed, rep) for rep in reps])):
             row[:] = rng.random(len(tree))
         P **= exponents
-        _add_scores(sums, tree, labeled, P, config.alpha, schedule)
+        _add_scores(sums, tree, P, config.alpha, schedule)
 
     params = _params(
         config, model, sum_error_load=schedule.total_error_load, n_non_null_leaves=len(non_null)
@@ -450,51 +448,44 @@ DPP_LAYOUT = ((4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 3, 1))
 _CONTROL_MEAN, _CONTROL_SD = 10.0, 3.0
 
 
-@dataclass(frozen=True, slots=True)
-class DppDesign:
-    """The 44-block study's tree at one block size: colleges ``C1``..``C5``,
-    their cohorts ``C<c>/Y<y>``, and blocks ``B01``..``B44`` as the leaves,
-    with the first college's blocks as the non-null ones."""
-
-    students_per_block: int
-    tree: HypothesisTree
-    non_null: frozenset[str]
-
-
-def dpp_design(students_per_block: int = 50) -> DppDesign:
-    """The design of ``DPP_LAYOUT`` with ``students_per_block`` students in
-    every block."""
+def dpp_design(students_per_block: int = 50) -> HypothesisTree:
+    """The tree of ``DPP_LAYOUT`` with ``students_per_block`` students in
+    every block: colleges ``C1``..``C5``, their cohorts ``C<c>/Y<y>``, and
+    blocks ``B01``..``B44`` as the leaves, truth-labeled with the first
+    college's blocks as the non-null ones."""
     rows = []
     for c, cohorts in enumerate(DPP_LAYOUT, start=1):
         for y, n_blocks in enumerate(cohorts, start=1):
             for _ in range(n_blocks):
                 block_id = f"B{len(rows) + 1:02d}"
                 rows.append((block_id, (f"C{c}", f"Y{y}", block_id), students_per_block))
-    non_null = frozenset(bid for bid, path, _ in rows if path[0] == "C1")
-    return DppDesign(students_per_block, build_from_paths(rows), non_null)
+    return build_from_paths(rows).label_truth(bid for bid, path, _ in rows if path[0] == "C1")
 
 
 def generate_dpp_data(
-    design: DppDesign, d: float, seed: int, *, rep: int = 0
+    tree: HypothesisTree, d: float, seed: int, *, rep: int = 0
 ) -> tuple[HypothesisTree, list[Block], set[str]]:
-    """Draw one dataset on the 44-block design.
+    """Draw one dataset on a truth-labeled block tree such as ``dpp_design()``.
 
-    Control potential outcomes are Normal(10, 3**2); the nine blocks of the
-    first college receive an additive treatment effect of ``3 * d`` and
-    treatment is assigned to exactly half of each block.  Returns the
-    design's tree, the block data, and the set of truly non-null block ids.
+    Control potential outcomes are Normal(10, 3**2); each non-null leaf's
+    block receives an additive treatment effect of ``3 * d``, each leaf's
+    block has the leaf's ``n_units`` students, and treatment is assigned
+    to exactly half of each block.  Returns the tree, the block data, and
+    the set of truly non-null block ids.
     """
+    if tree.is_null is None:
+        raise SimError("generate_dpp_data needs a truth-labeled tree (see tree.label_truth)")
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep, 0xDA7A]))
     tau = d * _CONTROL_SD
-    n = design.students_per_block
+    sizes, nulls = tree.n_units[tree.is_leaf].tolist(), tree.is_null[tree.is_leaf].tolist()
     blocks = []
-    for bid in design.tree.leaves:
+    for bid, n, null in zip(tree.leaves, sizes, nulls):
         y0 = rng.normal(_CONTROL_MEAN, _CONTROL_SD, n)
-        y1 = y0 + (tau if bid in design.non_null else 0.0)
+        y1 = y0 + (0.0 if null else tau)
         treatment = np.zeros(n, dtype=np.int8)
         treatment[rng.permutation(n)[: n // 2]] = 1
         blocks.append(Block(bid, treatment, np.where(treatment == 1, y1, y0)))
-    return design.tree, blocks, set(design.non_null)
+    return tree, blocks, {bid for bid, null in zip(tree.leaves, nulls) if not null}
 
 
 def _test_spec(config: DppConfig) -> TestSpec:
@@ -639,18 +630,18 @@ def _pvalue_matrix(
     return P
 
 
-def _dpp_pvalues(config: DppConfig, design: DppDesign, rep_range) -> np.ndarray:
+def _dpp_pvalues(config: DppConfig, tree: HypothesisTree, rep_range) -> np.ndarray:
     """Every node's p-value in each of the given replicates, one row each,
     computed for chunks of replicates at once (``_pvalue_matrix``)."""
     spec = _test_spec(config)
     reps = list(rep_range)
-    per_chunk = max(1, _BLOCK_ELEMENTS // (len(design.tree.leaves) * (spec.n_perms + 1)))
-    P = np.empty((len(reps), len(design.tree)))
+    per_chunk = max(1, _BLOCK_ELEMENTS // (len(tree.leaves) * (spec.n_perms + 1)))
+    P = np.empty((len(reps), len(tree)))
     for start in range(0, len(reps), per_chunk):
         chunk = reps[start : start + per_chunk]
-        datasets = [generate_dpp_data(design, config.d, config.seed, rep=rep)[1] for rep in chunk]
+        datasets = [generate_dpp_data(tree, config.d, config.seed, rep=rep)[1] for rep in chunk]
         P[start : start + len(chunk)] = _pvalue_matrix(
-            design.tree, datasets, spec, [f"{rep}/" for rep in chunk]
+            tree, datasets, spec, [f"{rep}/" for rep in chunk]
         )
     return P
 
@@ -658,17 +649,19 @@ def _dpp_pvalues(config: DppConfig, design: DppDesign, rep_range) -> np.ndarray:
 def simulate_dpp(config: DppConfig) -> SimSummary:
     """Run the 44-block study; honors TREEGATE_THREADS for replicate workers.
 
-    The design is built once.  Workers compute the replicates' node
-    p-values a chunk of replicates at a time (``_dpp_pvalues``), and the
-    replicates are walked together once the rows are in.  Every method
+    The design's truth-labeled tree is built once and drives the data,
+    the schedule, the walks and the scoring.  Workers compute the
+    replicates' node p-values a chunk of replicates at a time
+    (``_dpp_pvalues``), and the replicates are walked together once the
+    rows are in.  Every method
     within a replicate shares one dataset and its p-values, so method
     comparisons are paired; results are identical for any chunk size and
     worker count.
     """
-    design = dpp_design(config.students_per_block)
+    tree = dpp_design(config.students_per_block)
     workers = worker_count(config.replicates)
     if workers <= 1:
-        P = _dpp_pvalues(config, design, range(config.replicates))
+        P = _dpp_pvalues(config, tree, range(config.replicates))
     else:
         # Imported here: it loads multiprocessing, which one-worker runs never use.
         from concurrent.futures import ProcessPoolExecutor
@@ -676,15 +669,11 @@ def simulate_dpp(config: DppConfig) -> SimSummary:
         chunks = np.array_split(np.arange(config.replicates), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             P = np.vstack(list(
-                pool.map(partial(_dpp_pvalues, config, design), [c.tolist() for c in chunks])
+                pool.map(partial(_dpp_pvalues, config, tree), [c.tolist() for c in chunks])
             ))
 
-    tree = design.tree
     model = _planning_model(config)
     sums = {m: np.zeros(len(_SCORE_KEYS)) for m in config.methods}
-    _add_scores(
-        sums, tree, tree.label_truth(design.non_null), P, config.alpha,
-        adaptive_schedule(tree, model),
-    )
+    _add_scores(sums, tree, P, config.alpha, adaptive_schedule(tree, model))
     params = _params(config, model, blocks=len(tree.leaves))
     return SimSummary("dpp", params, _summaries(sums, config.replicates))

@@ -339,7 +339,7 @@ class TestDppAgainstPerReplicateWalks:
         self, monkeypatch, per_replicate, chunk, threads
     ):
         config = self.CHUNKED
-        draws_per_replicate = len(dpp_design().tree.leaves) * (config.n_perms + 1)
+        draws_per_replicate = len(dpp_design().leaves) * (config.n_perms + 1)
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", chunk * draws_per_replicate)
         monkeypatch.setenv("TREEGATE_THREADS", threads)
         assert json.dumps(asdict(simulate_dpp(config)), sort_keys=True) == per_replicate
@@ -354,18 +354,36 @@ class TestGenerateDppData:
         assert len(non_null) == 9
         assert tree.node(tree.root).n_units == 2200
 
-    def test_effect_is_additive_shift(self):
-        _, blocks, non_null = generate_dpp_data(dpp_design(), 0.2, seed=3)
+    def test_design_labels_the_first_college_non_null(self):
+        tree = dpp_design()
+        non_null = {nid for nid, null in zip(tree.ids, tree.is_null.tolist()) if not null}
+        assert non_null == {f"B{i:02d}" for i in range(1, 10)} | {
+            "C1", "C1/Y1", "C1/Y2", "C1/Y3", tree.root
+        }
+
+    @pytest.mark.parametrize(
+        "tree, shifted",
+        [(dpp_design(), {f"B{i:02d}" for i in range(1, 10)}),
+         (dpp_design().label_truth({"B01", "B05", "B09"}), {"B01", "B05", "B09"})],
+        ids=["first_college", "one_block_per_cohort"],
+    )
+    def test_effect_is_additive_shift_on_the_labeled_blocks(self, tree, shifted):
+        _, blocks, non_null = generate_dpp_data(tree, 0.2, seed=3)
+        assert non_null == shifted
         # tau = d * sd = 0.6; reconstructable because the same draw with d=0
-        _, blocks0, _ = generate_dpp_data(dpp_design(), 0.0, seed=3)
+        _, blocks0, _ = generate_dpp_data(tree, 0.0, seed=3)
         for b, b0 in zip(blocks, blocks0):
-            delta = b.outcome - b0.outcome
+            np.testing.assert_array_equal(b.treatment, b0.treatment)
             treated = b.treatment == 1
-            if b.block_id in non_null:
-                np.testing.assert_allclose(delta[treated], 0.6)
+            if b.block_id in shifted:
+                np.testing.assert_allclose(b.outcome[treated] - b0.outcome[treated], 0.6)
+                np.testing.assert_array_equal(b.outcome[~treated], b0.outcome[~treated])
             else:
-                np.testing.assert_allclose(delta, 0.0)
-            np.testing.assert_allclose(delta[~treated], 0.0)
+                np.testing.assert_array_equal(b.outcome, b0.outcome)
+
+    def test_unlabeled_tree_is_a_one_line_error(self):
+        with pytest.raises(SimError, match="^[^\n]*truth-labeled[^\n]*$"):
+            generate_dpp_data(build_regular(2, 3, 4), 0.2, seed=0)
 
     def test_null_blocks_have_identical_potentials(self):
         _, blocks, non_null = generate_dpp_data(dpp_design(), 0.5, seed=1)
