@@ -10,8 +10,10 @@ It runs ``treegate simulate`` on each committed config (each runs in 3 s
 or less on a 2-core VM; a config much over 10 s would not belong here),
 ``treegate alpha-schedule`` on ``tests/golden/sizes.csv``, and
 ``treegate test`` on ``tests/golden/trial.csv`` with every gate variant in
-JSON, CSV and DOT.  The mean-difference statistic rejects that file's root,
-so the walk goes below it.  A flat copy of the file, without its hierarchy
+JSON, CSV and DOT, the DOT both with untested subtrees omitted and with
+each collapsed into one placeholder (``--dot-pruned collapse``, the one
+output that sums over subtrees).  The mean-difference statistic rejects
+that file's root, so the walk goes below it.  A flat copy of the file, without its hierarchy
 columns and so with its seven blocks in one sibling group under the root,
 is written to a temporary directory and tested with both local Hommel
 variants.  The energy statistic, whose quadratic form no other command
@@ -57,6 +59,10 @@ def commands() -> list[list[str]]:
             out.append(
                 ["test", "tests/golden/trial.csv", "--variant", variant, *TEST_ARGS, "--format", fmt]
             )
+        out.append(
+            ["test", "tests/golden/trial.csv", "--variant", variant, *TEST_ARGS, "--format", "dot",
+             "--dot-pruned", "collapse"]
+        )
     for variant in ("local_hommel", "adaptive_hommel"):
         for fmt in ("json", "csv", "dot"):
             out.append(["test", FLAT, "--variant", variant, *TEST_ARGS, "--format", fmt])

@@ -277,7 +277,7 @@ def _untied_rank_sums(blocks: Sequence[Block]) -> list[int]:
     return out
 
 
-def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.ndarray:
+def block_draws(block: Block, spec: TestSpec, stream_key="") -> np.ndarray:
     """One block's Monte Carlo rows, shape ``(spec.n_perms + 1, q)``.
 
     Rows are the block's weighted differences (``_weighted_diff``) for
@@ -285,9 +285,7 @@ def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.
     observed assignment as the last row.  The draws come from a stream keyed
     by ``(spec.seed, stream_key, block.block_id)`` (``block_entropy``), so
     every node evaluated with one ``stream_key`` sums the same draws of a
-    block.  A caller that seeds many blocks at once passes ``bitgen``, a
-    PCG64 at the start of that stream; otherwise the stream is seeded here.
-    It is the one-block call of ``chunk_draws``.
+    block.  It is the one-block call of ``chunk_draws``.
 
     A rank block without ties and with fewer than 2^63 assignments has a
     row that depends on the assignment only through the treated rank sum
@@ -311,9 +309,8 @@ def block_draws(block: Block, spec: TestSpec, stream_key="", bitgen=None) -> np.
     a 64-bit word and the stream is read as if all keys came at once.  Tied
     rows are drawn again only after the last chunk.
     """
-    if bitgen is None:
-        entropy = block_entropy(spec, stream_key, block.block_id)
-        bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
+    entropy = block_entropy(spec, stream_key, block.block_id)
+    bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
     return next(chunk_draws([[block]], spec, [bitgen]))[0]
 
 

@@ -199,8 +199,6 @@ def _uniform_draws(key: tuple[int, ...]):
     def draw(row: np.ndarray, node: np.ndarray) -> np.ndarray:
         nonlocal state
         row = np.asarray(row, dtype=np.intp)
-        if not row.size:
-            return np.empty(0)
         if row.max() >= state.shape[1]:
             grow = int(row.max()) + 1 - state.shape[1]
             state = np.concatenate([state, np.zeros((4, grow), dtype=np.uint64)], axis=1)
@@ -562,10 +560,10 @@ def _pvalue_matrix(
     streams keyed ``(spec.seed, prefixes[d], block_id)``, and its row equals
     ``node_pvalues(tree, datasets[d], spec, prefixes[d])``.
 
-    Datasets that list the same leaves' blocks in one order with the same
-    shapes are computed together; otherwise each dataset is its own chunk.
-    Each node's mode is decided once, by ``is_exact``, which depends only
-    on the shapes.  Nodes within ``spec.exact_cap`` are enumerated exactly,
+    Every dataset lists the blocks of the first, by id, in its order and
+    with its shapes (a one-line PermTestError otherwise), so each node's
+    mode is decided once, by ``is_exact``, which depends only on the
+    shapes.  Nodes within ``spec.exact_cap`` are enumerated exactly,
     dataset by dataset.  Then one pass runs over the block positions, in
     dataset order.  Each position draws its Monte Carlo rows once for the
     whole chunk (``chunk_draws``), and adds them into a running sum held by
@@ -574,19 +572,15 @@ def _pvalue_matrix(
     drawing blocks' streams are all seeded in one batch (``streams``).
     """
     leaf_index = dict(zip(tree.leaves, np.flatnonzero(tree.is_leaf).tolist()))
-    layouts = [
-        [(i, b.n, b.n_treated) for i, b in zip(_block_leaves(leaf_index, blocks), blocks)]
-        for blocks in datasets
-    ]
-    if any(layout != layouts[0] for layout in layouts[1:]):
-        return np.vstack([
-            _pvalue_matrix(tree, [blocks], spec, [prefix])
-            for blocks, prefix in zip(datasets, prefixes)
-        ])
+    leaves = _block_leaves(leaf_index, datasets[0])
+    layout = [(b.block_id, b.n, b.n_treated) for b in datasets[0]]
+    for d, blocks in enumerate(datasets[1:], start=1):
+        if [(b.block_id, b.n, b.n_treated) for b in blocks] != layout:
+            raise PermTestError(f"dataset {d} does not list dataset 0's blocks and shapes")
     parent = tree.parent.tolist()
     under: list[list[int]] = [[] for _ in range(len(tree))]  # each node's block positions
     paths = []  # per block position: its leaf, then the leaf's ancestors
-    for j, (i, _, _) in enumerate(layouts[0]):
+    for j, i in enumerate(leaves):
         path = []
         while i >= 0:
             under[i].append(j)

@@ -149,21 +149,19 @@ def _jumps(n: int) -> np.ndarray:
 
 def advance(
     state_hi: np.ndarray, state_lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
-    steps: np.ndarray, row: np.ndarray | None = None,
+    steps: np.ndarray, row: np.ndarray,
 ):
-    """Each PCG64 state after its count in ``steps`` of LCG steps, each at
-    least one; returns the new (high, low) uint64 halves.  The states and
-    increments are given per pair, like ``steps``, or per stream with
-    ``row``, and then pair p jumps from stream ``row[p]``'s state.
+    """Each pair's PCG64 state after its count in ``steps`` of LCG steps,
+    each at least one; returns the new (high, low) uint64 halves.  The
+    states and increments are given per stream, and pair p jumps from
+    stream ``row[p]``'s state.
 
     Since ``A_j - 1 = (mult - 1) * C_j``, j steps take a state s to
     ``s + C_j * (step(s) - s)``: one LCG step per stream and one 128-bit
     multiply per pair."""
     d_hi, d_lo = _sub(*step(state_hi, state_lo, inc_hi, inc_lo), state_hi, state_lo)
-    if row is not None:
-        state_hi, state_lo, d_hi, d_lo = state_hi[row], state_lo[row], d_hi[row], d_lo[row]
     c_hi, c_lo = _jumps(int(steps.max()))[2:, steps - 1]
-    return _add(*_mul(c_hi, c_lo, d_hi, d_lo), state_hi, state_lo)
+    return _add(*_mul(c_hi, c_lo, d_hi[row], d_lo[row]), state_hi[row], state_lo[row])
 
 
 def _xsl_rr(state_hi: np.ndarray, state_lo: np.ndarray) -> np.ndarray:

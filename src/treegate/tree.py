@@ -8,7 +8,6 @@ is null exactly when all of its descendant leaves are null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
@@ -20,26 +19,6 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 class TreeError(ValueError):
     """Malformed tree input or structurally inconsistent tree."""
-
-
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """One node, as ``HypothesisTree.node`` builds it on demand.  Depth is 1
-    at the root.
-
-    ``is_null`` is a simulation-only truth label: None means unlabeled.
-    """
-
-    id: str
-    parent: str | None
-    children: tuple[str, ...]
-    depth: int
-    n_units: int
-    is_null: bool | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class HypothesisTree:
@@ -140,20 +119,6 @@ class HypothesisTree:
             raise TreeError(f"unknown node id: {node_id!r}")
         return i
 
-    def node(self, node_id: str) -> TreeNode:
-        """A view of one node, built on each call."""
-        i = self.index_of(node_id)
-        p = int(self.parent[i])
-        lo, hi = self.child_offsets[i : i + 2]
-        return TreeNode(
-            id=node_id,
-            parent=self.ids[p] if p >= 0 else None,
-            children=tuple(self.ids[c] for c in self.children[lo:hi].tolist()),
-            depth=int(self.depth[i]),
-            n_units=int(self.n_units[i]),
-            is_null=None if self.is_null is None else bool(self.is_null[i]),
-        )
-
     def leaves_under(self, node_id: str) -> list[str]:
         """Leaf ids under a node in depth-first child order; a leaf lists itself.
 
@@ -193,7 +158,8 @@ class HypothesisTree:
 
         A leaf is non-null iff its id is in ``non_null_leaves``, and a group
         is non-null iff at least one leaf under it is; parents are therefore
-        the conjunction of their children.
+        the conjunction of their children.  The copy sums over its own
+        ``parent`` and ``levels``, so they are derived once, on the copy.
         """
         wanted = {nid: self._index.get(nid) for nid in set(non_null_leaves)}
         unknown = [nid for nid, i in wanted.items() if i is None or not self.is_leaf[i]]
@@ -201,13 +167,9 @@ class HypothesisTree:
             raise TreeError(f"unknown block ids: {sorted(unknown)}")
         marked = np.zeros(len(self), dtype=np.int64)
         marked[list(wanted.values())] = 1
-        return HypothesisTree(
-            self._ids,
-            self.n_units,
-            self.child_offsets,
-            self.children,
-            is_null=self.subtree_sum(marked) == 0,
-        )
+        labeled = HypothesisTree(self._ids, self.n_units, self.child_offsets, self.children)
+        labeled.is_null = _frozen(labeled.subtree_sum(marked) == 0)
+        return labeled
 
     def prune_below(self, stop_nodes: Iterable[str]) -> "HypothesisTree":
         """Drop all strict descendants of the given nodes.

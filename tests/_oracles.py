@@ -196,6 +196,19 @@ def block_draws_unchunked(block, spec, stream_key=""):
     return _weighted_diff(spec.statistic, n, m, sums, scores.sum(axis=0) - sums)
 
 
+def child_ids(tree, nid) -> tuple:
+    """A node's child ids in index order, read from the tree's child lists."""
+    i = tree.index_of(nid)
+    lo, hi = tree.child_offsets[i : i + 2]
+    return tuple(tree.ids[c] for c in tree.children[lo:hi].tolist())
+
+
+def parent_id(tree, nid):
+    """A node's parent id, None at the root."""
+    p = int(tree.parent[tree.index_of(nid)])
+    return tree.ids[p] if p >= 0 else None
+
+
 class ReferenceTree:
     """A hypothesis tree as a dict of parent links, every quantity computed
     from its definition by walking the links.

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from _oracles import child_ids
 from treegate import cli, sim
 from treegate.cli import (
     CliError,
@@ -371,16 +372,16 @@ class TestNodeSizes:
         )
         tree = read_node_sizes(str(path))
         assert tree.ids == ["a1", "root", "a", "a2", "b"]
-        assert tree.node("a").children == ("a1", "a2")
-        assert tree.node("root").n_units == 100
-        assert tree.node("a1").depth == 3
+        assert child_ids(tree, "a") == ("a1", "a2")
+        assert tree.n_units[tree.index_of("root")] == 100
+        assert tree.depth[tree.index_of("a1")] == 3
 
     def test_deep_chain_accepted(self, tmp_path):
         path = tmp_path / "chain.csv"
         path.write_text("node_id,parent_id,n_units\n" + _chain(1500))
         tree = read_node_sizes(str(path))
         assert tree.max_depth == 1500
-        assert tree.node("n0").n_units == 5
+        assert tree.n_units[tree.index_of("n0")] == 5
 
     @pytest.mark.parametrize(
         "body, message",
@@ -411,7 +412,7 @@ class TestNodeSizes:
     def test_header_with_byte_order_mark_and_spaces(self, tmp_path):
         path = tmp_path / "sizes.csv"
         path.write_bytes(b"\xef\xbb\xbfnode_id , parent_id,n_units\nroot,,\na,root,4\nb,root,5\n")
-        assert read_node_sizes(str(path)).node("root").n_units == 9
+        assert read_node_sizes(str(path)).n_units[0] == 9  # the root, listed first
 
     def test_duplicate_required_column(self, tmp_path):
         path = tmp_path / "sizes.csv"
@@ -435,7 +436,7 @@ class TestNodeSizes:
             "a1,a,100\na2,a,100\nb1,b,100\nb2,b,100\n"
         )
         tree = read_node_sizes(str(path))
-        assert tree.node("root").n_units == 400
+        assert tree.n_units[tree.index_of("root")] == 400
         assert tree.max_depth == 3
 
     def test_inconsistent_units_rejected(self, tmp_path):

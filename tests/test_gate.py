@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import outcomes, rejected_ids, shuffled_trees, topdown_loop
+from _oracles import child_ids, outcomes, parent_id, rejected_ids, shuffled_trees, topdown_loop
 from treegate.errorload import AlphaSchedule, DepthSchedule, PowerModel, adaptive_schedule
 from treegate.gate import (
     ADAPTIVE,
@@ -65,7 +65,7 @@ class TestRunTopdown:
     def test_rejected_set_upward_closed(self, k3l3):
         result = run_topdown(k3l3, FIG_PVALUES.__getitem__, UNADJUSTED)
         for nid in rejected_ids(result, k3l3):
-            parent = k3l3.node(nid).parent
+            parent = parent_id(k3l3, nid)
             if parent is not None:
                 assert outcomes(result, k3l3)[parent][3]
 
@@ -208,7 +208,7 @@ def rebuilt_pruned_walk(tree, pvals, schedule):
         below, stops = [], []
         for nid in level:
             applied[nid] = thresholds[depth]
-            children = tree.node(nid).children
+            children = child_ids(tree, nid)
             if pvals[nid] <= thresholds[depth]:
                 rejected.add(nid)
                 below.extend(children)

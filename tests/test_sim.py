@@ -352,7 +352,7 @@ class TestGenerateDppData:
         assert sum(b.n for b in blocks) == 2200
         assert all(b.n_treated == 25 for b in blocks)
         assert len(non_null) == 9
-        assert tree.node(tree.root).n_units == 2200
+        assert tree.n_units[tree.root_index] == 2200
 
     def test_design_labels_the_first_college_non_null(self):
         tree = dpp_design()
@@ -577,8 +577,7 @@ class TestPValueMatrix:
 
     def chunk(self):
         # G0 and its 4-unit blocks are exact, G1, its 20-unit blocks and the
-        # root Monte Carlo; b2 has tied outcomes in replicates 1 and 3, and
-        # the last dataset lists replicate 4's blocks in reverse order
+        # root Monte Carlo; b2 has tied outcomes in replicates 1 and 3
         tree = build_from_paths(self.ROWS)
         datasets = []
         for rep in range(5):
@@ -591,7 +590,6 @@ class TestPValueMatrix:
                 tied = (rep, bid) in {(1, "b2"), (3, "b2")}
                 blocks.append(Block(bid, t, np.round(y) if tied else y))
             datasets.append(blocks)
-        datasets.append(datasets[-1][::-1])
         return tree, datasets, [f"{rep}/" for rep in range(len(datasets))]
 
     @pytest.mark.parametrize("stat", ["rank", "mean_diff", "energy"])
@@ -619,8 +617,22 @@ class TestPValueMatrix:
             permtest, "total_assignments", lambda blocks: counts.append(1) or total(blocks)
         )
         tree, datasets, prefixes = self.chunk()
-        sim._pvalue_matrix(tree, datasets[:5], TestSpec(n_perms=100), prefixes[:5])
+        sim._pvalue_matrix(tree, datasets, TestSpec(n_perms=100), prefixes)
         assert len(counts) == len(tree)
+
+    @pytest.mark.parametrize("change", ["blocks_reordered", "block_resized"])
+    def test_dataset_of_another_layout_is_one_line_error(self, change):
+        tree, datasets, prefixes = self.chunk()
+        blocks = datasets[3]
+        if change == "blocks_reordered":
+            datasets[3] = blocks[::-1]
+        else:  # b1 loses its last unit
+            b1 = blocks[1]
+            datasets[3] = [blocks[0], Block("b1", b1.treatment[:-1], b1.outcome[:-1]), *blocks[2:]]
+        with pytest.raises(
+            PermTestError, match=r"^dataset 3 does not list dataset 0's blocks and shapes$"
+        ):
+            sim._pvalue_matrix(tree, datasets, TestSpec(n_perms=100), prefixes)
 
 
 def test_dpp_empty_method_set_rejected():
@@ -663,7 +675,7 @@ def scalar_draws(key, calls):
         [[0, 1], [1, 3, 3], [3, 4, 1, 4]],
         [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
         [[3, 0, 2, 1], [2, 0, 2, 3, 0, 2], [0, 3, 0, 0, 3, 1]],
-        [[0] * 150 + [1] * 70, [1, 0] * 33, []],
+        [[0] * 150 + [1] * 70, [1, 0] * 33],
     ],
     ids=["row_first_seen_later", "rows_drop_out", "pairs_not_grouped_or_sorted", "long_runs"],
 )

@@ -133,9 +133,10 @@ def test_stepping_equals_numpy_raw_and_random():
 
 
 def test_jumps_equal_numpy_advance():
+    # every step count from each of four streams, pairs grouped by stream
     steps = np.array([1, 2, 3, 63, 64, 65, 200, 1000, 4097])
-    start = np.repeat(streams.pcg64_arrays(KEYS[:4]), steps.size, axis=1)
-    hi, lo = streams.advance(*start, np.tile(steps, 4))
+    row = np.repeat(np.arange(4), steps.size)
+    hi, lo = streams.advance(*streams.pcg64_arrays(KEYS[:4]), np.tile(steps, 4), row=row)
     want = []
     for key in KEYS[:4]:
         for n in steps.tolist():

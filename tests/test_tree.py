@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ReferenceTree, shuffled_trees
+from _oracles import ReferenceTree, child_ids, parent_id, shuffled_trees
+from treegate import gate, tree as tree_module
 from treegate.errorload import (
     PowerModel,
     adaptive_schedule,
@@ -57,9 +58,7 @@ class TestBuildRegular:
 
     def test_unit_counts_scale_with_level(self):
         tree = build_regular(3, 3, units_per_leaf=10)
-        assert tree.node("1").n_units == 90
-        assert tree.node("2").n_units == 30
-        assert tree.node("5").n_units == 10
+        assert tree.n_units[[0, 1, 4]].tolist() == [90, 30, 10]  # nodes "1", "2" and "5"
 
     @pytest.mark.parametrize("k,L", [(1, 3), (2, 1), (0, 2)])
     def test_rejects_degenerate_shapes(self, k, L):
@@ -100,20 +99,19 @@ class TestBuildRegular:
 
     def test_children_in_order(self):
         tree = build_regular(3, 3)
-        assert tree.node("1").children == ("2", "3", "4")
-        assert tree.node("2").children == ("5", "6", "7")
+        assert child_ids(tree, "1") == ("2", "3", "4")
+        assert child_ids(tree, "2") == ("5", "6", "7")
 
     @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 7))
     @settings(max_examples=30, deadline=None)
     def test_children_units_sum_to_parent(self, k, L, units):
         tree = build_regular(k, L, units_per_leaf=units)
-        for node in map(tree.node, tree.ids):
-            if node.children:
-                assert node.n_units == sum(
-                    tree.node(c).n_units for c in node.children
-                )
-                child_blocks = [b for c in node.children for b in tree.leaves_under(c)]
-                assert child_blocks == tree.leaves_under(node.id)
+        for i, nid in enumerate(tree.ids):
+            children = child_ids(tree, nid)
+            if children:
+                assert tree.n_units[i] == sum(tree.n_units[tree.index_of(c)] for c in children)
+                child_blocks = [b for c in children for b in tree.leaves_under(c)]
+                assert child_blocks == tree.leaves_under(nid)
 
 
 class TestBuildFromPaths:
@@ -122,20 +120,20 @@ class TestBuildFromPaths:
         assert len(tree.levels[1]) == 5
         assert len(tree.leaves) == 44
         assert len(tree) == 1 + 5 + 15 + 44
-        assert tree.node(tree.root).n_units == 2200
+        assert tree.n_units[tree.root_index] == 2200
 
     def test_single_block_empty_path(self):
         tree = build_from_paths([("b1", (), 10)])
         assert len(tree) == 2
-        assert tree.node("b1").parent == tree.root
+        assert parent_id(tree, "b1") == tree.root
 
     def test_two_blocks_under_one_parent(self):
         tree = build_from_paths(
             [("b1", ("G", "b1"), 5), ("b2", ("G", "b2"), 5)]
         )
         assert len(tree) == 4
-        assert tree.node("G").children == ("b1", "b2")
-        assert tree.node("G").n_units == 10
+        assert child_ids(tree, "G") == ("b1", "b2")
+        assert tree.n_units[tree.index_of("G")] == 10
 
     def test_duplicate_block_rejected(self):
         with pytest.raises(TreeError, match="duplicate"):
@@ -175,16 +173,16 @@ class TestFromParents:
         )
         assert tree.ids == ["a1", "root", "a", "b", "a2"]
         assert tree.root == "root"
-        assert tree.node("root").children == ("a", "b")
-        assert tree.node("a").children == ("a1", "a2")
-        assert tree.node("a2").depth == 3
+        assert child_ids(tree, "root") == ("a", "b")
+        assert child_ids(tree, "a") == ("a1", "a2")
+        assert tree.depth[tree.index_of("a2")] == 3
         assert tree.leaves_under("a") == ["a1", "a2"]
         assert tree.leaves_under("root") == ["a1", "a2", "b"]
-        assert tree.node("root").n_units == 12
-        assert tree.node("a1").parent == "a"
+        assert tree.n_units[tree.index_of("root")] == 12
+        assert parent_id(tree, "a1") == "a"
 
     def test_group_total_checked_when_given(self):
-        assert from_parents(["r", "x", "y"], [-1, 0, 0], [5, 2, 3]).node("r").n_units == 5
+        assert from_parents(["r", "x", "y"], [-1, 0, 0], [5, 2, 3]).n_units[0] == 5
         with pytest.raises(TreeError, match="children sum"):
             from_parents(["r", "x", "y"], [-1, 0, 0], [6, 2, 3])
 
@@ -194,7 +192,7 @@ class TestFromParents:
             [f"n{i}" for i in range(n)], [i - 1 for i in range(n)], [None] * (n - 1) + [2]
         )
         assert tree.max_depth == n
-        assert tree.node("n0").n_units == 2
+        assert tree.n_units[0] == 2  # node "n0"
 
     @pytest.mark.parametrize(
         "ids, parent, units, message",
@@ -269,20 +267,20 @@ class TestFromParents:
     def test_invariants_of_random_trees(self, args):
         tree = from_parents(*args)
 
-        roots = [nid for nid in tree.ids if tree.node(nid).parent is None]
+        roots = [nid for nid in tree.ids if parent_id(tree, nid) is None]
         assert roots == [tree.root] == ["n0"]
-        assert tree.node(tree.root).depth == 1
-        for nid in tree.ids:
-            node = tree.node(nid)
-            if node.parent is not None:
-                assert nid in tree.node(node.parent).children
-            for c in node.children:
-                assert tree.node(c).parent == nid
-                assert tree.node(c).depth == node.depth + 1
-            if node.children:
-                assert node.n_units == sum(tree.node(c).n_units for c in node.children)
+        assert tree.depth[tree.root_index] == 1
+        for i, nid in enumerate(tree.ids):
+            children = child_ids(tree, nid)
+            if parent_id(tree, nid) is not None:
+                assert nid in child_ids(tree, parent_id(tree, nid))
+            for c in children:
+                assert parent_id(tree, c) == nid
+                assert tree.depth[tree.index_of(c)] == tree.depth[i] + 1
+            if children:
+                assert tree.n_units[i] == sum(tree.n_units[tree.index_of(c)] for c in children)
                 assert tree.leaves_under(nid) == [
-                    leaf for c in node.children for leaf in tree.leaves_under(c)
+                    leaf for c in children for leaf in tree.leaves_under(c)
                 ]
             else:
                 assert tree.leaves_under(nid) == [nid]
@@ -317,24 +315,37 @@ class TestArrayContract:
 class TestLabelTruth:
     def test_reference_13_node_case(self):
         tree = build_regular(3, 3).label_truth({"5"})
-        non_null = {nid for nid in tree.ids if tree.node(nid).is_null is False}
+        non_null = {nid for nid, null in zip(tree.ids, tree.is_null.tolist()) if not null}
         assert non_null == {"1", "2", "5"}
-        assert sum(n.is_null for n in map(tree.node, tree.ids)) == 10
+        assert tree.is_null.sum() == 10
 
     def test_empty_set_is_global_null(self):
         tree = build_regular(3, 3).label_truth(set())
-        assert all(n.is_null for n in map(tree.node, tree.ids))
+        assert tree.is_null.all()
 
     def test_unknown_block_rejected(self):
         with pytest.raises(TreeError, match="unknown"):
             build_regular(3, 3).label_truth({"99"})
+
+    def test_labeled_tree_derives_its_levels_once(self, monkeypatch):
+        calls = []
+        breadth_first = tree_module._breadth_first
+        monkeypatch.setattr(
+            tree_module, "_breadth_first", lambda *args: calls.append(1) or breadth_first(*args)
+        )
+        tree = build_regular(4, 4, units_per_leaf=10).label_truth({"22", "85"})
+        schedule = adaptive_schedule(tree, PowerModel(d_hat=0.3))
+        P = np.full((1, len(tree)), 0.001)  # every node rejects, so the walk reaches the leaves
+        walk = gate.run_topdown_batch(tree, P, gate.ADAPTIVE_PRUNED, schedule=schedule)
+        assert walk.nodes_tested == len(tree)
+        assert len(calls) == 1
 
     def test_numbered_labels_equal_listed_labels(self):
         tree = build_regular(2, 12)
         labeled = tree.label_truth({"2048", "4095"})
         listed = from_parents(list(tree.ids), tree.parent, tree.n_units)
         assert np.array_equal(labeled.is_null, listed.label_truth({"2048", "4095"}).is_null)
-        assert labeled.node("2048").is_null is False and labeled.node("2049").is_null
+        assert not labeled.is_null[2047] and labeled.is_null[2048]  # nodes "2048" and "2049"
 
     @pytest.mark.parametrize(
         "node_id",
@@ -354,7 +365,7 @@ class TestLabelTruth:
     def test_original_tree_unchanged(self):
         tree = build_regular(3, 3)
         tree.label_truth({"5"})
-        assert all(n.is_null is None for n in map(tree.node, tree.ids))
+        assert tree.is_null is None
 
     @given(
         st.sets(st.sampled_from([str(i) for i in range(5, 14)]), max_size=9),
@@ -365,9 +376,7 @@ class TestLabelTruth:
         tree = build_regular(3, 3)
         before = tree.label_truth(base)
         after = tree.label_truth(base | {extra})
-        for nid in tree.ids:
-            if before.node(nid).is_null is False:
-                assert after.node(nid).is_null is False
+        assert not (after.is_null & ~before.is_null).any()
 
     @given(
         st.integers(2, 3),
@@ -381,19 +390,15 @@ class TestLabelTruth:
         leaves = list(tree.leaves)
         chosen = data.draw(st.sets(st.sampled_from(leaves), min_size=1))
         labeled = tree.label_truth(chosen)
-        nodes = {nid: labeled.node(nid) for nid in labeled.ids}
+        null, depth, parent = labeled.is_null, labeled.depth, labeled.parent
 
-        def non_null(depth):
-            return sum(1 for n in nodes.values() if n.depth == depth and n.is_null is False)
+        def non_null(d):
+            return int(np.count_nonzero((depth == d) & ~null))
 
-        for depth in range(2, L + 1):
+        for d in range(2, L + 1):
             # a null whose parent is non-null is exposed to testing
-            exposed = sum(
-                1
-                for n in nodes.values()
-                if n.depth == depth and n.is_null and nodes[n.parent].is_null is False
-            )
-            assert non_null(depth) + exposed == k * non_null(depth - 1)
+            exposed = int(np.count_nonzero((depth == d) & null & ~null[parent]))
+            assert non_null(d) + exposed == k * non_null(d - 1)
 
 
 class TestPruneBelow:
@@ -403,9 +408,9 @@ class TestPruneBelow:
         assert "2" in pruned.ids
         assert "5" not in pruned.ids
         assert len(pruned) == 13 - 3
-        assert pruned.node("2").children == ()
+        assert child_ids(pruned, "2") == ()
         # original untouched
-        assert tree.node("2").children == ("5", "6", "7")
+        assert child_ids(tree, "2") == ("5", "6", "7")
 
     def test_prune_nothing_is_identity_shape(self):
         tree = build_regular(3, 3)
@@ -428,13 +433,14 @@ class TestAgainstReferenceTree:
         assert tree.ids == list(ref.parent)
         assert tree.root == ref.root
         assert list(tree.leaves) == ref.leaves()
-        for nid in tree.ids:
-            node = tree.node(nid)
-            assert node.parent == ref.parent[nid]
-            assert node.children == ref.children(nid)
-            assert node.depth == ref.depth(nid)
-            assert node.n_units == ref.n_units(nid)
-            assert node.is_null == (None if ref.is_null is None else ref.is_null[nid])
+        assert (tree.is_null is None) == (ref.is_null is None)
+        for i, nid in enumerate(tree.ids):
+            assert parent_id(tree, nid) == ref.parent[nid]
+            assert child_ids(tree, nid) == ref.children(nid)
+            assert tree.depth[i] == ref.depth(nid)
+            assert tree.n_units[i] == ref.n_units(nid)
+            if ref.is_null is not None:
+                assert tree.is_null[i] == ref.is_null[nid]
             assert tree.leaves_under(nid) == ref.leaves_under(nid)
         # one level per depth down to the deepest node, none beyond it
         assert [[tree.ids[i] for i in level.tolist()] for level in tree.levels] == [
