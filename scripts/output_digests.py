@@ -18,7 +18,11 @@ columns and so with its seven blocks in one sibling group under the root,
 is written to a temporary directory and tested with both local Hommel
 variants.  The energy statistic, whose quadratic form no other command
 reaches, and the rank statistic, the CLI's default, each run on
-``tests/golden/trial.csv`` in JSON with three variants.
+``tests/golden/trial.csv`` in JSON with three variants.  The rank
+statistic also runs on a generated CSV (``write_ranked``) whose twelve
+blocks hold more outcomes than ``--n-perms`` + 1, a third of them with
+tied outcomes, so its Monte Carlo nodes mix blocks that draw their rank
+sums with blocks that draw treated sets.
 Each line is a digest, two spaces and the command.
 """
 
@@ -26,6 +30,7 @@ import argparse
 import csv
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -49,6 +54,7 @@ SEEDED = ["--d-hat", "0.4", "--n-perms", "200", "--seed", "7"]
 TEST_ARGS = ["--statistic", "mean_diff", *SEEDED]
 STATISTIC_VARIANTS = ("unadjusted", "adaptive", "adaptive_pruned")
 FLAT = "trial_flat.csv"  # named as printed; written to the temporary directory
+RANKED = "ranked.csv"  # likewise
 
 
 def commands() -> list[list[str]]:
@@ -72,6 +78,7 @@ def commands() -> list[list[str]]:
                 ["test", "tests/golden/trial.csv", "--variant", variant, "--statistic", statistic,
                  *SEEDED, "--format", "json"]
             )
+    out.append(["test", RANKED, "--statistic", "rank", *SEEDED, "--format", "json"])
     return out
 
 
@@ -84,14 +91,33 @@ def write_flat(path: str) -> None:
             writer.writerow(row[:4])
 
 
+def write_ranked(path: str) -> None:
+    """Write twelve blocks of 20 units, half treated, under three sites of
+    two cohorts, with an effect in site S1.  Every third block's outcomes
+    are whole numbers, so they tie."""
+    rng = random.Random(5)  # the standard library's generator: the file does not depend on numpy
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["unit_id", "block_id", "treatment", "outcome", "site", "cohort"])
+        for b in range(12):
+            site, cohort = f"S{b // 4 + 1}", f"S{b // 4 + 1}{'ab'[b // 2 % 2]}"
+            treated = set(rng.sample(range(20), 10))
+            for u in range(20):
+                y = 10.0 + 6.0 * rng.random() + (2.0 if site == "S1" and u in treated else 0.0)
+                writer.writerow([f"u{b:02d}{u:02d}", f"b{b:02d}", int(u in treated),
+                                 f"{y:.0f}" if b % 3 == 0 else f"{y:.3f}", site, cohort])
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     os.chdir(ROOT)  # the commands name their inputs from the repository root
     with tempfile.TemporaryDirectory() as tmp:
-        out, flat = os.path.join(tmp, "out"), os.path.join(tmp, FLAT)
-        write_flat(flat)
+        out = os.path.join(tmp, "out")
+        written = {FLAT: os.path.join(tmp, FLAT), RANKED: os.path.join(tmp, RANKED)}
+        write_flat(written[FLAT])
+        write_ranked(written[RANKED])
         for command in commands():
-            status = treegate([flat if arg == FLAT else arg for arg in command] + ["--out", out])
+            status = treegate([written.get(arg, arg) for arg in command] + ["--out", out])
             if status != 0:
                 print(f"failed: treegate {' '.join(command)}", file=sys.stderr)
                 return status

@@ -257,11 +257,11 @@ def _rank_sum_null(n: int, m: int) -> _RankSumNull:
     return _RankSumNull(cdf, guide, width, rows)
 
 
-def _untied_rank_sums(blocks: Sequence[Block]) -> list[int]:
+def _untied_rank_sums(blocks: Sequence[Block]) -> np.ndarray:
     """Each block's treated rank sum, or -1 where its outcomes have ties.
     The blocks of each size are sorted in one argsort of their stacked
     outcomes."""
-    out = [-1] * len(blocks)
+    out = np.full(len(blocks), -1)
     by_size: dict[int, list[int]] = {}
     for i, b in enumerate(blocks):
         by_size.setdefault(b.n, []).append(i)
@@ -272,8 +272,7 @@ def _untied_rank_sums(blocks: Sequence[Block]) -> list[int]:
         w = treated[np.arange(len(members))[:, None], order] @ np.arange(1, n + 1)
         y.sort(axis=1)
         tied = (y[:, 1:] == y[:, :-1]).any(axis=1)
-        for i, w_i in zip(members, np.where(tied, -1, w).tolist()):
-            out[i] = w_i
+        out[members] = np.where(tied, -1, w)
     return out
 
 
@@ -327,11 +326,10 @@ def chunk_draws(
     the start of the block's stream.  Each is done with before the next is
     taken, so ``bitgens`` may be one bit generator set to each stream in
     turn (``streams.generators``).  The blocks that draw their treated rank
-    sum share the per-block work.  Their ties and observed sums are found
-    for a batch of positions at once, by one stacked argsort per block
-    size; a batch holds about as many outcomes as one position holds rows.
-    Each position looks up all its drawn sums in one ``_RankSumNull.index``
-    call.  Every other block draws its treated sets on its own.
+    sum share the per-block work: the ties and observed sums of all of
+    them are found in one ``_untied_rank_sums`` call, and each position
+    looks up all its drawn sums in one ``_RankSumNull.index`` call.  Every
+    other block draws its treated sets on its own.
     """
     shapes = []
     for blocks in positions:
@@ -340,51 +338,37 @@ def chunk_draws(
             raise PermTestError("the blocks of a position must have one shape")
         shapes.append((n, m))
     by_sum = [spec.statistic == "rank" and math.comb(n, m) < 2**63 for n, m in shapes]
+    w_obs = iter(_untied_rank_sums([b for bs, s in zip(positions, by_sum) if s for b in bs]))
+    q = 6 if spec.statistic == "energy" else 1
     bitgens = iter(bitgens)
-    w_obs: dict[int, list[int]] = {}  # position -> its observed rank sums, found a batch at a time
-    for p, blocks in enumerate(positions):
-        if by_sum[p] and p not in w_obs:
-            batch, held = [p], shapes[p][0]  # held: the batch's outcomes per dataset
-            for q in range(p + 1, len(positions)):
-                if held + shapes[q][0] > spec.n_perms + 1:
-                    break
-                held += shapes[q][0]
-                batch += [q] if by_sum[q] else []
-            sums = iter(_untied_rank_sums([b for q in batch for b in positions[q]]))
-            w_obs.update((q, [next(sums) for _ in positions[q]]) for q in batch)
-        yield _position_draws(blocks, *shapes[p], spec, bitgens, w_obs.get(p, [-1] * len(blocks)))
+    for blocks, (n, m), draws_sum in zip(positions, shapes, by_sum):
+        out = _empty_rows((len(blocks), spec.n_perms + 1, q), spec, n)
+        w = np.array([next(w_obs) if draws_sum else -1 for _ in blocks])  # -1: draws treated sets
+        u = []  # per block that draws its sum: uniform integers in [0, C(n, m))
+        for j, b in enumerate(blocks):
+            bitgen = next(bitgens)
+            if w[j] >= 0:
+                rng = np.random.Generator(bitgen)
+                u.append(rng.integers(0, math.comb(n, m), spec.n_perms, dtype=np.int64))
+            else:
+                out[j] = _treated_set_draws(b, spec, bitgen)
+        if u:
+            drawn, null = w >= 0, _rank_sum_null(n, m)
+            out[drawn, :-1, 0] = null.rows[null.index(np.concatenate(u))].reshape(-1, spec.n_perms)
+            out[drawn, -1, 0] = null.rows[w[drawn] - m * (m + 1) // 2]
+        yield out
 
 
-def _position_draws(blocks: Sequence[Block], n: int, m: int, spec: TestSpec, bitgens, w_obs):
-    """One position's rows for ``chunk_draws``: block j draws its treated
-    rank sum where its observed sum ``w_obs[j]`` is known, else treated
-    sets."""
+def _empty_rows(shape: tuple[int, ...], spec: TestSpec, n: int) -> np.ndarray:
+    """``np.empty(shape)`` for the draws of an ``n``-unit block, raising
+    MemoryError where numpy raises ValueError for a shape past its index
+    range."""
     try:
-        out = np.empty((len(blocks), spec.n_perms + 1, 6 if spec.statistic == "energy" else 1))
-    except ValueError:  # past numpy's index range, which is not a MemoryError
+        return np.empty(shape)
+    except ValueError:
         raise MemoryError(
             f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
         ) from None
-    by_sum = [j for j, w in enumerate(w_obs) if w >= 0]
-    if not by_sum and len(blocks) == 1:  # a lone block of treated sets: no copy into a stack
-        return _treated_set_draws(blocks[0], spec, next(bitgens))[None]
-    if by_sum:
-        null = _rank_sum_null(n, m)
-    u = []  # per block that draws its sum: uniform integers in [0, C(n, m))
-    for j, (b, w) in enumerate(zip(blocks, w_obs)):
-        bitgen = next(bitgens)
-        if w >= 0:
-            rng = np.random.Generator(bitgen)
-            u.append(rng.integers(0, null.cdf[-1], spec.n_perms, dtype=np.int64))
-        else:
-            out[j] = _treated_set_draws(b, spec, bitgen)
-    if by_sum:
-        if len(by_sum) == len(blocks):
-            by_sum = slice(None)  # every block drew its sum: write through a slice
-        u = u[0] if len(u) == 1 else np.concatenate(u)
-        out[by_sum, :-1, 0] = null.rows[null.index(u)].reshape(-1, spec.n_perms)
-        out[by_sum, -1, 0] = null.rows[np.array(w_obs)[by_sum] - m * (m + 1) // 2]
-    return out
 
 
 def _treated_set_draws(block: Block, spec: TestSpec, bitgen) -> np.ndarray:
@@ -393,12 +377,7 @@ def _treated_set_draws(block: Block, spec: TestSpec, bitgen) -> np.ndarray:
     n, m = block.n, block.n_treated
     # scored before the rows exist, so their temporaries are freed first
     scores = _score_matrix(spec.statistic, block.outcome)
-    try:
-        ind = np.empty((spec.n_perms + 1, n))
-    except ValueError:
-        raise MemoryError(
-            f"{spec.n_perms} draws of a {n}-unit block exceed the address space"
-        ) from None
+    ind = _empty_rows((spec.n_perms + 1, n), spec, n)
     chunk = max(2, _KEY_CHUNK // n // 2 * 2)  # rows
     tied = np.empty(spec.n_perms, dtype=bool)
     for lo in range(0, spec.n_perms, chunk):

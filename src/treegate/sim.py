@@ -165,7 +165,8 @@ def simulate_weak(
     check_regular_shape(k, L)
     gate.check_alpha(alpha)
     tree = build_regular(k, L)
-    result = walk(tree, _uniform_draws((seed, k, L)), replicates, gate.UNADJUSTED, alpha=alpha)
+    draws = _uniform_draws((seed, k, L), replicates)
+    result = walk(tree, draws, replicates, gate.UNADJUSTED, alpha=alpha)
     rejections = np.bincount(result.row[result.rejected], minlength=replicates)
     root_rejections = int(np.count_nonzero(result.rejected & (result.node == tree.root_index)))
     fwer = int(np.count_nonzero(rejections)) / replicates
@@ -182,40 +183,32 @@ def simulate_weak(
     )
 
 
-def _uniform_draws(key: tuple[int, ...]):
-    """A source of independent uniform p-values for ``gate.walk``: row r
-    draws from its own stream, seeded ``(*key, r)``, and a row's pairs
-    take the stream's next uniforms in the order they are listed, in any
-    order of rows, as ``random()`` calls on ``np.random.default_rng(
+def _uniform_draws(key: tuple[int, ...], rows: int):
+    """A source of independent uniform p-values for ``gate.walk`` on
+    ``rows`` rows: row r draws from its own stream, seeded ``(*key, r)``,
+    and a row's pairs take the stream's next uniforms in the order they are
+    listed, as ``random()`` calls on ``np.random.default_rng(
     np.random.SeedSequence([*key, r]))`` would give them.
 
-    Every row's PCG64 state is held in arrays indexed by row number.  The
-    rows first seen at a call are seeded in one batch (``streams``), and
-    in one pass each pair's state is its row's jumped ahead by the pair's
-    rank among that row's pairs in the call."""
-    # per row: state high, state low, inc high, inc low; a seeded inc is odd
-    state = np.zeros((4, 0), dtype=np.uint64)
+    Every row's PCG64 state is seeded once, in one batch (``streams``), and
+    held in arrays indexed by row number.  ``gate.walk`` lists each depth's
+    pairs in ascending row order, so a row's pairs are adjacent, and in one
+    pass each pair's state is its row's jumped ahead by the pair's rank
+    among them.  Pairs out of row order raise SimError."""
+    # per row: state high, state low, inc high, inc low
+    state = streams.pcg64_arrays([(*key, r) for r in range(rows)])
 
     def draw(row: np.ndarray, node: np.ndarray) -> np.ndarray:
-        nonlocal state
         row = np.asarray(row, dtype=np.intp)
-        if row.max() >= state.shape[1]:
-            grow = int(row.max()) + 1 - state.shape[1]
-            state = np.concatenate([state, np.zeros((4, grow), dtype=np.uint64)], axis=1)
-        # the pairs grouped by row; a stable sort keeps each row's in listed order
-        order = np.argsort(row, kind="stable")
-        grouped = row[order]
-        first = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+        if (row[1:] < row[:-1]).any():
+            raise SimError("uniform draws need each call's pairs in ascending row order")
+        first = np.flatnonzero(np.concatenate([[True], row[1:] != row[:-1]]))
         counts = np.diff(first, append=row.size)
-        reps = grouped[first]
-        new = reps[state[3, reps] == 0]
-        if new.size:
-            state[:, new] = streams.pcg64_arrays([(*key, r) for r in new.tolist()])
-        steps, stream = np.empty_like(row), np.empty_like(row)
-        steps[order] = np.arange(1, row.size + 1) - np.repeat(first, counts)
-        stream[order] = np.repeat(np.arange(reps.size), counts)  # each pair's row among reps
+        reps = row[first]
+        steps = np.arange(1, row.size + 1) - np.repeat(first, counts)
+        stream = np.repeat(np.arange(reps.size), counts)  # each pair's row among reps
         hi, lo = streams.advance(*state[:, reps], steps, row=stream)
-        last = order[first + counts - 1]  # each row's last pair leaves the row's state
+        last = first + counts - 1  # each row's last pair leaves the row's state
         state[:2, reps] = hi[last], lo[last]
         return streams.uniforms(hi, lo)
 
@@ -564,12 +557,14 @@ def _pvalue_matrix(
     with its shapes (a one-line PermTestError otherwise), so each node's
     mode is decided once, by ``is_exact``, which depends only on the
     shapes.  Nodes within ``spec.exact_cap`` are enumerated exactly,
-    dataset by dataset.  Then one pass runs over the block positions, in
-    dataset order.  Each position draws its Monte Carlo rows once for the
-    whole chunk (``chunk_draws``), and adds them into a running sum held by
-    its leaf and by each ancestor tested by Monte Carlo; a node's p-values
-    are counted, and its sum dropped, as soon as its last block is in.  The
-    drawing blocks' streams are all seeded in one batch (``streams``).
+    dataset by dataset.  The others are tested by Monte Carlo, a mode that
+    is upward-closed (an ancestor holds a node's blocks, so at least its
+    assignments), so every block position draws or none does.  One pass
+    runs over the block positions, in dataset order.  Each position draws
+    its rows once for the whole chunk (``chunk_draws``) and adds them into
+    a running sum held by each Monte Carlo node on its path; a node's
+    p-values are counted, and its sum dropped, when its last block position
+    is in.  The blocks' streams are all seeded in one batch (``streams``).
     """
     leaf_index = dict(zip(tree.leaves, np.flatnonzero(tree.is_leaf).tolist()))
     leaves = _block_leaves(leaf_index, datasets[0])
@@ -589,7 +584,7 @@ def _pvalue_matrix(
         paths.append(path)
 
     P = np.empty((len(datasets), len(tree)))
-    pending: dict[int, int] = {}  # Monte Carlo node -> its blocks not yet summed
+    sums: dict[int, np.ndarray | None] = {}  # Monte Carlo node -> its blocks' rows summed so far
     for i, positions in enumerate(under):
         try:
             exact = is_exact([datasets[0][j] for j in positions], spec)
@@ -602,25 +597,22 @@ def _pvalue_matrix(
                 node_blocks = [blocks[j] for j in positions]
                 P[d, i] = permutation_pvalue(node_blocks, spec, prefix, exact=True)
         else:
-            pending[i] = len(positions)
+            sums[i] = None
+    if not sums:
+        return P
 
-    # the block positions summed into a Monte Carlo node, with those nodes
-    drawing = [(j, [i for i in path if i in pending]) for j, path in enumerate(paths)]
-    drawing = [(j, summed_into) for j, summed_into in drawing if summed_into]
     rngs = streams.generators([
         block_entropy(spec, prefix, blocks[j].block_id)
-        for j, _ in drawing for blocks, prefix in zip(datasets, prefixes)
+        for j in range(len(leaves)) for blocks, prefix in zip(datasets, prefixes)
     ])
-    bitgens = (rng.bit_generator for rng in rngs)
-    positions = chunk_draws([[blocks[j] for blocks in datasets] for j, _ in drawing], spec, bitgens)
-    sums: dict[int, np.ndarray] = {}
-    for (_, summed_into), draws in zip(drawing, positions):
-        for i in summed_into:
-            sums[i] = draws if i not in sums else sums[i] + draws
-            pending[i] -= 1
-            if not pending[i]:
-                node_blocks = [datasets[0][k] for k in under[i]]
-                P[:, i] = permutation_pvalue(node_blocks, spec, exact=False, draws=sums.pop(i))
+    drawn = chunk_draws(list(zip(*datasets)), spec, (rng.bit_generator for rng in rngs))
+    for j, (path, draws) in enumerate(zip(paths, drawn)):
+        for i in path:
+            if i in sums:
+                sums[i] = draws if sums[i] is None else sums[i] + draws
+                if under[i][-1] == j:  # the node's last block is in
+                    node_blocks = [datasets[0][k] for k in under[i]]
+                    P[:, i] = permutation_pvalue(node_blocks, spec, exact=False, draws=sums.pop(i))
     return P
 
 

@@ -21,6 +21,7 @@ from treegate.gate import (
     score_batch,
     score_rejections,
     score_result,
+    walk,
 )
 from treegate.tree import build_regular, from_parents
 
@@ -403,6 +404,32 @@ class TestBatchAgainstScalar:
             for name in batch:
                 assert batch[name][r] == float(getattr(want, name)), name
                 assert bottom_up[name][r] == float(getattr(want_bu, name)), name
+
+
+class TestWalkOrder:
+    @given(
+        st.one_of(shuffled_trees(max_nodes=40, min_units=2), wide_trees()),
+        st.integers(1, 8),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_depth_lists_its_pairs_in_row_order(self, args, rows, seed):
+        # the weak study's uniform draws rely on it
+        ids, parent, units = args
+        tree = from_parents(ids, parent, [None if u is None else 50 * u for u in units])
+        schedule = adaptive_schedule(tree, PowerModel(d_hat=0.3, alpha=0.2))
+        P = np.random.default_rng(seed).random((rows, len(tree))) ** 4
+        for variant in VARIANTS.values():
+            calls = []
+
+            def source(row, node):
+                calls.append(row.copy())
+                return P[row, node]
+
+            result = walk(tree, source, rows, variant, alpha=0.2, schedule=schedule)
+            assert sum(r.size for r in calls) == result.node.size
+            for row in calls:
+                assert (np.diff(row) >= 0).all(), (variant.name, row)
 
 
 class TestVariantChecks:

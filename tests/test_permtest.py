@@ -664,6 +664,38 @@ class TestRankSumDraws:
                 want = np.append(rows, null.rows[w - m * (m + 1) // 2])[:, None]
             assert drawn.tobytes() == want.tobytes(), (block.block_id, d)
 
+    def test_a_chunk_finds_its_observed_rank_sums_in_one_call(self, monkeypatch):
+        # four positions of three datasets hold 150 outcomes per dataset,
+        # more than the n_perms + 1 = 101 rows of one position; one block
+        # has tied outcomes and draws keys
+        spec = TestSpec(statistic="rank", n_perms=100, seed=3)
+        rng = np.random.default_rng(8)
+        positions = []
+        for p, n in enumerate([40, 40, 30, 40]):
+            blocks = []
+            for d in range(3):
+                outcome = rng.normal(size=n)
+                if (p, d) == (2, 1):
+                    outcome[0] = outcome[1]
+                blocks.append(make_block(outcome, rng.permutation(n)[: n // 2], f"b{p}"))
+            positions.append(blocks)
+        calls = []
+        untied = permtest._untied_rank_sums
+        monkeypatch.setattr(
+            permtest, "_untied_rank_sums", lambda bs: calls.append(len(bs)) or untied(bs)
+        )
+        entropies = (
+            permtest.block_entropy(spec, f"{d}/", b.block_id)
+            for blocks in positions for d, b in enumerate(blocks)
+        )
+        bitgens = (np.random.PCG64(np.random.SeedSequence(e)) for e in entropies)
+        got = list(permtest.chunk_draws(positions, spec, bitgens))
+        assert calls == [12]
+        for blocks, drawn in zip(positions, got):
+            for d, b in enumerate(blocks):
+                want = block_draws(b, spec, f"{d}/")
+                assert drawn[d].tobytes() == want.tobytes(), (b.block_id, d)
+
     def test_the_blocks_of_a_position_must_have_one_shape(self):
         blocks = [make_block(np.arange(6.0), [0, 1, 2]), make_block(np.arange(6.0), [0, 1])]
         draws = permtest.chunk_draws([blocks], TestSpec(statistic="rank"), [None, None])

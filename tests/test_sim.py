@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegate import gate, permtest, sim
 from treegate.cli import read_dataset
@@ -25,10 +27,11 @@ from treegate.sim import (
     simulate_weak,
     worker_count,
 )
-from treegate.tree import TreeError, build_from_paths, build_regular
+from treegate.tree import TreeError, build_from_paths, build_regular, from_parents
 
 from _oracles import (
     outcomes,
+    shuffled_trees,
     simulate_dpp_per_replicate,
     simulate_strong_per_replicate,
     simulate_weak_per_replicate,
@@ -105,7 +108,7 @@ class TestSimulateWeak:
     def test_walk_derives_no_parent_depth_or_levels(self):
         # the weak study's walk reads the child lists alone
         tree = build_regular(2, 12)
-        result = gate.walk(tree, sim._uniform_draws((3, 2, 12)), 100, alpha=0.5)
+        result = gate.walk(tree, sim._uniform_draws((3, 2, 12), 100), 100, alpha=0.5)
         assert result.node.size > 300  # walks reach below the root's children
         assert not {"parent", "depth", "levels", "ids"} & set(vars(tree))
 
@@ -124,7 +127,7 @@ class TestSimulateWeak:
     def test_each_node_draws_what_a_scalar_walk_draws(self):
         # the summary cannot tell siblings apart; the walk's p-values can
         tree = build_regular(3, 5)
-        result = sim.walk(tree, sim._uniform_draws((1, 3, 5)), 60, alpha=0.5)
+        result = sim.walk(tree, sim._uniform_draws((1, 3, 5), 60), 60, alpha=0.5)
         for rep in range(60):
             rng = np.random.default_rng(np.random.SeedSequence([1, 3, 5, rep]))
             want = topdown_loop(tree, lambda nid: rng.random(), UNADJUSTED, alpha=0.5)
@@ -620,6 +623,29 @@ class TestPValueMatrix:
         sim._pvalue_matrix(tree, datasets, TestSpec(n_perms=100), prefixes)
         assert len(counts) == len(tree)
 
+    @given(shuffled_trees(max_nodes=12, min_units=2), st.integers(1, 3000), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_monte_carlo_mode_is_upward_closed(self, args, exact_cap, data):
+        # a node's ancestors are tested by Monte Carlo whenever it is, so
+        # the p-values draw at every block position or at none
+        tree = from_parents(*args)
+        spec = TestSpec(statistic="mean_diff", n_perms=100, exact_cap=exact_cap)
+        blocks = []
+        for nid, n in zip(tree.leaves, tree.n_units[tree.is_leaf].tolist()):
+            m = data.draw(st.integers(1, n - 1), label=f"treated in {nid}")
+            blocks.append(Block(nid, np.arange(n) < m, np.arange(n, dtype=float)))
+        exact = [is_exact(TestNodePValues.node_blocks(tree, blocks, nid), spec) for nid in tree.ids]
+        for i, p in enumerate(tree.parent.tolist()):
+            assert p < 0 or exact[i] or not exact[p], (tree.ids[i], tree.ids[p])
+
+        drawn = []
+        draws = sim.chunk_draws
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "chunk_draws", lambda positions, *a: drawn.append(len(positions))
+                       or draws(positions, *a))
+            node_pvalues(tree, blocks, spec)
+        assert drawn == ([] if all(exact) else [len(blocks)])
+
     @pytest.mark.parametrize("change", ["blocks_reordered", "block_resized"])
     def test_dataset_of_another_layout_is_one_line_error(self, change):
         tree, datasets, prefixes = self.chunk()
@@ -670,17 +696,24 @@ def scalar_draws(key, calls):
 
 
 @pytest.mark.parametrize(
-    "calls",
+    "rows, calls",
     [
-        [[0, 1], [1, 3, 3], [3, 4, 1, 4]],
-        [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
-        [[3, 0, 2, 1], [2, 0, 2, 3, 0, 2], [0, 3, 0, 0, 3, 1]],
-        [[0] * 150 + [1] * 70, [1, 0] * 33],
+        (5, [[0, 1, 2, 3, 4], [1, 3, 3], [0, 4, 4, 4]]),
+        (3, [[0, 1, 2], [1, 1, 2], [2, 2, 2]]),
+        (7, [[2, 2, 5], [0, 5, 5, 5, 6]]),
+        (2, [[0] * 150 + [1] * 70, [0] * 33 + [1] * 33]),
     ],
-    ids=["row_first_seen_later", "rows_drop_out", "pairs_not_grouped_or_sorted", "long_runs"],
+    ids=["row_skips_a_call", "rows_drop_out", "rows_never_drawn", "long_runs"],
 )
-def test_uniform_draws_match_one_generator_per_row(calls):
+def test_uniform_draws_match_one_generator_per_row(rows, calls):
     key = (4, 2, 9)
-    draw = sim._uniform_draws(key)
-    got = [draw(np.array(rows, dtype=int), np.zeros(len(rows), dtype=int)).tolist() for rows in calls]
+    draw = sim._uniform_draws(key, rows)
+    got = [draw(np.array(r, dtype=int), np.zeros(len(r), dtype=int)).tolist() for r in calls]
     assert got == scalar_draws(key, calls)
+
+
+def test_uniform_draws_refuse_pairs_out_of_row_order():
+    draw = sim._uniform_draws((4, 2, 9), 4)
+    message = "^uniform draws need each call's pairs in ascending row order$"
+    with pytest.raises(SimError, match=message):
+        draw(np.array([0, 2, 1]), np.zeros(3, dtype=int))
